@@ -190,7 +190,8 @@ class PairabilityReport:
     offending_circuit: Optional[Subset] = None
 
     def __post_init__(self) -> None:
-        assert self.pairable == (self.offending_circuit is None)
+        if self.pairable != (self.offending_circuit is None):
+            raise InputError("offending_circuit is set exactly when pairable is False")
 
     def to_json(self) -> dict:
         out: dict = {"pairable": self.pairable}

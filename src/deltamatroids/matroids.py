@@ -114,7 +114,8 @@ class Matroid:
             )
         m = cls(fam.ground, fam, _certified=True)
         # (MB) forces equicardinality; a failure here would be an engine bug.
-        assert all(b.bit_count() == m.rank for b in fam.masks)
+        if any(b.bit_count() != m.rank for b in fam.masks):
+            raise RuntimeError("(MB) passed on a basis family of unequal sizes")
         return m
 
     @classmethod

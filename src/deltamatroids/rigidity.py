@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .core import GroundSet, InputError, SetFamily, Subset, _maximal_masks
+from .core import GroundSet, InputError, SetFamily, Subset
 from .matroids import Matroid
 
 
@@ -73,8 +73,8 @@ class Multigraph:
     def is_simple(self) -> bool:
         return not self.has_loop() and not self.has_parallel()
 
-    def _components(self, edge_mask: int) -> int:
-        """Number of connected components of (V, F) including isolated vertices."""
+    def _forest_rank(self, edge_mask: int) -> int:
+        """Edges of a spanning forest of (V, F), by union-find: the cycle-matroid rank of F."""
         parent = list(range(len(self.vertices)))
 
         def find(a: int) -> int:
@@ -84,44 +84,64 @@ class Multigraph:
             return a
 
         vi = self._vertex_index
+        rank = 0
         for i, (_, (u, v)) in enumerate(self.edges):
             if edge_mask >> i & 1:
                 ra, rb = find(vi[u]), find(vi[v])
                 if ra != rb:
                     parent[ra] = rb
-        return len({find(i) for i in range(len(self.vertices))})
+                    rank += 1
+        return rank
 
     def is_forest(self, edge_mask: int) -> bool:
         """True iff the edge set contains no cycle (loops and parallel pairs count)."""
-        parent = list(range(len(self.vertices)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        vi = self._vertex_index
-        for i, (_, (u, v)) in enumerate(self.edges):
-            if edge_mask >> i & 1:
-                ra, rb = find(vi[u]), find(vi[v])
-                if ra == rb:
-                    return False
-                parent[ra] = rb
-        return True
+        return self._forest_rank(edge_mask) == edge_mask.bit_count()
 
     def is_connected_spanning(self, edge_mask: int) -> bool:
         """True iff (V, F) is connected over *all* vertices of the graph."""
-        return self._components(edge_mask) == 1
+        return len(self.vertices) - self._forest_rank(edge_mask) == 1
 
     def is_connected(self) -> bool:
         return self.is_connected_spanning(self.ground.full_mask)
 
 
+def _count_sparse(g: Multigraph, k: int, l: int) -> tuple[list[int], list[int]]:
+    """The (k,l)-sparse edge sets of g and their maximal members, both ascending.
+
+    F is (k,l)-sparse when every nonempty F' within F has |F'| <= k|V(F')| - l.
+    One ascending pass over the edge masks suffices, since each X - e comes
+    before X: a nonempty X is sparse iff every X - e is sparse and X itself
+    meets the count.  A sparse X marks each X - e as not maximal.
+    """
+    ev = g._edge_vertex_masks
+    size = 1 << len(ev)
+    vmask = [0] * size
+    state = bytearray(size)  # 0 not sparse, 1 sparse, 2 sparse and extendable
+    state[0] = 1
+    sparse = [0]
+    for x in range(1, size):
+        low = x & -x
+        vmask[x] = v = vmask[x ^ low] | ev[low.bit_length() - 1]
+        if x.bit_count() > k * v.bit_count() - l:
+            continue
+        y = x
+        while y and state[x ^ (y & -y)]:
+            y &= y - 1
+        if y:
+            continue
+        state[x] = 1
+        sparse.append(x)
+        y = x
+        while y:
+            state[x ^ (y & -y)] = 2
+            y &= y - 1
+    return sparse, [x for x in sparse if state[x] == 1]
+
+
 def cycle_matroid(g: Multigraph) -> Matroid:
-    """Connectivity matroid on the edge labels: independents are forests."""
-    forests = [m for m in g.ground.all_masks() if g.is_forest(m)]
-    return Matroid._trusted(g.ground, _maximal_masks(forests))
+    """Connectivity matroid on the edge labels: independents are forests,
+    the (1,1)-sparse edge sets."""
+    return Matroid._trusted(g.ground, _count_sparse(g, 1, 1)[1])
 
 
 def _sparse_count_ok(g: Multigraph, mask: int) -> bool:
@@ -151,8 +171,7 @@ def is_sparse_23(g: Multigraph, f: Subset) -> bool:
 
 def rigidity_matroid(g: Multigraph) -> Matroid:
     """2D generic rigidity matroid: independents are the (2,3)-sparse sets."""
-    sparse = [m for m in g.ground.all_masks() if is_sparse_23(g, Subset(g.ground, m))]
-    return Matroid.certify(SetFamily(g.ground, _maximal_masks(sparse)))
+    return Matroid.certify(SetFamily(g.ground, tuple(_count_sparse(g, 2, 3)[1])))
 
 
 def rigidity_feasible_family(g: Multigraph) -> SetFamily:
@@ -166,12 +185,8 @@ def rigidity_feasible_family(g: Multigraph) -> SetFamily:
         raise InputError("rigidity feasible family requires a simple graph")
     if not g.is_connected():
         raise InputError("rigidity feasible family requires a connected graph")
-    members = [
-        m
-        for m in g.ground.all_masks()
-        if g.is_connected_spanning(m) and is_sparse_23(g, Subset(g.ground, m))
-    ]
-    return SetFamily(g.ground, tuple(members))
+    sparse = _count_sparse(g, 2, 3)[0]
+    return SetFamily(g.ground, tuple(m for m in sparse if g.is_connected_spanning(m)))
 
 
 @dataclass(frozen=True)
@@ -232,7 +247,8 @@ def verify_cone_quotient(g: Multigraph) -> ConeQuotientReport:
     mr = rigidity_matroid(g)
     mc = cycle_matroid(g)
     # deletion/contraction keep the original edge order, so grounds line up
-    assert deleted.ground == g.ground and contracted.ground == g.ground
+    if deleted.ground != g.ground or contracted.ground != g.ground:
+        raise RuntimeError("cone minors are not over the graph's edge ground set")
     return ConeQuotientReport(
         deletion_identity=deleted.bases.masks == mr.bases.masks,
         contraction_identity=contracted.bases.masks == mc.bases.masks,

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from deltamatroids import (
     ExchangeViolation,
     GroundSet,
     InputError,
+    PairabilityReport,
     SetFamily,
     Subset,
     bouchet_triple,
@@ -243,6 +248,30 @@ class TestSandwichAndPairability:
     def test_ground_mismatch_rejected(self):
         with pytest.raises(InputError):
             is_pairable(uniform(1, default_ground(2)), uniform(1, default_ground(3)))
+
+    def test_inconsistent_report_rejected(self):
+        g = default_ground(2)
+        with pytest.raises(InputError):
+            PairabilityReport(pairable=True, offending_circuit=g.subset("a"))
+        with pytest.raises(InputError):
+            PairabilityReport(pairable=False)
+
+    def test_inconsistent_report_rejected_under_optimize(self):
+        # python -O strips assert statements; the check must survive it
+        snippet = (
+            "from deltamatroids import InputError, PairabilityReport\n"
+            "assert False, 'asserts are live'\n"
+            "try:\n"
+            "    PairabilityReport(pairable=False)\n"
+            "except InputError:\n"
+            "    print('rejected')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", snippet], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "rejected\n"
 
 
 class TestBouchetTriple:

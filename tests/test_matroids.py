@@ -78,6 +78,14 @@ class TestBasisAxiom:
         assert m.rank == 1
         assert g.subset("b") in m.circuits()
 
+    def test_unequal_sizes_past_mb_is_an_engine_error(self, monkeypatch):
+        # (MB) implies equicardinality; if the kernel ever let unequal sizes
+        # through, certify must refuse instead of building the matroid
+        monkeypatch.setattr("deltamatroids.matroids._mb_violation", lambda masks: None)
+        g = default_ground(3)
+        with pytest.raises(RuntimeError):
+            Matroid.certify(SetFamily.from_labels(g, [["a"], ["b", "c"]]))
+
 
 class TestUniform:
     def test_rank_zero(self):

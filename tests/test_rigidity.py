@@ -1,24 +1,53 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from deltamatroids import (
     CORPUS,
+    ConeResult,
     DeltaMatroid,
     InputError,
     Multigraph,
+    SetFamily,
     Subset,
     cone,
     cycle_matroid,
     is_pairable,
     is_quotient,
     is_sparse_23,
+    maximal_members,
     rigidity_feasible_family,
     rigidity_matroid,
     verify_cone_quotient,
 )
+from deltamatroids.rigidity import _count_sparse
 
 
 def triangle():
     return CORPUS["triangle"]
+
+
+def cycle_with_chords(n, chords=()):
+    vs = "abcdefghij"[:n]
+    edges = [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    edges += [(f"c{j}", vs[u], vs[v]) for j, (u, v) in enumerate(chords)]
+    return Multigraph.build(vs, edges)
+
+
+def brute_force_sparse(g, k, l):
+    """Per-set reference checks: forests for (1,1), submask scans for (2,3)."""
+    if (k, l) == (1, 1):
+        return [m for m in g.ground.all_masks() if g.is_forest(m)]
+    return [m for m in g.ground.all_masks() if is_sparse_23(g, Subset(g.ground, m))]
+
+
+def assert_kernel_matches_brute_force(g):
+    for k, l in ((1, 1), (2, 3)):
+        want = brute_force_sparse(g, k, l)
+        sparse, maximal = _count_sparse(g, k, l)
+        assert sparse == want, (g, k, l)
+        assert maximal == list(maximal_members(SetFamily(g.ground, tuple(want))).masks), (g, k, l)
 
 
 class TestMultigraph:
@@ -102,6 +131,30 @@ class TestSparsity:
                     assert sub in sparse
 
 
+class TestCountSparseKernel:
+    def test_corpus(self):
+        for g in CORPUS.values():
+            assert_kernel_matches_brute_force(g)
+
+    def test_every_edge_subset_of_k4(self):
+        k4 = CORPUS["k4"]
+        for mask in k4.ground.all_masks():
+            edges = tuple(e for i, e in enumerate(k4.edges) if mask >> i & 1)
+            assert_kernel_matches_brute_force(Multigraph(k4.vertices, edges))
+
+    def test_seeded_multigraphs_with_loops_and_parallels(self):
+        rng = random.Random(2111)
+        graphs = []
+        for _ in range(240):
+            vs = [f"v{i}" for i in range(rng.randint(1, 6))]
+            edges = [(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(rng.randint(0, 10))]
+            graphs.append(Multigraph.build(vs, edges))
+        assert sum(g.has_loop() for g in graphs) >= 50
+        assert sum(g.has_parallel() for g in graphs) >= 50
+        for g in graphs:
+            assert_kernel_matches_brute_force(g)
+
+
 class TestRigidityMatroid:
     def test_k4_rigidity_circuit_is_everything(self):
         m = rigidity_matroid(CORPUS["k4"])
@@ -140,6 +193,16 @@ class TestFeasibleFamily:
         g = CORPUS["k4"]
         fam = rigidity_feasible_family(g)
         assert g.ground.subset(g.ground.labels) not in fam
+
+    def test_k5_matches_brute_force_filter(self):
+        vs = "abcde"
+        k5 = Multigraph.build(vs, [(u + v, u, v) for u, v in combinations(vs, 2)])
+        want = [
+            m
+            for m in k5.ground.all_masks()
+            if k5.is_connected_spanning(m) and is_sparse_23(k5, Subset(k5.ground, m))
+        ]
+        assert list(rigidity_feasible_family(k5).masks) == want
 
     def test_disconnected_rejected(self):
         g = Multigraph.build("uvwx", [("e1", "u", "v"), ("e2", "w", "x")])
@@ -209,6 +272,24 @@ class TestConeQuotient:
     def test_whole_corpus(self):
         for name, g in CORPUS.items():
             assert verify_cone_quotient(g).both_hold, name
+
+    def test_thirteen_and_fourteen_edge_cones(self):
+        for g, size in ((cycle_with_chords(6, [(0, 3)]), 13), (cycle_with_chords(7), 14)):
+            assert len(cone(g).cone_graph.edges) == size
+            assert verify_cone_quotient(g).both_hold
+
+    def test_misaligned_minor_ground_is_an_engine_error(self, monkeypatch):
+        real_cone = cone
+
+        def cone_with_first_edges_swapped(g):
+            result = real_cone(g)
+            edges = result.cone_graph.edges
+            swapped = Multigraph(result.cone_graph.vertices, edges[1::-1] + edges[2:])
+            return ConeResult(swapped, swapped.ground.subset(result.cone_edges.labels))
+
+        monkeypatch.setattr("deltamatroids.rigidity.cone", cone_with_first_edges_swapped)
+        with pytest.raises(RuntimeError):
+            verify_cone_quotient(triangle())
 
     def test_contracting_cone_edges_of_k4_gives_triangle_cycles(self):
         # K4 viewed as the cone of the triangle: contracting the cone edges
