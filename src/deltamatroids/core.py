@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_GROUND_SIZE = 16
 
@@ -200,6 +200,11 @@ class SetFamily:
 
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(s) for s in self.members) + "}"
+
+
+def _project(mask: int, keep: Sequence[int]) -> int:
+    """mask restricted to the element indices in keep, renumbered 0, 1, ... in that order."""
+    return sum(1 << i for i, b in enumerate(keep) if mask >> b & 1)
 
 
 def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:

@@ -10,44 +10,22 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
-from .core import GroundSet, InputError, SetFamily, Subset, default_ground
-from .matroids import AxiomError, ExchangeViolation, Matroid, uniform
-
-
-def _delta_violation(masks: Sequence[int]) -> Optional[tuple[int, int, int]]:
-    """First symmetric-exchange failure (f1, f2, pivot_bit), or None.
-
-    Same canonical order as the basis-exchange checker: partner set outer,
-    first set inner, pivots ascending.  The exchange partner y ranges over
-    the whole symmetric difference and may equal the pivot.
-    """
-    fam = set(masks)
-    for f2 in masks:
-        for f1 in masks:
-            diff = f1 ^ f2
-            x = diff
-            while x:
-                xb = x & -x
-                x ^= xb
-                y = diff
-                ok = False
-                while y:
-                    yb = y & -y
-                    y ^= yb
-                    # f1 ^ (xb|yb) covers y == x as well: {x,y} collapses to {x}
-                    if f1 ^ (xb | yb) in fam:
-                        ok = True
-                        break
-                if not ok:
-                    return f1, f2, xb
-    return None
+from .core import GroundSet, InputError, SetFamily, Subset, _project, default_ground
+from .matroids import (
+    AxiomError,
+    ExchangeViolation,
+    Matroid,
+    _certify_exchange,
+    _exchange_ok,
+    uniform,
+)
 
 
 @lru_cache(maxsize=1 << 18)
 def _delta_ok(masks: tuple[int, ...]) -> bool:
     """Memoized pass/fail view of the exchange check; the subfamily exhausts
     and augmentation sweeps re-test many repeated families."""
-    return _delta_violation(masks) is None
+    return _exchange_ok(masks, "DF")
 
 
 class DeltaMatroid:
@@ -65,17 +43,7 @@ class DeltaMatroid:
     def certify(cls, fam: SetFamily) -> "DeltaMatroid":
         if len(fam) == 0:
             raise InputError("a delta-matroid needs at least one feasible set")
-        bad = _delta_violation(fam.masks)
-        if bad is not None:
-            f1, f2, xb = bad
-            raise AxiomError(
-                ExchangeViolation(
-                    first=Subset(fam.ground, f1),
-                    second=Subset(fam.ground, f2),
-                    pivot=fam.ground.labels[xb.bit_length() - 1],
-                    axiom="DF",
-                )
-            )
+        _certify_exchange(fam, "DF")
         return cls(fam.ground, fam, _certified=True)
 
     @classmethod
@@ -88,19 +56,19 @@ class DeltaMatroid:
     def upper(self) -> Matroid:
         """Matroid of the maximum-cardinality feasible sets.
 
-        Certification of the extracted family must succeed; a failure would
-        be a bug in the exchange checker, not bad input.
+        No re-certification: the extremal layers of a delta-matroid are
+        matroids (Bouchet 1987, Greedy algorithm and symmetric matroids).
         """
-        top = max(m.bit_count() for m in self.feasibles.masks)
-        fam = SetFamily(self.ground, tuple(m for m in self.feasibles.masks if m.bit_count() == top))
-        return Matroid.certify(fam)
+        masks = self.feasibles.masks
+        top = max(m.bit_count() for m in masks)
+        return Matroid._trusted(self.ground, (m for m in masks if m.bit_count() == top))
 
     @cached_property
     def lower(self) -> Matroid:
         """Matroid of the minimum-cardinality feasible sets."""
-        bot = min(m.bit_count() for m in self.feasibles.masks)
-        fam = SetFamily(self.ground, tuple(m for m in self.feasibles.masks if m.bit_count() == bot))
-        return Matroid.certify(fam)
+        masks = self.feasibles.masks
+        bot = min(m.bit_count() for m in masks)
+        return Matroid._trusted(self.ground, (m for m in masks if m.bit_count() == bot))
 
     # -- operations -------------------------------------------------------
 
@@ -122,14 +90,9 @@ class DeltaMatroid:
             raise InputError("deletion set over a different ground set")
         if not any(x_set.mask & ~f == 0 for f in self.feasibles.masks):
             raise InputError(f"{x_set!r} is contained in no feasible set")
-        keep_labels = [lab for lab in self.ground.labels if lab not in x_set]
-        sub = GroundSet(tuple(keep_labels))
-        old_bits = [self.ground.index(lab) for lab in keep_labels]
-
-        def remap(m: int) -> int:
-            return sum(1 << i for i, ob in enumerate(old_bits) if m >> ob & 1)
-
-        fam = SetFamily(sub, tuple(remap(f & ~x_set.mask) for f in self.feasibles.masks))
+        keep = [i for i in range(self.ground.size) if not x_set.mask >> i & 1]
+        sub = GroundSet(tuple(self.ground.labels[i] for i in keep))
+        fam = SetFamily(sub, tuple(_project(f, keep) for f in self.feasibles.masks))
         try:
             return DeltaMatroid.certify(fam)
         except AxiomError as e:
@@ -274,13 +237,9 @@ def restrict_to_contained(d: DeltaMatroid, c: Subset, strict: bool = True) -> De
     inside = [f for f in d.feasibles.masks if f & ~c.mask == 0]
     if not inside:
         raise InputError(f"no feasible set is contained in {c!r}")
-    keep_labels = list(c.labels)
-    sub = GroundSet(tuple(keep_labels))
-    old_bits = [d.ground.index(lab) for lab in keep_labels]
-    remapped = tuple(
-        sum(1 << i for i, ob in enumerate(old_bits) if f >> ob & 1) for f in inside
-    )
-    fam = SetFamily(sub, remapped)
+    keep = [i for i in range(d.ground.size) if c.mask >> i & 1]
+    sub = GroundSet(c.labels)
+    fam = SetFamily(sub, tuple(_project(f, keep) for f in inside))
     try:
         return DeltaMatroid.certify(fam)
     except AxiomError as e:
@@ -312,7 +271,7 @@ def enumerate_delta_matroids(n: int, ground: Optional[GroundSet] = None) -> Iter
         raise InputError("ground size does not match n")
     for code in range(1, 1 << (1 << n)):
         masks = _decode_family(code)
-        if _delta_violation(masks) is None:
+        if _exchange_ok(masks, "DF"):
             yield DeltaMatroid._trusted(g, masks)
 
 

@@ -10,16 +10,16 @@ both fast enough and hard to get wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Container, Iterable, Optional, Sequence, Union
 
 from .core import (
     GroundSet,
     InputError,
     SetFamily,
     Subset,
-    _maximal_masks,
     _minimal_masks,
+    _project,
 )
 
 
@@ -59,32 +59,101 @@ class AxiomError(ValueError):
         self.violation = violation
 
 
-def _mb_violation(masks: Sequence[int]) -> Optional[tuple[int, int, int]]:
-    """First basis-exchange failure (b1, b2, pivot_bit), or None.
+def _exchange_violation(
+    source: Sequence[int], members: Container[int], axiom: str
+) -> Optional[tuple[int, int, int]]:
+    """First exchange failure (first, second, pivot_bit) over pairs from source, or None.
 
-    Canonical order: the partner basis b2 varies in the outer loop, b1 in the
-    inner, both ascending by mask, and pivots ascend by element index.
+    Canonical order: `second` varies in the outer loop, `first` in the inner,
+    both in source order, and pivots ascend by element index.  A pivot x in
+    first Δ second needs a partner y in first Δ second, y possibly x, with
+    first Δ {x, y} in members.  For (MB) the pivot lies in first and the
+    partner in second only.
     """
-    fam = set(masks)
-    for b2 in masks:
-        for b1 in masks:
-            moved = b1 & ~b2
-            x = moved
+    for f2 in source:
+        for f1 in source:
+            if axiom == "MB":
+                pivots, partners = f1 & ~f2, f2 & ~f1
+            else:
+                pivots = partners = f1 ^ f2
+            x = pivots
             while x:
                 xb = x & -x
                 x ^= xb
-                cand = b2 & ~b1
-                y = cand
-                ok = False
-                while y:
-                    yb = y & -y
-                    y ^= yb
-                    if b1 ^ xb ^ yb in fam:
-                        ok = True
-                        break
-                if not ok:
-                    return b1, b2, xb
+                y = partners
+                while y and f1 ^ (xb | (y & -y)) not in members:
+                    y &= y - 1
+                if not y:
+                    return f1, f2, xb
     return None
+
+
+@lru_cache(maxsize=None)
+def _coordinates(n: int) -> tuple[int, ...]:
+    """Per element i < n, the 2^n-bit integer whose bit m is set iff mask m has i."""
+    ones = (1 << (1 << n)) - 1
+    return tuple(
+        (((1 << (1 << i)) - 1) << (1 << i)) * (ones // ((1 << (2 << i)) - 1)) for i in range(n)
+    )
+
+
+def _exchange_ok(masks: Sequence[int], axiom: str) -> bool:
+    """Pass/fail of (MB) or (DF) on a nonempty family, without visiting pairs.
+
+    For a member F1 and pivot x let P = {y : F1 Δ {x, y} is a member}.  The
+    axiom fails at (F1, x) exactly when x is not in P and some member F2
+    agrees with F1 Δ {x} on P ∪ {x}: F2 differs from F1 at x and at no
+    partner.  ANDing the family's 2^n-bit indicator with one "has i" or
+    "lacks i" coordinate per element of P ∪ {x} answers that.  (MB) forces
+    equal sizes, so its pivots are the elements of F1 and F1 - x is never a
+    member; its partners then lie outside F1.
+    """
+    mb = axiom == "MB"
+    if mb and len({m.bit_count() for m in masks}) > 1:
+        return False
+    fam = set(masks)
+    union = 0
+    for m in masks:
+        union |= m
+    n = union.bit_length()
+    buf = bytearray((1 << n) // 8 + 1)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    indicator = int.from_bytes(buf, "little")
+    has = [indicator & c for c in _coordinates(n)]
+    lacks = [indicator ^ h for h in has]
+    elements = [(i, 1 << i) for i in range(n) if union >> i & 1]
+    for f in masks:
+        for x, xb in elements:
+            if mb and not f & xb or f ^ xb in fam:
+                continue
+            acc = lacks[x] if f & xb else has[x]
+            for y, yb in elements:
+                if y != x and f ^ xb ^ yb in fam:
+                    acc &= has[y] if f & yb else lacks[y]
+                    if not acc:
+                        break
+            if acc:
+                return False
+    return True
+
+
+def _certify_exchange(fam: SetFamily, axiom: str) -> None:
+    """Raise AxiomError with the canonical witness unless fam passes the axiom."""
+    if _exchange_ok(fam.masks, axiom):
+        return
+    bad = _exchange_violation(fam.masks, set(fam.masks), axiom)
+    if bad is None:
+        raise RuntimeError(f"({axiom}) kernel rejected a family the canonical scan accepts")
+    f1, f2, xb = bad
+    raise AxiomError(
+        ExchangeViolation(
+            first=Subset(fam.ground, f1),
+            second=Subset(fam.ground, f2),
+            pivot=fam.ground.labels[xb.bit_length() - 1],
+            axiom=axiom,
+        )
+    )
 
 
 class Matroid:
@@ -101,17 +170,7 @@ class Matroid:
     def certify(cls, fam: SetFamily) -> "Matroid":
         if len(fam) == 0:
             raise InputError("a matroid needs at least one basis")
-        bad = _mb_violation(fam.masks)
-        if bad is not None:
-            b1, b2, xb = bad
-            raise AxiomError(
-                ExchangeViolation(
-                    first=Subset(fam.ground, b1),
-                    second=Subset(fam.ground, b2),
-                    pivot=fam.ground.labels[xb.bit_length() - 1],
-                    axiom="MB",
-                )
-            )
+        _certify_exchange(fam, "MB")
         m = cls(fam.ground, fam, _certified=True)
         # (MB) forces equicardinality; a failure here would be an engine bug.
         if any(b.bit_count() != m.rank for b in fam.masks):
@@ -187,17 +246,16 @@ class Matroid:
         return Matroid._trusted(self.ground, (full ^ b for b in self.bases.masks))
 
     def delete(self, x_set: Subset) -> "Matroid":
-        """Restrict to the complement of x_set: independents avoiding x_set."""
+        """Restrict to the complement of x_set: the bases are the largest B - x_set."""
         if x_set.ground != self.ground:
             raise InputError("deletion set over a different ground set")
-        keep_labels = [lab for lab in self.ground.labels if lab not in x_set]
-        sub = GroundSet(tuple(keep_labels))
-        old_bits = [self.ground.index(lab) for lab in keep_labels]
-        surviving = [m for m in self._indep_masks if m & x_set.mask == 0]
-        new_bases = []
-        for m in _maximal_masks(surviving):
-            new_bases.append(sum(1 << i for i, ob in enumerate(old_bits) if m >> ob & 1))
-        return Matroid._trusted(sub, new_bases)
+        keep = [i for i in range(self.ground.size) if not x_set.mask >> i & 1]
+        rest = [b & ~x_set.mask for b in self.bases.masks]
+        top = max(m.bit_count() for m in rest)
+        return Matroid._trusted(
+            GroundSet(tuple(self.ground.labels[i] for i in keep)),
+            (_project(m, keep) for m in rest if m.bit_count() == top),
+        )
 
     def contract(self, x_set: Subset) -> "Matroid":
         """Contraction, computed as the dual of deletion on the dual."""

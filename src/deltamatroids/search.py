@@ -21,13 +21,12 @@ from .delta import (
     DeltaMatroid,
     _decode_family,
     _delta_ok,
-    _delta_violation,
     construct_sandwich,
     fmax_lower_uniform,
     fmax_upper_uniform,
     is_pairable,
 )
-from .matroids import Matroid, _mb_violation, uniform
+from .matroids import Matroid, _exchange_ok, _exchange_violation, uniform
 from .rigidity import Multigraph, cycle_matroid
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
 
@@ -110,7 +109,7 @@ def _check_enum_size(n: int) -> None:
 
 
 def _mb_codes_chunk(n: int, start: int, stop: int) -> list[int]:
-    return [c for c in range(start, stop) if _mb_violation(_decode_family(c)) is None]
+    return [c for c in range(start, stop) if _exchange_ok(_decode_family(c), "MB")]
 
 
 def matroid_codes(n: int, workers: int = 1) -> list[int]:
@@ -131,7 +130,7 @@ def enumerate_matroids(n: int, workers: int = 1) -> Iterator[Matroid]:
 
 
 def _delta_codes_chunk(n: int, start: int, stop: int) -> list[int]:
-    return [c for c in range(start, stop) if _delta_violation(_decode_family(c)) is None]
+    return [c for c in range(start, stop) if _exchange_ok(_decode_family(c), "DF")]
 
 
 def delta_codes(n: int, workers: int = 1) -> list[int]:
@@ -158,7 +157,7 @@ def _prop_mb_equicardinal(n: int, start: int, stop: int) -> tuple[int, list]:
     wit = []
     for code in range(start, stop):
         masks = _decode_family(code)
-        if _mb_violation(masks) is not None:
+        if not _exchange_ok(masks, "MB"):
             continue
         count += 1
         if len({m.bit_count() for m in masks}) > 1:
@@ -172,12 +171,12 @@ def _prop_indep_delta(n: int, start: int, stop: int) -> tuple[int, list]:
     wit = []
     for code in range(start, stop):
         masks = _decode_family(code)
-        if _mb_violation(masks) is not None:
+        if not _exchange_ok(masks, "MB"):
             continue
         m = Matroid._trusted(g, masks)
         count += 1
         fam = m.independents()
-        ok = _delta_violation(fam.masks) is None
+        ok = _exchange_ok(fam.masks, "DF")
         if ok:
             d = DeltaMatroid._trusted(g, fam.masks)
             ok = d.lower.rank == 0 and d.upper == m
@@ -192,12 +191,12 @@ def _prop_spanning_delta(n: int, start: int, stop: int) -> tuple[int, list]:
     wit = []
     for code in range(start, stop):
         masks = _decode_family(code)
-        if _mb_violation(masks) is not None:
+        if not _exchange_ok(masks, "MB"):
             continue
         m = Matroid._trusted(g, masks)
         count += 1
         fam = m.spanning_sets()
-        ok = _delta_violation(fam.masks) is None
+        ok = _exchange_ok(fam.masks, "DF")
         if ok:
             d = DeltaMatroid._trusted(g, fam.masks)
             ok = d.upper.rank == n and d.lower == m
@@ -212,7 +211,7 @@ def _prop_uplow(n: int, start: int, stop: int) -> tuple[int, list]:
     wit = []
     for code in range(start, stop):
         masks = _decode_family(code)
-        if _delta_violation(masks) is not None:
+        if not _exchange_ok(masks, "DF"):
             continue
         d = DeltaMatroid._trusted(g, masks)
         count += 1
@@ -231,7 +230,7 @@ def _prop_necessity(n: int, start: int, stop: int) -> tuple[int, list]:
     wit = []
     for code in range(start, stop):
         masks = _decode_family(code)
-        if _delta_violation(masks) is not None:
+        if not _exchange_ok(masks, "DF"):
             continue
         d = DeltaMatroid._trusted(g, masks)
         count += 1
@@ -249,7 +248,7 @@ def _prop_dual_exchange(n: int, start: int, stop: int) -> tuple[int, list]:
     wit = []
     for code in range(start, stop):
         masks = _decode_family(code)
-        if _delta_violation(masks) is not None:
+        if not _exchange_ok(masks, "DF"):
             continue
         d = DeltaMatroid._trusted(g, masks)
         count += 1
@@ -291,7 +290,7 @@ def _prop_fmax(n: int, start: int, stop: int) -> tuple[int, list]:
     full_uniform = {k: uniform(k, g) for k in range(n + 1)}
     for code in range(start, stop):
         masks = _decode_family(code)
-        if _delta_violation(masks) is not None:
+        if not _exchange_ok(masks, "DF"):
             continue
         d = DeltaMatroid._trusted(g, masks)
         for variant, applicable, build in (
@@ -437,31 +436,6 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
     return list(seen.values())
 
 
-def _replay_triple(mu: Matroid, ml: Matroid) -> Optional[tuple[int, int, int]]:
-    """A forced-feasible pair and pivot with no exchange partner inside the
-    sandwich; its existence alone rules out any realizing delta-matroid."""
-    forced = sorted(set(mu.bases.masks) | set(ml.bases.masks))
-    sandwich = set(construct_sandwich(mu, ml).masks)
-    for f2 in forced:
-        for f1 in forced:
-            diff = f1 ^ f2
-            x = diff
-            while x:
-                xb = x & -x
-                x ^= xb
-                y = diff
-                ok = False
-                while y:
-                    yb = y & -y
-                    y ^= yb
-                    if f1 ^ (xb | yb) in sandwich:
-                        ok = True
-                        break
-                if not ok:
-                    return f1, f2, xb
-    return None
-
-
 def _basis_conditions(mu: Matroid, ml: Matroid) -> bool:
     indep = mu._indep_masks
     span = ml._spanning_masks
@@ -489,7 +463,10 @@ def _pair_witness(
         "offending_circuit": list(rep.offending_circuit.labels),
         "candidates_exhausted": tried,
     }
-    triple = _replay_triple(mu, ml)
+    # a forced-feasible pair and pivot with no exchange partner inside the
+    # sandwich; its existence alone rules out any realizing delta-matroid
+    forced = sorted(set(mu.bases.masks) | set(ml.bases.masks))
+    triple = _exchange_violation(forced, set(construct_sandwich(mu, ml).masks), "DF")
     if triple is not None:
         f1, f2, xb = triple
         wit["replay"] = {

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +166,20 @@ class TestOutputRoundTrip:
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2
         assert main([]) == 2
+
+
+def test_reader_closing_the_pipe_early_ends_quietly():
+    # `deltamatroids enumerate delta --n 4 | head -1`: the payload is far
+    # larger than a pipe buffer, so the write meets the closed pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deltamatroids.cli", "enumerate", "delta", "--n", "4"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import chain, combinations
@@ -30,6 +31,7 @@ from deltamatroids import (
 )
 from deltamatroids.delta import _decode_family
 from deltamatroids.matroids import Matroid
+from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import enumerate_matroids
 
 
@@ -46,6 +48,42 @@ def naive_satisfies_exchange(feasibles):
                 if not any(f1 ^ {x, y} in feasibles for y in f1 ^ f2):
                     return False
     return True
+
+
+def reference_delta_violation(masks):
+    """The symmetric-exchange double loop as written before the exchange scans
+    were folded into one: partner set outer, first set inner, pivots
+    ascending, and the partner y may equal the pivot."""
+    fam = set(masks)
+    for f2 in masks:
+        for f1 in masks:
+            diff = f1 ^ f2
+            x = diff
+            while x:
+                xb = x & -x
+                x ^= xb
+                y = diff
+                ok = False
+                while y:
+                    yb = y & -y
+                    y ^= yb
+                    if f1 ^ (xb | yb) in fam:
+                        ok = True
+                        break
+                if not ok:
+                    return f1, f2, xb
+    return None
+
+
+def random_graph_pair(rng, vertices, edges):
+    """A random multigraph and the same edges after merging two of its
+    vertices; the second cycle matroid is a quotient of the first."""
+    vs = [f"v{i}" for i in range(vertices)]
+    ends = [rng.sample(vs, 2) for _ in range(edges)]
+    merged = {v: (vs[0] if v == vs[1] else v) for v in vs}
+    upper = Multigraph.build(vs, [(f"e{k}", u, v) for k, (u, v) in enumerate(ends)])
+    lower = Multigraph.build(vs, [(f"e{k}", merged[u], merged[v]) for k, (u, v) in enumerate(ends)])
+    return upper, lower
 
 
 def size_classes_family(n, sizes):
@@ -110,6 +148,28 @@ class TestUpperLower:
         d = DeltaMatroid.certify(m.independents())
         assert d.upper == m
         assert d.lower.rank == 0
+
+    def test_extracted_layers_pass_mb(self):
+        # upper and lower skip re-certification (Bouchet); certify them anyway
+        # on every delta-matroid at n = 4 and on sandwiches of 8-10 elements
+        deltas = list(enumerate_delta_matroids(4))
+        assert len(deltas) == 5959
+        rng = random.Random(3)
+        pairs = [
+            (uniform(k, default_ground(n)), uniform(j, default_ground(n)))
+            for n, k, j in ((8, 4, 2), (9, 5, 3), (10, 3, 2))
+        ]
+        for vertices, edges in ((5, 8), (6, 9), (6, 10)):
+            upper, lower = random_graph_pair(rng, vertices, edges)
+            pairs.append((cycle_matroid(upper), cycle_matroid(lower)))
+        for mu, ml in pairs:
+            assert is_pairable(mu, ml).pairable
+            d = DeltaMatroid.certify(construct_sandwich(mu, ml))
+            assert (d.upper, d.lower) == (mu, ml)
+            deltas.append(d)
+        for d in deltas:
+            assert Matroid.certify(d.upper.bases) == d.upper
+            assert Matroid.certify(d.lower.bases) == d.lower
 
 
 class TestComplementDual:
@@ -342,6 +402,21 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(InputError):
             next(enumerate_delta_matroids(5))
+
+    def test_df_witnesses_equal_reference_up_to_n4(self):
+        for n in range(5):
+            g = default_ground(n)
+            for code in range(1, 1 << (1 << n)):
+                masks = _decode_family(code)
+                got = check_symmetric_exchange(SetFamily(g, masks))
+                ref = reference_delta_violation(masks)
+                if ref is None:
+                    assert isinstance(got, DeltaMatroid)
+                else:
+                    f1, f2, xb = ref
+                    assert isinstance(got, ExchangeViolation)
+                    assert (got.first.mask, got.second.mask) == (f1, f2)
+                    assert got.pivot == g.labels[xb.bit_length() - 1]
 
 
 class TestNonUniqueness:

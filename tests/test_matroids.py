@@ -1,4 +1,9 @@
+import os
+import random
+import subprocess
+import sys
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,9 @@ from deltamatroids import (
     is_union_of_circuits,
     uniform,
 )
+from deltamatroids.delta import _decode_family, construct_sandwich
+from deltamatroids.matroids import _exchange_ok, _exchange_violation
+from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import enumerate_matroids
 
 
@@ -81,10 +89,20 @@ class TestBasisAxiom:
     def test_unequal_sizes_past_mb_is_an_engine_error(self, monkeypatch):
         # (MB) implies equicardinality; if the kernel ever let unequal sizes
         # through, certify must refuse instead of building the matroid
-        monkeypatch.setattr("deltamatroids.matroids._mb_violation", lambda masks: None)
+        monkeypatch.setattr("deltamatroids.matroids._exchange_ok", lambda masks, axiom: True)
         g = default_ground(3)
         with pytest.raises(RuntimeError):
             Matroid.certify(SetFamily.from_labels(g, [["a"], ["b", "c"]]))
+
+    def test_kernel_rejection_without_witness_is_an_engine_error(self, monkeypatch):
+        # a failing verdict the canonical scan cannot back with a witness
+        monkeypatch.setattr("deltamatroids.matroids._exchange_ok", lambda masks, axiom: False)
+        with pytest.raises(RuntimeError):
+            Matroid.certify(uniform(2, default_ground(3)).bases)
+
+    def test_u7_14_certifies(self):
+        m = uniform(7, default_ground(14))
+        assert Matroid.certify(m.bases) == m
 
 
 class TestUniform:
@@ -216,8 +234,9 @@ class TestDualsAndMinors:
             assert m.contract(empty) == m
 
     def test_delete_matches_naive_definition(self):
-        for m in enumerate_matroids(3):
-            for x in range(1 << 3):
+        # maximal independent sets avoiding X, for every X and matroid up to n = 4
+        for m in (m for n in range(5) for m in enumerate_matroids(n)):
+            for x in m.ground.all_masks():
                 xs = Subset(m.ground, x)
                 d = m.delete(xs)
                 survivors = [
@@ -301,3 +320,112 @@ class TestExhaustiveInvariants:
     def test_reconstructed_matroids_recertify(self):
         for m in enumerate_matroids(3):
             assert isinstance(check_basis_axiom(m.bases), Matroid)
+
+
+def reference_mb_violation(masks):
+    """The basis-exchange double loop as written before the scans were folded
+    into one: partner basis outer, first basis inner, pivots ascending."""
+    fam = set(masks)
+    for b2 in masks:
+        for b1 in masks:
+            x = b1 & ~b2
+            while x:
+                xb = x & -x
+                x ^= xb
+                y = b2 & ~b1
+                ok = False
+                while y:
+                    yb = y & -y
+                    y ^= yb
+                    if b1 ^ xb ^ yb in fam:
+                        ok = True
+                        break
+                if not ok:
+                    return b1, b2, xb
+    return None
+
+
+def random_graph(rng, vertices, edges):
+    vs = [f"v{i}" for i in range(vertices)]
+    ends = [rng.sample(range(vertices), 2) for _ in range(edges)]
+    return Multigraph.build(vs, [(f"e{k}", vs[u], vs[v]) for k, (u, v) in enumerate(ends)])
+
+
+def seeded_families(seed=7):
+    """(MB) and (DF) families on 8-12 elements: uniform and graphic bases and
+    sandwiches of uniform pairs, each as is, with one member dropped, and with
+    one non-member added."""
+    rng = random.Random(seed)
+    bases, feasibles = [], []
+    for n, k in ((8, 3), (9, 4), (10, 2), (12, 2)):
+        bases.append(uniform(k, default_ground(n)).bases.masks)
+    for vertices, edges in ((5, 8), (6, 9), (6, 10), (7, 11)):
+        bases.append(cycle_matroid(random_graph(rng, vertices, edges)).bases.masks)
+    for n, k, j in ((8, 3, 1), (8, 4, 3), (9, 5, 4), (10, 2, 1)):
+        g = default_ground(n)
+        feasibles.append(construct_sandwich(uniform(k, g), uniform(j, g)).masks)
+    out = []
+    for axiom, fams in (("MB", bases), ("DF", bases + feasibles)):
+        for masks in fams:
+            n = max(masks).bit_length()
+            outside = [m for m in range(1 << n) if m not in set(masks)]
+            drop, add = rng.choice(masks), rng.choice(outside)
+            out += [
+                (axiom, masks),
+                (axiom, tuple(m for m in masks if m != drop)),
+                (axiom, tuple(sorted(masks + (add,)))),
+            ]
+    return out
+
+
+class TestExchangeKernel:
+    def test_verdict_equals_scan_on_every_family_up_to_n4(self):
+        for n in range(5):
+            for code in range(1, 1 << (1 << n)):
+                masks = _decode_family(code)
+                for axiom in ("MB", "DF"):
+                    scan = _exchange_violation(masks, set(masks), axiom)
+                    assert _exchange_ok(masks, axiom) == (scan is None), (axiom, masks)
+
+    def test_mb_witnesses_equal_reference_up_to_n4(self):
+        for n in range(5):
+            g = default_ground(n)
+            for code in range(1, 1 << (1 << n)):
+                masks = _decode_family(code)
+                got = check_basis_axiom(SetFamily(g, masks))
+                ref = reference_mb_violation(masks)
+                if ref is None:
+                    assert isinstance(got, Matroid)
+                else:
+                    b1, b2, xb = ref
+                    assert isinstance(got, ExchangeViolation)
+                    assert (got.first.mask, got.second.mask) == (b1, b2)
+                    assert got.pivot == g.labels[xb.bit_length() - 1]
+
+    def test_verdict_equals_scan_on_seeded_families(self):
+        cases = seeded_families()
+        failing = 0
+        for axiom, masks in cases:
+            scan = _exchange_violation(masks, set(masks), axiom)
+            assert _exchange_ok(masks, axiom) == (scan is None), (axiom, len(masks))
+            failing += scan is not None
+        assert 0 < failing < len(cases)
+
+    def test_coordinates_are_not_built_at_import(self):
+        snippet = (
+            "import deltamatroids\n"
+            "from deltamatroids.matroids import _coordinates\n"
+            "print(_coordinates.cache_info().currsize)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", snippet], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "0\n"
+
+    def test_unequal_sizes_fail_mb_but_not_df(self):
+        masks = (0b001, 0b110)
+        assert not _exchange_ok(masks, "MB")
+        assert _exchange_violation(masks, set(masks), "MB") is not None
+        assert _exchange_ok((0b00, 0b01, 0b11), "DF")

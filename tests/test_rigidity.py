@@ -278,6 +278,12 @@ class TestConeQuotient:
             assert len(cone(g).cone_graph.edges) == size
             assert verify_cone_quotient(g).both_hold
 
+    def test_k5_and_its_fifteen_edge_cone(self):
+        k5 = Multigraph.build("abcde", [(f"{u}{v}", u, v) for u, v in combinations("abcde", 2)])
+        assert len(cone(k5).cone_graph.edges) == 15
+        assert len(rigidity_matroid(cone(k5).cone_graph).bases) == 3355
+        assert verify_cone_quotient(k5).both_hold
+
     def test_misaligned_minor_ground_is_an_engine_error(self, monkeypatch):
         real_cone = cone
 
