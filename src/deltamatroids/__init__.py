@@ -21,7 +21,6 @@ from .delta import (
     bouchet_triple,
     check_symmetric_exchange,
     construct_sandwich,
-    enumerate_delta_matroids,
     fmax_lower_uniform,
     fmax_upper_uniform,
     is_pairable,
@@ -55,6 +54,7 @@ from .rigidity import (
 from .search import (
     PROPERTY_IDS,
     SearchReport,
+    enumerate_delta_matroids,
     enumerate_matroids,
     find_unpairable_pair,
     verify_property,

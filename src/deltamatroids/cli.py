@@ -3,8 +3,8 @@
 One binary, subcommand style, no randomness anywhere.  Exit codes: 0 the
 property holds or the construction succeeded, 1 the property fails (witness
 printed in the payload), 2 input or usage error.  Payload goes to stdout as
-JSON by default when piped, as text on a terminal; DM_WORKERS overrides the
-search parallelism.
+JSON by default when piped, as text on a terminal; DM_WORKERS sets the
+parallelism of the exhaustive sweeps and enumerations.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def _cmd_verify(args, fmt: str) -> int:
 
 
 def _cmd_search(args, fmt: str) -> int:
-    report = find_unpairable_pair(args.n, workers=resolve_workers())
+    report = find_unpairable_pair(args.n)
     _emit(
         report.to_json(),
         fmt,

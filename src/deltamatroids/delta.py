@@ -5,19 +5,17 @@ feasible-family constructions.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .core import GroundSet, InputError, SetFamily, Subset, _project, default_ground
+from .core import GroundSet, InputError, SetFamily, Subset, _project
 from .matroids import (
     AxiomError,
     ExchangeViolation,
     Matroid,
     _certify_exchange,
     _exchange_ok,
-    uniform,
 )
 
 
@@ -78,13 +76,14 @@ class DeltaMatroid:
         fam = SetFamily(self.ground, tuple(full ^ m for m in self.feasibles.masks))
         return DeltaMatroid.certify(fam)
 
-    def delete(self, x_set: Subset, strict: bool = True) -> "DeltaMatroid":
+    def delete(self, x_set: Subset) -> "DeltaMatroid":
         """Remove x_set from the ground set and from every feasible set.
 
         Requires x_set to be contained in at least one feasible set.  The
         feasible sets of the result are {F without X} for *every* feasible F,
-        which is the construction taken literally; `strict` controls whether
-        a failed re-certification raises or only warns with the witness.
+        which is the construction taken literally; the result is certified
+        (projections of delta-matroids are delta-matroids, Bouchet and
+        Cunningham 1995).
         """
         if x_set.ground != self.ground:
             raise InputError("deletion set over a different ground set")
@@ -93,26 +92,11 @@ class DeltaMatroid:
         keep = [i for i in range(self.ground.size) if not x_set.mask >> i & 1]
         sub = GroundSet(tuple(self.ground.labels[i] for i in keep))
         fam = SetFamily(sub, tuple(_project(f, keep) for f in self.feasibles.masks))
-        try:
-            return DeltaMatroid.certify(fam)
-        except AxiomError as e:
-            if strict:
-                raise
-            warnings.warn(f"minor is not a delta-matroid: {e.violation.describe()}")
-            return DeltaMatroid._trusted(sub, fam.masks)
+        return DeltaMatroid.certify(fam)
 
-    def contract(self, x_set: Subset, strict: bool = True) -> "DeltaMatroid":
+    def contract(self, x_set: Subset) -> "DeltaMatroid":
         """Contraction via the complement dual: (D* delete X)*."""
-        star = self.complement_dual()
-        minor = star.delete(x_set, strict=strict)
-        try:
-            return minor.complement_dual()
-        except AxiomError as e:
-            if strict:
-                raise
-            warnings.warn(f"minor is not a delta-matroid: {e.violation.describe()}")
-            full = minor.ground.full_mask
-            return DeltaMatroid._trusted(minor.ground, tuple(full ^ m for m in minor.feasibles.masks))
+        return self.complement_dual().delete(x_set).complement_dual()
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -206,7 +190,7 @@ def fmax_upper_uniform(d: DeltaMatroid) -> SetFamily:
     matroid is uniform: the lower bases together with every strictly larger
     lower-spanning set of size at most the upper rank."""
     mu, ml = d.upper, d.lower
-    if mu != uniform(mu.rank, d.ground):
+    if not mu.is_uniform():
         raise InputError("upper matroid is not uniform over the full ground set")
     masks = set(ml.bases.masks)
     for m in d.ground.all_masks():
@@ -220,7 +204,7 @@ def fmax_lower_uniform(d: DeltaMatroid) -> SetFamily:
     matroid is uniform: lower bases, upper bases, and every intermediate
     upper-independent set below the upper rank."""
     mu, ml = d.upper, d.lower
-    if ml != uniform(ml.rank, d.ground):
+    if not ml.is_uniform():
         raise InputError("lower matroid is not uniform over the full ground set")
     masks = set(ml.bases.masks) | set(mu.bases.masks)
     for m in d.ground.all_masks():
@@ -229,7 +213,7 @@ def fmax_lower_uniform(d: DeltaMatroid) -> SetFamily:
     return SetFamily(d.ground, tuple(masks))
 
 
-def restrict_to_contained(d: DeltaMatroid, c: Subset, strict: bool = True) -> DeltaMatroid:
+def restrict_to_contained(d: DeltaMatroid, c: Subset) -> DeltaMatroid:
     """Restriction reading one: keep only the feasible sets inside c,
     on the ground set c."""
     if c.ground != d.ground:
@@ -238,41 +222,16 @@ def restrict_to_contained(d: DeltaMatroid, c: Subset, strict: bool = True) -> De
     if not inside:
         raise InputError(f"no feasible set is contained in {c!r}")
     keep = [i for i in range(d.ground.size) if c.mask >> i & 1]
-    sub = GroundSet(c.labels)
-    fam = SetFamily(sub, tuple(_project(f, keep) for f in inside))
-    try:
-        return DeltaMatroid.certify(fam)
-    except AxiomError as e:
-        if strict:
-            raise
-        warnings.warn(f"restriction is not a delta-matroid: {e.violation.describe()}")
-        return DeltaMatroid._trusted(sub, fam.masks)
+    fam = SetFamily(GroundSet(c.labels), tuple(_project(f, keep) for f in inside))
+    return DeltaMatroid.certify(fam)
 
 
-def restrict_by_deletion(d: DeltaMatroid, c: Subset, strict: bool = True) -> DeltaMatroid:
+def restrict_by_deletion(d: DeltaMatroid, c: Subset) -> DeltaMatroid:
     """Restriction reading two: delete the complement of c, so every feasible
     set is intersected with c."""
     if c.ground != d.ground:
         raise InputError("restriction set over a different ground set")
-    return d.delete(c.complement(), strict=strict)
-
-
-def enumerate_delta_matroids(n: int, ground: Optional[GroundSet] = None) -> Iterator[DeltaMatroid]:
-    """Every nonempty feasible family on n elements satisfying symmetric
-    exchange, exactly once, in canonical order of the family code.
-
-    Family code: bit i set means subset-mask i is a member.  Exhaustive mode
-    is capped at n <= 4 (65,535 candidate families).
-    """
-    if n > 4:
-        raise InputError(f"exhaustive delta-matroid enumeration capped at n <= 4, got {n}")
-    g = ground if ground is not None else default_ground(n)
-    if g.size != n:
-        raise InputError("ground size does not match n")
-    for code in range(1, 1 << (1 << n)):
-        masks = _decode_family(code)
-        if _exchange_ok(masks, "DF"):
-            yield DeltaMatroid._trusted(g, masks)
+    return d.delete(c.complement())
 
 
 def _decode_family(code: int) -> tuple[int, ...]:

@@ -1,8 +1,9 @@
 """Exhaustive searches over small matroids, delta-matroids, and multigraph
 pairs: theorem verification suites and the unpairable-pair hunt.
 
-Candidate spaces are partitioned into contiguous chunks of the family-code
-range and may be fanned out across worker processes; per-chunk results are
+A sweep scans the family-code range once for its universe, then checks the
+certified families; both passes split their range into contiguous chunks
+that may be fanned out across worker processes, and per-chunk results are
 merged in chunk order, so reports are identical for any worker count.
 """
 
@@ -14,9 +15,10 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import GroundSet, InputError, SetFamily, Subset, default_ground
+from .core import GroundSet, InputError, default_ground
 from .delta import (
     DeltaMatroid,
     _decode_family,
@@ -26,20 +28,9 @@ from .delta import (
     fmax_upper_uniform,
     is_pairable,
 )
-from .matroids import Matroid, _exchange_ok, _exchange_violation, uniform
+from .matroids import Matroid, _exchange_ok, _exchange_violation
 from .rigidity import Multigraph, cycle_matroid
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
-
-PROPERTY_IDS = (
-    "mb-equicardinal",
-    "independents-are-delta",
-    "spanning-are-delta",
-    "uplow",
-    "necessity-circuit-union",
-    "sufficiency-sandwich",
-    "dual-exchange",
-    "fmax-maximal",
-)
 
 
 @dataclass
@@ -76,12 +67,15 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers is not None:
         return max(1, workers)
     env = os.environ.get("DM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError(f"DM_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        w = int(env)
+    except ValueError:
+        w = 0
+    if w < 1:
+        raise InputError(f"DM_WORKERS must be a positive integer, got {env!r}")
+    return w
 
 
 def _chunks(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
@@ -93,33 +87,53 @@ def _chunks(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
     return [(lo + i * step, min(lo + (i + 1) * step, hi)) for i in range(k) if lo + i * step < hi]
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Processes to start: the default fork method starts them all up front,
+    so never more than there are tasks or CPUs."""
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
 def _map_chunks(fn: Callable, tasks: list[tuple], workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+    size = _pool_size(workers, len(tasks))
+    if size <= 1:
         return [fn(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 
 
 # -- enumeration --------------------------------------------------------
+# Family code: bit i set means subset-mask i is a member.  The code space
+# at n holds 2^(2^n) - 1 nonempty families, 65,535 at n = 4.
 
 
-def _check_enum_size(n: int) -> None:
+def _accepts(axiom: str, masks: tuple[int, ...]) -> bool:
+    """(MB) or (DF) by the kernel.  "MB-def" is (MB) by its definition, the
+    pair scan, which unlike the kernel does not reject unequal sizes first."""
+    if axiom == "MB-def":
+        return _exchange_violation(masks, set(masks), "MB") is None
+    return _exchange_ok(masks, axiom)
+
+
+def _codes_chunk(axiom: str, start: int, stop: int) -> list[int]:
+    return [c for c in range(start, stop) if _accepts(axiom, _decode_family(c))]
+
+
+def _codes(axiom: str, n: int, workers: int) -> list[int]:
+    """Ascending codes of every family on n elements that passes axiom."""
     if not 0 <= n <= 4:
         raise InputError(f"exhaustive enumeration capped at n <= 4, got {n}")
-
-
-def _mb_codes_chunk(n: int, start: int, stop: int) -> list[int]:
-    return [c for c in range(start, stop) if _exchange_ok(_decode_family(c), "MB")]
+    tasks = [(axiom, a, b) for a, b in _chunks(1, 1 << (1 << n), workers)]
+    return [c for part in _map_chunks(_codes_chunk, tasks, workers) for c in part]
 
 
 def matroid_codes(n: int, workers: int = 1) -> list[int]:
     """Family codes of every basis family on n elements passing (MB)."""
-    _check_enum_size(n)
-    tasks = [(n, a, b) for a, b in _chunks(1, 1 << (1 << n), workers)]
-    out: list[int] = []
-    for part in _map_chunks(_mb_codes_chunk, tasks, workers):
-        out.extend(part)
-    return out
+    return _codes("MB", n, workers)
+
+
+def delta_codes(n: int, workers: int = 1) -> list[int]:
+    """Family codes of every feasible family on n elements passing (DF)."""
+    return _codes("DF", n, workers)
 
 
 def enumerate_matroids(n: int, workers: int = 1) -> Iterator[Matroid]:
@@ -129,187 +143,97 @@ def enumerate_matroids(n: int, workers: int = 1) -> Iterator[Matroid]:
         yield Matroid._trusted(g, _decode_family(code))
 
 
-def _delta_codes_chunk(n: int, start: int, stop: int) -> list[int]:
-    return [c for c in range(start, stop) if _exchange_ok(_decode_family(c), "DF")]
+def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
+    """Every delta-matroid on n labeled elements, once, in canonical code order."""
+    g = default_ground(n)
+    for code in delta_codes(n):
+        yield DeltaMatroid._trusted(g, _decode_family(code))
 
 
-def delta_codes(n: int, workers: int = 1) -> list[int]:
-    _check_enum_size(n)
-    tasks = [(n, a, b) for a, b in _chunks(1, 1 << (1 << n), workers)]
-    out: list[int] = []
-    for part in _map_chunks(_delta_codes_chunk, tasks, workers):
-        out.extend(part)
-    return out
-
-
-# -- property chunk workers ---------------------------------------------
-# Each worker scans a contiguous code range and returns (objects_checked,
-# witnesses); witnesses are JSON-ready dicts.
+# -- property checks ----------------------------------------------------
+# Each property's cases(obj, universe) yields one entry per case it checks
+# on obj: None when the case holds, else a JSON-ready witness.  `universe`
+# returns every object of the property's universe; only a property that
+# pairs objects calls it, so only then is the whole universe built.
 
 
 def _family_json(g: GroundSet, masks: Sequence[int]) -> dict:
     return {"ground": list(g.labels), "members": [list(g.labels_of(m)) for m in sorted(masks)]}
 
 
-def _prop_mb_equicardinal(n: int, start: int, stop: int) -> tuple[int, list]:
-    g = default_ground(n)
-    count = 0
-    wit = []
-    for code in range(start, stop):
-        masks = _decode_family(code)
-        if not _exchange_ok(masks, "MB"):
-            continue
-        count += 1
-        if len({m.bit_count() for m in masks}) > 1:
-            wit.append(_family_json(g, masks))
-    return count, wit
+def _equicardinal_cases(m: Matroid, universe: Callable) -> Iterator[Optional[dict]]:
+    masks = m.bases.masks
+    yield _family_json(m.ground, masks) if len({b.bit_count() for b in masks}) > 1 else None
 
 
-def _prop_indep_delta(n: int, start: int, stop: int) -> tuple[int, list]:
-    g = default_ground(n)
-    count = 0
-    wit = []
-    for code in range(start, stop):
-        masks = _decode_family(code)
-        if not _exchange_ok(masks, "MB"):
-            continue
-        m = Matroid._trusted(g, masks)
-        count += 1
-        fam = m.independents()
-        ok = _exchange_ok(fam.masks, "DF")
-        if ok:
-            d = DeltaMatroid._trusted(g, fam.masks)
-            ok = d.lower.rank == 0 and d.upper == m
-        if not ok:
-            wit.append(matroid_to_json(m))
-    return count, wit
+def _independents_cases(m: Matroid, universe: Callable) -> Iterator[Optional[dict]]:
+    fam = m.independents()
+    ok = _exchange_ok(fam.masks, "DF")
+    if ok:
+        d = DeltaMatroid._trusted(m.ground, fam.masks)
+        ok = d.lower.rank == 0 and d.upper == m
+    yield None if ok else matroid_to_json(m)
 
 
-def _prop_spanning_delta(n: int, start: int, stop: int) -> tuple[int, list]:
-    g = default_ground(n)
-    count = 0
-    wit = []
-    for code in range(start, stop):
-        masks = _decode_family(code)
-        if not _exchange_ok(masks, "MB"):
-            continue
-        m = Matroid._trusted(g, masks)
-        count += 1
-        fam = m.spanning_sets()
-        ok = _exchange_ok(fam.masks, "DF")
-        if ok:
-            d = DeltaMatroid._trusted(g, fam.masks)
-            ok = d.upper.rank == n and d.lower == m
-        if not ok:
-            wit.append(matroid_to_json(m))
-    return count, wit
+def _spanning_cases(m: Matroid, universe: Callable) -> Iterator[Optional[dict]]:
+    fam = m.spanning_sets()
+    ok = _exchange_ok(fam.masks, "DF")
+    if ok:
+        d = DeltaMatroid._trusted(m.ground, fam.masks)
+        ok = d.upper.rank == m.ground.size and d.lower == m
+    yield None if ok else matroid_to_json(m)
 
 
-def _prop_uplow(n: int, start: int, stop: int) -> tuple[int, list]:
-    g = default_ground(n)
-    count = 0
-    wit = []
-    for code in range(start, stop):
-        masks = _decode_family(code)
-        if not _exchange_ok(masks, "DF"):
-            continue
-        d = DeltaMatroid._trusted(g, masks)
-        count += 1
-        lowers = d.lower.bases.masks
-        uppers = d.upper.bases.masks
-        for f in masks:
-            if not any(lb & ~f == 0 for lb in lowers) or not any(f & ~ub == 0 for ub in uppers):
-                wit.append(delta_to_json(d))
-                break
-    return count, wit
-
-
-def _prop_necessity(n: int, start: int, stop: int) -> tuple[int, list]:
-    g = default_ground(n)
-    count = 0
-    wit = []
-    for code in range(start, stop):
-        masks = _decode_family(code)
-        if not _exchange_ok(masks, "DF"):
-            continue
-        d = DeltaMatroid._trusted(g, masks)
-        count += 1
-        rep = is_pairable(d.upper, d.lower)
-        if not rep.pairable:
-            w = delta_to_json(d)
-            w["offending_circuit"] = list(rep.offending_circuit.labels)
-            wit.append(w)
-    return count, wit
-
-
-def _prop_dual_exchange(n: int, start: int, stop: int) -> tuple[int, list]:
-    g = default_ground(n)
-    count = 0
-    wit = []
-    for code in range(start, stop):
-        masks = _decode_family(code)
-        if not _exchange_ok(masks, "DF"):
-            continue
-        d = DeltaMatroid._trusted(g, masks)
-        count += 1
-        ds = d.complement_dual()
-        if ds.upper != d.lower.dual() or ds.lower != d.upper.dual():
-            wit.append(delta_to_json(d))
-    return count, wit
-
-
-def _upper_lower_masks(masks: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    top = max(m.bit_count() for m in masks)
-    bot = min(m.bit_count() for m in masks)
-    return (
-        tuple(m for m in masks if m.bit_count() == top),
-        tuple(m for m in masks if m.bit_count() == bot),
+def _uplow_cases(d: DeltaMatroid, universe: Callable) -> Iterator[Optional[dict]]:
+    lowers = d.lower.bases.masks
+    uppers = d.upper.bases.masks
+    ok = all(
+        any(lb & ~f == 0 for lb in lowers) and any(f & ~ub == 0 for ub in uppers)
+        for f in d.feasibles.masks
     )
+    yield None if ok else delta_to_json(d)
 
 
-def _augmentation_breaks(g: GroundSet, fam: SetFamily) -> bool:
+def _necessity_cases(d: DeltaMatroid, universe: Callable) -> Iterator[Optional[dict]]:
+    rep = is_pairable(d.upper, d.lower)
+    circuit = rep.offending_circuit
+    yield None if rep.pairable else {**delta_to_json(d), "offending_circuit": list(circuit.labels)}
+
+
+def _dual_exchange_cases(d: DeltaMatroid, universe: Callable) -> Iterator[Optional[dict]]:
+    ds = d.complement_dual()
+    ok = ds.upper == d.lower.dual() and ds.lower == d.upper.dual()
+    yield None if ok else delta_to_json(d)
+
+
+def _augmentation_breaks(d: DeltaMatroid) -> bool:
     """True iff adding any single further subset breaks symmetric exchange
     or changes the upper or lower matroid."""
-    have = set(fam.masks)
-    up, low = _upper_lower_masks(fam.masks)
-    for extra in g.all_masks():
+    have = set(d.feasibles.masks)
+    for extra in d.ground.all_masks():
         if extra in have:
             continue
         aug = tuple(sorted(have | {extra}))
-        if not _delta_ok(aug):
-            continue
-        if _upper_lower_masks(aug) == (up, low):
-            return False
+        if _delta_ok(aug):
+            da = DeltaMatroid._trusted(d.ground, aug)
+            if da.upper == d.upper and da.lower == d.lower:
+                return False
     return True
 
 
-def _prop_fmax(n: int, start: int, stop: int) -> tuple[int, list]:
-    g = default_ground(n)
-    count = 0
-    wit = []
-    full_uniform = {k: uniform(k, g) for k in range(n + 1)}
-    for code in range(start, stop):
-        masks = _decode_family(code)
-        if not _exchange_ok(masks, "DF"):
+def _fmax_cases(d: DeltaMatroid, universe: Callable) -> Iterator[Optional[dict]]:
+    for variant, applicable, build in (
+        ("upper-uniform", d.upper.is_uniform(), fmax_upper_uniform),
+        ("lower-uniform", d.lower.is_uniform(), fmax_lower_uniform),
+    ):
+        if not applicable:
             continue
-        d = DeltaMatroid._trusted(g, masks)
-        for variant, applicable, build in (
-            ("upper-uniform", d.upper == full_uniform[d.upper.rank], fmax_upper_uniform),
-            ("lower-uniform", d.lower == full_uniform[d.lower.rank], fmax_lower_uniform),
-        ):
-            if not applicable:
-                continue
-            count += 1
-            fam = build(d)
-            ok = _delta_ok(fam.masks) and set(masks) <= set(fam.masks)
-            if ok:
-                dm = DeltaMatroid._trusted(g, fam.masks)
-                ok = dm.upper == d.upper and dm.lower == d.lower and _augmentation_breaks(g, fam)
-            if not ok:
-                w = delta_to_json(d)
-                w["variant"] = variant
-                wit.append(w)
-    return count, wit
+        fam = build(d)
+        ok = _delta_ok(fam.masks) and set(d.feasibles.masks) <= set(fam.masks)
+        if ok:
+            dm = DeltaMatroid._trusted(d.ground, fam.masks)
+            ok = dm.upper == d.upper and dm.lower == d.lower and _augmentation_breaks(dm)
+        yield None if ok else {**delta_to_json(d), "variant": variant}
 
 
 def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[int, ...]], int]:
@@ -334,75 +258,73 @@ def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[in
     return None, tried
 
 
-def _prop_sufficiency(n: int, codes: tuple[int, ...], start: int, stop: int) -> tuple[int, list]:
-    g = default_ground(n)
-    mats = [Matroid._trusted(g, _decode_family(c)) for c in codes]
-    count = 0
-    wit = []
-    for i in range(start, stop):
-        mu = mats[i]
-        for ml in mats:
-            count += 1
-            rep = is_pairable(mu, ml)
-            if rep.pairable:
-                fam = construct_sandwich(mu, ml)
-                ok = _delta_ok(fam.masks)
-                if ok:
-                    d = DeltaMatroid._trusted(g, fam.masks)
-                    ok = d.upper == mu and d.lower == ml
-                if not ok:
-                    wit.append(
-                        {
-                            "kind": "sandwich-failed",
-                            "upper": matroid_to_json(mu),
-                            "lower": matroid_to_json(ml),
-                        }
-                    )
-            else:
-                found, _ = constrained_realization(mu, ml)
-                if found is not None:
-                    wit.append(
-                        {
-                            "kind": "realization-despite-unpairable",
-                            "upper": matroid_to_json(mu),
-                            "lower": matroid_to_json(ml),
-                            "feasibles": _family_json(g, found)["members"],
-                        }
-                    )
-    return count, wit
+def _sufficiency_cases(mu: Matroid, universe: Callable) -> Iterator[Optional[dict]]:
+    for ml in universe():
+        if is_pairable(mu, ml).pairable:
+            fam = construct_sandwich(mu, ml)
+            ok = _delta_ok(fam.masks)
+            if ok:
+                d = DeltaMatroid._trusted(mu.ground, fam.masks)
+                ok = d.upper == mu and d.lower == ml
+            if ok:
+                yield None
+                continue
+            kind, extra = "sandwich-failed", {}
+        else:
+            found, _ = constrained_realization(mu, ml)
+            if found is None:
+                yield None
+                continue
+            kind = "realization-despite-unpairable"
+            extra = {"feasibles": _family_json(mu.ground, found)["members"]}
+        yield {"kind": kind, "upper": matroid_to_json(mu), "lower": matroid_to_json(ml), **extra}
 
 
-_CODE_SPACE_PROPS = {
-    "mb-equicardinal": _prop_mb_equicardinal,
-    "independents-are-delta": _prop_indep_delta,
-    "spanning-are-delta": _prop_spanning_delta,
-    "uplow": _prop_uplow,
-    "necessity-circuit-union": _prop_necessity,
-    "dual-exchange": _prop_dual_exchange,
-    "fmax-maximal": _prop_fmax,
+#: property id -> (universe axiom, cases), in report order
+_PROPERTIES: dict[str, tuple[str, Callable]] = {
+    "mb-equicardinal": ("MB-def", _equicardinal_cases),
+    "independents-are-delta": ("MB", _independents_cases),
+    "spanning-are-delta": ("MB", _spanning_cases),
+    "uplow": ("DF", _uplow_cases),
+    "necessity-circuit-union": ("DF", _necessity_cases),
+    "sufficiency-sandwich": ("MB", _sufficiency_cases),
+    "dual-exchange": ("DF", _dual_exchange_cases),
+    "fmax-maximal": ("DF", _fmax_cases),
 }
+PROPERTY_IDS = tuple(_PROPERTIES)
+
+
+def _property_chunk(
+    property_id: str, n: int, codes: tuple[int, ...], start: int, stop: int
+) -> tuple[int, list]:
+    """(cases checked, witnesses) over the objects codes[start:stop]."""
+    axiom, cases = _PROPERTIES[property_id]
+    g = default_ground(n)
+    build = DeltaMatroid._trusted if axiom == "DF" else Matroid._trusted
+    universe = cache(lambda: [build(g, _decode_family(c)) for c in codes])
+    count = 0
+    witnesses = []
+    for code in codes[start:stop]:
+        for w in cases(build(g, _decode_family(code)), universe):
+            count += 1
+            if w is not None:
+                witnesses.append(w)
+    return count, witnesses
 
 
 def verify_property(property_id: str, n: int, workers: Optional[int] = None) -> SearchReport:
     """Run one registered quantified check over the full universe at size n."""
-    if property_id not in PROPERTY_IDS:
+    if property_id not in _PROPERTIES:
         raise InputError(f"unknown property id {property_id!r}; known: {', '.join(PROPERTY_IDS)}")
-    _check_enum_size(n)
     w = resolve_workers(workers)
     t0 = time.monotonic()
-    if property_id == "sufficiency-sandwich":
-        codes = tuple(matroid_codes(n, w))
-        tasks = [(n, codes, a, b) for a, b in _chunks(0, len(codes), w)]
-        parts = _map_chunks(_prop_sufficiency, tasks, w)
-    else:
-        fn = _CODE_SPACE_PROPS[property_id]
-        tasks = [(n, a, b) for a, b in _chunks(1, 1 << (1 << n), w)]
-        parts = _map_chunks(fn, tasks, w)
-    count = sum(p[0] for p in parts)
+    codes = tuple(_codes(_PROPERTIES[property_id][0], n, w))
+    tasks = [(property_id, n, codes, a, b) for a, b in _chunks(0, len(codes), w)]
+    parts = _map_chunks(_property_chunk, tasks, w)
     witnesses = [x for p in parts for x in p[1]]
     return SearchReport(
         property_id=property_id,
-        universe_size=count,
+        universe_size=sum(p[0] for p in parts),
         holds=not witnesses,
         witnesses=witnesses,
         elapsed=time.monotonic() - t0,
@@ -480,18 +402,17 @@ def _pair_witness(
     return wit
 
 
-def find_unpairable_pair(n: int, workers: Optional[int] = None) -> SearchReport:
+def find_unpairable_pair(n: int) -> SearchReport:
     """Hunt for matroid pairs meeting both basis-level necessary conditions
     that still cannot be the upper and lower matroids of any delta-matroid.
 
     Multigraph cycle-matroid pairs are scanned first (the counterexample in
     the source material is graphic); for n <= 4 the scan then falls back to
     all matroid pairs.  The scan is ordered with early exit, so the result
-    does not depend on the worker count.
+    is deterministic.
     """
     if not 1 <= n <= 5:
         raise InputError(f"unpairable-pair search supports 1 <= n <= 5, got {n}")
-    resolve_workers(workers)  # validated for interface parity; search is ordered
     t0 = time.monotonic()
     g = default_ground(n)
     # Vertex cap: 3 keeps the 5-edge scan at 6^5 graphs while still covering

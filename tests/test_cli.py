@@ -127,6 +127,11 @@ class TestVerifyAndSearch:
     def test_verify_bogus_id(self, capsys):
         assert main(["verify", "bogus-id", "--n", "3"]) == 2
 
+    def test_nonpositive_workers_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DM_WORKERS", "0")
+        assert main(["verify", "uplow", "--n", "2"]) == 2
+        assert "DM_WORKERS" in capsys.readouterr().err
+
     def test_search_finds_witness(self, capsys):
         code, payload = run(capsys, "search", "unpairable", "--n", "5")
         assert code == 0

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from deltamatroids import (
@@ -11,10 +13,13 @@ from deltamatroids import (
 )
 from deltamatroids.search import (
     PROPERTY_IDS,
+    _exchange_violation,
+    _pool_size,
     constrained_realization,
     delta_codes,
     enumerate_matroids,
     matroid_codes,
+    resolve_workers,
 )
 from deltamatroids.serialize import matroid_from_json
 
@@ -47,6 +52,22 @@ class TestEnumeration:
         assert delta_codes(3, workers=1) == delta_codes(3, workers=4)
 
 
+class TestWorkers:
+    def test_pool_never_exceeds_tasks_or_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert _pool_size(10**9, 10**9) == cpus
+        assert _pool_size(10**9, 3) == min(3, cpus)
+        assert _pool_size(2, 10**9) == min(2, cpus)
+        assert _pool_size(1, 10**9) == 1
+        assert _pool_size(10**9, 0) == 0
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
+    def test_bad_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("DM_WORKERS", value)
+        with pytest.raises(InputError):
+            resolve_workers()
+
+
 class TestVerifyProperty:
     @pytest.mark.parametrize("pid", PROPERTY_IDS)
     def test_all_properties_hold_at_n3(self, pid):
@@ -54,6 +75,38 @@ class TestVerifyProperty:
         assert report.holds
         assert report.universe_size > 0
         assert report.witnesses == []
+
+    @pytest.mark.parametrize(
+        "pid, sizes",
+        [
+            ("mb-equicardinal", [1, 2, 5, 16, 68]),
+            ("independents-are-delta", [1, 2, 5, 16, 68]),
+            ("spanning-are-delta", [1, 2, 5, 16, 68]),
+            ("uplow", [1, 3, 15, 155, 5959]),
+            ("necessity-circuit-union", [1, 3, 15, 155, 5959]),
+            ("dual-exchange", [1, 3, 15, 155, 5959]),
+            ("sufficiency-sandwich", [1, 4, 25, 256, 4624]),
+            ("fmax-maximal", [2, 6, 22, 190, 8094]),
+        ],
+    )
+    def test_universe_sizes_up_to_n4(self, pid, sizes):
+        reports = [verify_property(pid, n, workers=1) for n in range(5)]
+        assert [r.universe_size for r in reports] == sizes
+        assert all(r.holds and r.witnesses == [] for r in reports)
+
+    def test_mb_equicardinal_reports_unequal_family(self, monkeypatch):
+        # the universe comes from the definitional (MB) scan; let it wrongly
+        # accept {{}, {a}} and the theorem check must name that family
+        odd = (0b0, 0b1)
+
+        def lenient(source, members, axiom):
+            return None if tuple(source) == odd else _exchange_violation(source, members, axiom)
+
+        monkeypatch.setattr("deltamatroids.search._exchange_violation", lenient)
+        report = verify_property("mb-equicardinal", 1, workers=1)
+        assert not report.holds
+        assert report.universe_size == 3
+        assert report.witnesses == [{"ground": ["a"], "members": [[], ["a"]]}]
 
     def test_unknown_property(self):
         with pytest.raises(InputError):
@@ -113,8 +166,3 @@ class TestUnpairableSearch:
     def test_out_of_range(self):
         with pytest.raises(InputError):
             find_unpairable_pair(6)
-
-    def test_deterministic_across_workers(self):
-        a = find_unpairable_pair(3, workers=1)
-        b = find_unpairable_pair(3, workers=4)
-        assert a.canonical_bytes() == b.canonical_bytes()
