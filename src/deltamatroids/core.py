@@ -165,8 +165,10 @@ class SetFamily:
 
     def __post_init__(self) -> None:
         canon = tuple(sorted(set(self.masks)))
-        for m in canon:
-            self.ground.validate_mask(m)
+        # sorted, so the ends bound every member; the loop only names the culprit
+        if canon and (canon[0] < 0 or canon[-1] > self.ground.full_mask):
+            for m in canon:
+                self.ground.validate_mask(m)
         object.__setattr__(self, "masks", canon)
 
     @classmethod

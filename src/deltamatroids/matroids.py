@@ -18,7 +18,6 @@ from .core import (
     InputError,
     SetFamily,
     Subset,
-    _minimal_masks,
     _project,
 )
 
@@ -213,9 +212,18 @@ class Matroid:
 
     @cached_property
     def _circuit_masks(self) -> tuple[int, ...]:
+        # dependence is up-closed: a dependent D is minimal iff each D - e is not
         indep = self._indep_masks
-        dependent = [m for m in self.ground.all_masks() if m not in indep]
-        return _minimal_masks(dependent)
+        out = []
+        for d in self.ground.all_masks():
+            if d in indep:
+                continue
+            rest = d
+            while rest and d ^ (rest & -rest) in indep:
+                rest &= rest - 1
+            if not rest:
+                out.append(d)
+        return tuple(out)
 
     def independents(self) -> SetFamily:
         """All subsets of some basis."""

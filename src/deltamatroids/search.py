@@ -1,10 +1,10 @@
 """Exhaustive searches over small matroids, delta-matroids, and multigraph
 pairs: theorem verification suites and the unpairable-pair hunt.
 
-A sweep scans the family-code range once for its universe, then checks the
-certified families; both passes split their range into contiguous chunks
-that may be fanned out across worker processes, and per-chunk results are
-merged in chunk order, so reports are identical for any worker count.
+A sweep builds its universe level by level, the family list on k elements
+from the list on k - 1 by deletion and contraction, then checks the certified
+families.  Both split into contiguous chunks that may be fanned out across
+worker processes and merge in chunk order: reports match for any worker count.
 """
 
 from __future__ import annotations
@@ -78,13 +78,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return w
 
 
-def _chunks(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    span = hi - lo
-    if span <= 0:
-        return []
-    k = min(workers, span)
-    step = -(-span // k)
-    return [(lo + i * step, min(lo + (i + 1) * step, hi)) for i in range(k) if lo + i * step < hi]
+def _chunks(size: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous cover of range(size): a chunk per worker, at most max(8, 4 * CPUs)."""
+    step = -(-size // min(workers, max(8, 4 * (os.cpu_count() or 1)))) or 1
+    return [(i, min(i + step, size)) for i in range(0, size, step)]
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -114,16 +111,38 @@ def _accepts(axiom: str, masks: tuple[int, ...]) -> bool:
     return _exchange_ok(masks, axiom)
 
 
-def _codes_chunk(axiom: str, start: int, stop: int) -> list[int]:
-    return [c for c in range(start, stop) if _accepts(axiom, _decode_family(c))]
+def _codes_chunk(axiom: str, k: int, prev: tuple[int, ...], highs: tuple[int, ...]) -> list[int]:
+    """Passing codes a | b << 2^(k-1) for b in highs, a in prev (0, then the codes
+    on k - 1 elements); the axiom runs only if the deletion and contraction of
+    element k - 2, read off the code's four quarters, are both in prev."""
+    half = 1 << (k - 1)
+    q = half >> 1
+    low = (1 << q) - 1
+    known = set(prev)
+    out = []
+    for b in highs:
+        b_del, b_con = (b & low) << q, (b >> q) << q
+        for a in prev:
+            c = a | b << half
+            if c and (a & low) | b_del in known and (a >> q) | b_con in known:
+                if _accepts(axiom, _decode_family(c)):
+                    out.append(c)
+    return out
 
 
 def _codes(axiom: str, n: int, workers: int) -> list[int]:
-    """Ascending codes of every family on n elements that passes axiom."""
+    """Ascending codes of every family on n elements that passes axiom.  Partners
+    lie in F1 Δ F2, so deleting or contracting element k - 1 leaves a passing or
+    empty family: level k pairs codes of level k - 1, high half outer, in order."""
     if not 0 <= n <= 4:
         raise InputError(f"exhaustive enumeration capped at n <= 4, got {n}")
-    tasks = [(axiom, a, b) for a, b in _chunks(1, 1 << (1 << n), workers)]
-    return [c for part in _map_chunks(_codes_chunk, tasks, workers) for c in part]
+    codes = [1]  # n = 0: the family {∅}
+    for k in range(1, n + 1):
+        prev = (0, *codes)
+        w = workers if k == n else 1  # lower levels take milliseconds
+        tasks = [(axiom, k, prev, prev[i:j]) for i, j in _chunks(len(prev), w)]
+        codes = [c for part in _map_chunks(_codes_chunk, tasks, w) for c in part]
+    return codes
 
 
 def matroid_codes(n: int, workers: int = 1) -> list[int]:
@@ -319,7 +338,7 @@ def verify_property(property_id: str, n: int, workers: Optional[int] = None) -> 
     w = resolve_workers(workers)
     t0 = time.monotonic()
     codes = tuple(_codes(_PROPERTIES[property_id][0], n, w))
-    tasks = [(property_id, n, codes, a, b) for a, b in _chunks(0, len(codes), w)]
+    tasks = [(property_id, n, codes, a, b) for a, b in _chunks(len(codes), w)]
     parts = _map_chunks(_property_chunk, tasks, w)
     witnesses = [x for p in parts for x in p[1]]
     return SearchReport(

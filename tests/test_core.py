@@ -91,6 +91,19 @@ class TestFamilies:
         fam = SetFamily(g, (0b10, 0b01, 0b10))
         assert fam.masks == (0b01, 0b10)
 
+    @pytest.mark.parametrize(
+        "masks, named",
+        [
+            ((0b01, -1), "-0b1"),
+            ((0b100, 0b01), "0b100"),
+            ((0b1000, 0b01, -3), "-0b11"),  # both kinds: the smallest mask is named
+        ],
+    )
+    def test_out_of_range_member_named(self, masks, named):
+        with pytest.raises(InputError) as err:
+            SetFamily(default_ground(2), masks)
+        assert str(err.value) == f"mask {named} has bits outside ground set of size 2"
+
     def test_minimal_members(self):
         g = default_ground(3)
         fam = SetFamily.from_labels(g, [["a"], ["a", "b"], ["c"]])

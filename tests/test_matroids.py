@@ -22,6 +22,7 @@ from deltamatroids import (
     is_union_of_circuits,
     uniform,
 )
+from deltamatroids.core import _minimal_masks
 from deltamatroids.delta import _decode_family, construct_sandwich
 from deltamatroids.matroids import _exchange_ok, _exchange_violation
 from deltamatroids.rigidity import Multigraph, cycle_matroid
@@ -320,6 +321,33 @@ class TestExhaustiveInvariants:
     def test_reconstructed_matroids_recertify(self):
         for m in enumerate_matroids(3):
             assert isinstance(check_basis_axiom(m.bases), Matroid)
+
+
+def minimal_dependents(m):
+    """Circuits by their definition: the minimal members of the dependent sets."""
+    indep = m._indep_masks
+    return _minimal_masks(d for d in m.ground.all_masks() if d not in indep)
+
+
+class TestCircuits:
+    def test_equal_minimal_dependents_up_to_n4(self):
+        for n in range(5):
+            for m in enumerate_matroids(n):
+                assert m._circuit_masks == minimal_dependents(m), m
+
+    def test_equal_minimal_dependents_on_seeded_matroids(self):
+        rng = random.Random(5)
+        mats = [uniform(rng.randint(1, n - 1), default_ground(n)) for n in (8, 9, 10, 11)]
+        for n1, n2 in ((3, 5), (4, 5), (5, 5), (5, 6)):
+            g1 = GroundSet(tuple(f"x{i}" for i in range(n1)))
+            g2 = GroundSet(tuple(f"y{i}" for i in range(n2)))
+            mats.append(
+                direct_sum(uniform(rng.randint(0, n1), g1), uniform(rng.randint(0, n2), g2))
+            )
+        for vertices, edges in ((5, 8), (6, 9), (6, 10), (7, 11)):
+            mats.append(cycle_matroid(random_graph(rng, vertices, edges)))
+        for m in mats:
+            assert m._circuit_masks == minimal_dependents(m), m
 
 
 def reference_mb_violation(masks):

@@ -11,8 +11,12 @@ from deltamatroids import (
     find_unpairable_pair,
     verify_property,
 )
+from deltamatroids.delta import _decode_family
 from deltamatroids.search import (
     PROPERTY_IDS,
+    _accepts,
+    _chunks,
+    _codes,
     _exchange_violation,
     _pool_size,
     constrained_realization,
@@ -51,6 +55,25 @@ class TestEnumeration:
         assert matroid_codes(3, workers=1) == matroid_codes(3, workers=4)
         assert delta_codes(3, workers=1) == delta_codes(3, workers=4)
 
+    @pytest.mark.parametrize("axiom", ["MB", "MB-def", "DF"])
+    @pytest.mark.parametrize("n", range(5))
+    def test_codes_equal_full_range_scan(self, axiom, n):
+        # reference: every family code through the axiom, no minor pruning
+        ref = [c for c in range(1, 1 << (1 << n)) if _accepts(axiom, _decode_family(c))]
+        for w in (1, 8):
+            assert _codes(axiom, n, w) == ref, (axiom, n, w)
+
+    def test_df_n4_runs_the_axiom_on_a_fraction_of_codes(self, monkeypatch):
+        calls = []
+
+        def counting(axiom, masks):
+            calls.append(masks)
+            return _accepts(axiom, masks)
+
+        monkeypatch.setattr("deltamatroids.search._accepts", counting)
+        assert len(_codes("DF", 4, 1)) == 5959
+        assert len(calls) < 16384
+
 
 class TestWorkers:
     def test_pool_never_exceeds_tasks_or_cpus(self):
@@ -60,6 +83,18 @@ class TestWorkers:
         assert _pool_size(2, 10**9) == min(2, cpus)
         assert _pool_size(1, 10**9) == 1
         assert _pool_size(10**9, 0) == 0
+
+    def test_chunk_count_capped(self):
+        cap = max(8, 4 * (os.cpu_count() or 1))
+        for size in (10**9, 65535, cap + 1):
+            parts = _chunks(size, 10**9)
+            assert len(parts) <= cap
+            assert parts[0][0] == 0 and parts[-1][1] == size
+            assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+        assert len(_chunks(10**9, 10**9)) == cap
+        assert len(_chunks(10**9, 8)) == 8
+        assert _chunks(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
+        assert _chunks(0, 10**9) == []
 
     @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
     def test_bad_env_rejected(self, monkeypatch, value):
