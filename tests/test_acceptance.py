@@ -30,6 +30,7 @@ from deltamatroids import (
     verify_property,
 )
 from deltamatroids.delta import _delta_ok
+from deltamatroids.search import _UNIVERSES
 from deltamatroids.serialize import matroid_from_json
 
 
@@ -57,6 +58,7 @@ REPORT_KEYS = (
 
 
 def _collect_reports(workers):
+    _UNIVERSES.clear()  # each worker count builds its own universes
     old = os.environ.get("DM_WORKERS")
     os.environ["DM_WORKERS"] = str(workers)
     try:

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -11,21 +12,35 @@ from deltamatroids import (
     find_unpairable_pair,
     verify_property,
 )
-from deltamatroids.delta import _decode_family
+from deltamatroids.delta import DeltaMatroid, _decode_family, _delta_ok
+from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import (
+    _UNIVERSES,
     PROPERTY_IDS,
     _accepts,
+    _augmentation_breaks,
     _chunks,
     _codes,
     _exchange_violation,
+    _graphic_pool,
     _pool_size,
     constrained_realization,
     delta_codes,
+    enumerate_delta_matroids,
     enumerate_matroids,
     matroid_codes,
     resolve_workers,
 )
 from deltamatroids.serialize import matroid_from_json
+
+
+@pytest.fixture
+def fresh_universes():
+    """Start from no shared universe, and let none built under the test's
+    patches outlive it."""
+    _UNIVERSES.clear()
+    yield
+    _UNIVERSES.clear()
 
 
 class TestEnumeration:
@@ -51,9 +66,10 @@ class TestEnumeration:
         with pytest.raises(InputError):
             matroid_codes(5)
 
-    def test_worker_count_does_not_change_codes(self):
-        assert matroid_codes(3, workers=1) == matroid_codes(3, workers=4)
-        assert delta_codes(3, workers=1) == delta_codes(3, workers=4)
+    def test_worker_count_does_not_change_codes(self, fresh_universes):
+        one = matroid_codes(3, workers=1), delta_codes(3, workers=1)
+        _UNIVERSES.clear()  # so the 4-worker build runs
+        assert (matroid_codes(3, workers=4), delta_codes(3, workers=4)) == one
 
     @pytest.mark.parametrize("axiom", ["MB", "MB-def", "DF"])
     @pytest.mark.parametrize("n", range(5))
@@ -63,7 +79,7 @@ class TestEnumeration:
         for w in (1, 8):
             assert _codes(axiom, n, w) == ref, (axiom, n, w)
 
-    def test_df_n4_runs_the_axiom_on_a_fraction_of_codes(self, monkeypatch):
+    def test_df_n4_runs_the_axiom_on_a_fraction_of_codes(self, monkeypatch, fresh_universes):
         calls = []
 
         def counting(axiom, masks):
@@ -99,8 +115,28 @@ class TestWorkers:
     @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
     def test_bad_env_rejected(self, monkeypatch, value):
         monkeypatch.setenv("DM_WORKERS", value)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="must be a positive integer"):
             resolve_workers()
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: matroid_codes(4, workers=w),
+            lambda w: delta_codes(3, workers=w),
+            lambda w: list(enumerate_matroids(2, workers=w)),
+            lambda w: verify_property("uplow", 2, workers=w),
+        ],
+    )
+    def test_bad_explicit_workers_rejected(self, value, call):
+        # rejected whether or not the universe is already built
+        for _ in range(2):
+            with pytest.raises(InputError, match="must be a positive integer"):
+                call(value)
+        call(1)
+
+    def test_one_explicit_worker_accepted(self):
+        assert resolve_workers(1) == 1
 
 
 class TestVerifyProperty:
@@ -129,7 +165,7 @@ class TestVerifyProperty:
         assert [r.universe_size for r in reports] == sizes
         assert all(r.holds and r.witnesses == [] for r in reports)
 
-    def test_mb_equicardinal_reports_unequal_family(self, monkeypatch):
+    def test_mb_equicardinal_reports_unequal_family(self, monkeypatch, fresh_universes):
         # the universe comes from the definitional (MB) scan; let it wrongly
         # accept {{}, {a}} and the theorem check must name that family
         odd = (0b0, 0b1)
@@ -147,9 +183,10 @@ class TestVerifyProperty:
         with pytest.raises(InputError):
             verify_property("bogus-id", 3)
 
-    def test_reports_byte_identical_across_workers(self):
+    def test_reports_byte_identical_across_workers(self, fresh_universes):
         for pid in ("uplow", "sufficiency-sandwich"):
             a = verify_property(pid, 3, workers=1)
+            _UNIVERSES.clear()  # so the 4-worker build runs
             b = verify_property(pid, 3, workers=4)
             assert a.canonical_bytes() == b.canonical_bytes()
 
@@ -157,6 +194,93 @@ class TestVerifyProperty:
         r = SearchReport("x", 1, True, [], elapsed=1.23)
         assert b"elapsed" not in r.canonical_bytes()
         assert "elapsed" in r.to_json(include_elapsed=True)
+
+
+class TestSharedUniverses:
+    def test_reports_equal_cold_and_warm_in_either_order(self, fresh_universes):
+        keys = [(pid, n) for pid in PROPERTY_IDS for n in range(5)]
+        cold = {}
+        for k in keys:
+            _UNIVERSES.clear()
+            cold[k] = verify_property(*k, workers=1).canonical_bytes()
+        for order in (keys, keys[::-1]):
+            _UNIVERSES.clear()
+            for k in order:
+                assert verify_property(*k, workers=1).canonical_bytes() == cold[k], k
+
+    def test_second_df_sweep_builds_nothing(self, monkeypatch, fresh_universes):
+        verify_property("uplow", 4, workers=1)
+        accepts, inits = [], []
+        real_init = DeltaMatroid.__init__
+
+        def counting_accepts(axiom, masks):
+            accepts.append(masks)
+            return _accepts(axiom, masks)
+
+        def counting_init(self, *args, **kwargs):
+            inits.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr("deltamatroids.search._accepts", counting_accepts)
+        monkeypatch.setattr(DeltaMatroid, "__init__", counting_init)
+        report = verify_property("necessity-circuit-union", 4, workers=1)
+        assert report.universe_size == 5959 and report.holds
+        assert accepts == [] and inits == []
+
+    def test_public_lists_are_fresh(self, fresh_universes):
+        codes = delta_codes(2)
+        codes.clear()
+        assert len(delta_codes(2)) == 15
+        assert [d.feasibles.masks for d in enumerate_delta_matroids(2)] == [
+            _decode_family(c) for c in delta_codes(2)
+        ]
+
+
+def _augmentation_breaks_by_definition(d):
+    have = set(d.feasibles.masks)
+    for extra in d.ground.all_masks():
+        if extra in have:
+            continue
+        aug = tuple(sorted(have | {extra}))
+        if _delta_ok(aug):
+            da = DeltaMatroid._trusted(d.ground, aug)
+            if da.upper == d.upper and da.lower == d.lower:
+                return False
+    return True
+
+
+def test_augmentation_window_matches_definition():
+    seen = 0
+    for n in range(5):
+        for d in enumerate_delta_matroids(n):
+            assert _augmentation_breaks(d) == _augmentation_breaks_by_definition(d), d
+            seen += 1
+    assert seen == 6133
+
+
+def _graphic_pool_every_assignment(n, max_vertices):
+    edge_labels = default_ground(n).labels
+    seen = {}
+    for v in range(1, max_vertices + 1):
+        vertices = tuple(f"v{i + 1}" for i in range(v))
+        pairs = [(i, j) for i in range(v) for j in range(i, v)]
+        for assignment in itertools.product(pairs, repeat=n):
+            g = Multigraph(
+                vertices,
+                tuple(
+                    (edge_labels[k], (vertices[i], vertices[j]))
+                    for k, (i, j) in enumerate(assignment)
+                ),
+            )
+            m = cycle_matroid(g)
+            seen.setdefault(m.bases.masks, (m, g))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_graphic_pool_skips_only_isomorphic_repeats(n):
+    max_v = 3 if n >= 4 else n + 1  # as find_unpairable_pair
+    assert _graphic_pool(n, max_v) == _graphic_pool_every_assignment(n, max_v)
 
 
 class TestConstrainedRealization:
