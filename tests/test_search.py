@@ -135,9 +135,6 @@ class TestWorkers:
                 call(value)
         call(1)
 
-    def test_one_explicit_worker_accepted(self):
-        assert resolve_workers(1) == 1
-
 
 class TestVerifyProperty:
     @pytest.mark.parametrize("pid", PROPERTY_IDS)
