@@ -24,10 +24,8 @@ from .delta import (
     fmax_lower_uniform,
     fmax_upper_uniform,
     is_pairable,
-    lower_matroid,
     restrict_by_deletion,
     restrict_to_contained,
-    upper_matroid,
 )
 from .matroids import (
     AxiomError,
@@ -95,7 +93,6 @@ __all__ = [
     "is_quotient",
     "is_sparse_23",
     "is_union_of_circuits",
-    "lower_matroid",
     "maximal_members",
     "minimal_members",
     "restrict_by_deletion",
@@ -104,7 +101,6 @@ __all__ = [
     "rigidity_matroid",
     "sym_diff",
     "uniform",
-    "upper_matroid",
     "verify_cone_quotient",
     "verify_property",
 ]

@@ -22,8 +22,8 @@ from .rigidity import CORPUS, verify_cone_quotient
 from .search import (
     PROPERTY_IDS,
     delta_codes,
-    enumerate_matroids,
     find_unpairable_pair,
+    matroid_codes,
     resolve_workers,
     verify_property,
 )
@@ -89,30 +89,19 @@ def _emit(payload: dict, fmt: str, text: str) -> None:
 
 
 def _cmd_check(args, fmt: str) -> int:
-    obj = load_json(args.file)
-    try:
-        if args.kind == "matroid":
-            m = matroid_from_json(obj)
-            payload = {"ok": True, "kind": "matroid", "rank": m.rank, "bases": len(m.bases)}
-            _emit(payload, fmt, f"matroid: rank {m.rank}, {len(m.bases)} bases")
-        else:
-            d = delta_from_json(obj)
-            payload = {"ok": True, "kind": "delta", "feasibles": len(d.feasibles)}
-            _emit(payload, fmt, f"delta-matroid: {len(d.feasibles)} feasible sets")
-        return 0
-    except AxiomError as e:
-        payload = {"ok": False, "witness": e.violation.to_json()}
-        _emit(payload, fmt, e.violation.describe())
-        return 1
+    if args.kind == "matroid":
+        m = matroid_from_json(load_json(args.file))
+        payload = {"ok": True, "kind": "matroid", "rank": m.rank, "bases": len(m.bases)}
+        _emit(payload, fmt, f"matroid: rank {m.rank}, {len(m.bases)} bases")
+    else:
+        d = delta_from_json(load_json(args.file))
+        payload = {"ok": True, "kind": "delta", "feasibles": len(d.feasibles)}
+        _emit(payload, fmt, f"delta-matroid: {len(d.feasibles)} feasible sets")
+    return 0
 
 
 def _cmd_upper_lower(args, fmt: str) -> int:
-    obj = load_json(args.file)
-    try:
-        d = delta_from_json(obj)
-    except AxiomError as e:
-        _emit({"ok": False, "witness": e.violation.to_json()}, fmt, e.violation.describe())
-        return 1
+    d = delta_from_json(load_json(args.file))
     payload = {"upper": matroid_to_json(d.upper), "lower": matroid_to_json(d.lower)}
     _emit(
         payload,
@@ -188,14 +177,13 @@ def _cmd_search(args, fmt: str) -> int:
 
 
 def _cmd_enumerate(args, fmt: str) -> int:
-    if args.kind == "matroid":
-        items = [matroid_to_json(m) for m in enumerate_matroids(args.n, workers=resolve_workers())]
-    else:
-        g = default_ground(args.n)
-        items = [
-            {"ground": list(g.labels), "feasibles": [list(g.labels_of(m)) for m in _decode_family(c)]}
-            for c in delta_codes(args.n, workers=resolve_workers())
-        ]
+    g = default_ground(args.n)
+    labels = [list(g.labels_of(m)) for m in g.all_masks()]  # shared by every family
+    key, codes = ("bases", matroid_codes) if args.kind == "matroid" else ("feasibles", delta_codes)
+    items = [
+        {"ground": list(g.labels), key: [labels[m] for m in _decode_family(c)]}
+        for c in codes(args.n, workers=resolve_workers())
+    ]
     _emit({"count": len(items), "items": items}, fmt, f"{len(items)} structures at n={args.n}")
     return 0
 
@@ -219,7 +207,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return handlers[args.command](args, fmt)
     except AxiomError as e:
-        print(json.dumps({"ok": False, "witness": e.violation.to_json()}, indent=2))
+        _emit({"ok": False, "witness": e.violation.to_json()}, fmt, e.violation.describe())
         return 1
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -7,6 +7,7 @@ so every subset fits in one machine word and exhaustive sweeps stay cheap.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -195,7 +196,8 @@ class SetFamily:
         return iter(self.members)
 
     def __contains__(self, s: Subset) -> bool:
-        return s.ground == self.ground and s.mask in set(self.masks)
+        i = bisect_left(self.masks, s.mask)  # masks are sorted
+        return s.ground == self.ground and i < len(self.masks) and self.masks[i] == s.mask
 
     def member_labels(self) -> list[list[str]]:
         return [list(self.ground.labels_of(m)) for m in self.masks]

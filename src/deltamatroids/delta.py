@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import GroundSet, InputError, SetFamily, Subset, _project
 from .matroids import (
@@ -50,6 +50,12 @@ class DeltaMatroid:
 
     # -- upper and lower matroids ----------------------------------------
 
+    def _layer(self, pick: Callable) -> tuple[int, ...]:
+        """Ascending feasible masks of the size pick (max or min) selects."""
+        masks = self.feasibles.masks
+        size = pick(m.bit_count() for m in masks)
+        return tuple(m for m in masks if m.bit_count() == size)
+
     @cached_property
     def upper(self) -> Matroid:
         """Matroid of the maximum-cardinality feasible sets.
@@ -57,16 +63,12 @@ class DeltaMatroid:
         No re-certification: the extremal layers of a delta-matroid are
         matroids (Bouchet 1987, Greedy algorithm and symmetric matroids).
         """
-        masks = self.feasibles.masks
-        top = max(m.bit_count() for m in masks)
-        return Matroid._trusted(self.ground, (m for m in masks if m.bit_count() == top))
+        return Matroid._trusted(self.ground, self._layer(max))
 
     @cached_property
     def lower(self) -> Matroid:
         """Matroid of the minimum-cardinality feasible sets."""
-        masks = self.feasibles.masks
-        bot = min(m.bit_count() for m in masks)
-        return Matroid._trusted(self.ground, (m for m in masks if m.bit_count() == bot))
+        return Matroid._trusted(self.ground, self._layer(min))
 
     # -- operations -------------------------------------------------------
 
@@ -118,14 +120,6 @@ def check_symmetric_exchange(fam: SetFamily) -> Union[DeltaMatroid, ExchangeViol
         return DeltaMatroid.certify(fam)
     except AxiomError as e:
         return e.violation
-
-
-def upper_matroid(d: DeltaMatroid) -> Matroid:
-    return d.upper
-
-
-def lower_matroid(d: DeltaMatroid) -> Matroid:
-    return d.lower
 
 
 @dataclass(frozen=True)

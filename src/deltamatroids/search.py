@@ -4,10 +4,11 @@ pairs: theorem verification suites and the unpairable-pair hunt.
 Each (axiom, n) universe is built once per process, level by level (the family
 list on k elements from the list on k - 1 by deletion and contraction), and is
 shared by every enumeration and sweep.  Its certified objects, built when a sweep
-first asks, keep their derived sets: about 20 MB for the 5,959 delta-matroids at
-n = 4, 2 MB bare; the n <= 4 cap bounds the cache at 15 universes.  Builds and
-sweeps split into contiguous chunks that may be fanned out across worker
-processes and merge in chunk order: reports match for any worker count.
+first asks, keep their derived sets, and a delta-matroid's upper and lower are
+(MB) universe objects: at n = 4, 5,959 delta-matroids share 68 matroids in about
+2 MB, 2.5 MB after every sweep; the n <= 4 cap bounds the cache at 15 universes.
+Builds and sweeps split into contiguous chunks that may be fanned out across
+worker processes and merge in chunk order: reports match for any worker count.
 """
 
 from __future__ import annotations
@@ -150,15 +151,30 @@ def _codes(axiom: str, n: int, workers: int) -> list[int]:
 _UNIVERSES: dict[tuple[str, int], tuple] = {}  # at most 15 keys: n <= 4
 
 
-def _universe(axiom: str, n: int, workers: Optional[int] = 1) -> tuple[tuple[int, ...], Callable]:
-    """(ascending codes, objects) of the shared universe; objects() builds on first call."""
+def _universe(axiom: str, n: int, workers: Optional[int] = 1) -> tuple[tuple[int, ...], Callable, dict]:
+    """(ascending codes, objects, memo) of the shared universe; objects() builds on first call."""
     w = resolve_workers(workers)
     if (axiom, n) not in _UNIVERSES:
         codes, g = tuple(_codes(axiom, n, w)), default_ground(n)
-        build = DeltaMatroid._trusted if axiom == "DF" else Matroid._trusted
-        objects = cache(lambda: tuple(build(g, _decode_family(c)) for c in codes))
-        _UNIVERSES[axiom, n] = codes, objects
+        if axiom == "DF":
+            objects = cache(lambda: _with_shared_layers(g, codes))
+        else:
+            objects = cache(lambda: tuple(Matroid._trusted(g, _decode_family(c)) for c in codes))
+        _UNIVERSES[axiom, n] = codes, objects, {}
     return _UNIVERSES[axiom, n]
+
+
+def _with_shared_layers(g: GroundSet, codes: tuple[int, ...]) -> tuple[DeltaMatroid, ...]:
+    """The (DF) objects, with the (MB) universe's own objects as uppers and lowers."""
+    layers = {m.bases.masks: m for m in _universe("MB", g.size)[1]()}
+    out = []
+    for c in codes:  # filled as built: 1.3 MB less at n = 4 than filling afterwards
+        out.append(d := DeltaMatroid._trusted(g, _decode_family(c)))
+        for name, pick in (("upper", max), ("lower", min)):
+            if (m := layers.get(d._layer(pick))) is None:
+                raise RuntimeError(f"{name} layer of {d!r} is missing from the (MB) universe")
+            setattr(d, name, m)  # fills the cached_property
+    return tuple(out)
 
 
 def matroid_codes(n: int, workers: int = 1) -> list[int]:
@@ -186,21 +202,28 @@ def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
 
 
 # -- property checks ----------------------------------------------------
-# Each property's cases(obj, universe) yields one entry per case it checks
-# on obj: None when the case holds, else a JSON-ready witness.  `universe`
-# holds every object of the property's universe, for properties that pair.
+# Each property's cases(obj, universe, memo) yields one entry per case it
+# checks on obj: None when the case holds, else a JSON-ready witness.
+# `universe` holds every object of the property's universe, for properties
+# that pair; `memo` is the universe's own, for results objects share.
+
+
+def _once(memo: dict, key: tuple, make: Callable):
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def _family_json(g: GroundSet, masks: Sequence[int]) -> dict:
     return {"ground": list(g.labels), "members": [list(g.labels_of(m)) for m in sorted(masks)]}
 
 
-def _equicardinal_cases(m: Matroid, universe: Sequence) -> Iterator[Optional[dict]]:
+def _equicardinal_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     masks = m.bases.masks
     yield _family_json(m.ground, masks) if len({b.bit_count() for b in masks}) > 1 else None
 
 
-def _independents_cases(m: Matroid, universe: Sequence) -> Iterator[Optional[dict]]:
+def _independents_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     fam = m.independents()
     ok = _exchange_ok(fam.masks, "DF")
     if ok:
@@ -209,7 +232,7 @@ def _independents_cases(m: Matroid, universe: Sequence) -> Iterator[Optional[dic
     yield None if ok else matroid_to_json(m)
 
 
-def _spanning_cases(m: Matroid, universe: Sequence) -> Iterator[Optional[dict]]:
+def _spanning_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     fam = m.spanning_sets()
     ok = _exchange_ok(fam.masks, "DF")
     if ok:
@@ -218,25 +241,23 @@ def _spanning_cases(m: Matroid, universe: Sequence) -> Iterator[Optional[dict]]:
     yield None if ok else matroid_to_json(m)
 
 
-def _uplow_cases(d: DeltaMatroid, universe: Sequence) -> Iterator[Optional[dict]]:
-    lowers = d.lower.bases.masks
-    uppers = d.upper.bases.masks
-    ok = all(
-        any(lb & ~f == 0 for lb in lowers) and any(f & ~ub == 0 for ub in uppers)
-        for f in d.feasibles.masks
-    )
+def _uplow_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
+    # some lower basis inside F, and F inside some upper basis
+    span, indep = d.lower._spanning_masks, d.upper._indep_masks
+    ok = all(f in span and f in indep for f in d.feasibles.masks)
     yield None if ok else delta_to_json(d)
 
 
-def _necessity_cases(d: DeltaMatroid, universe: Sequence) -> Iterator[Optional[dict]]:
+def _necessity_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     rep = is_pairable(d.upper, d.lower)
     circuit = rep.offending_circuit
     yield None if rep.pairable else {**delta_to_json(d), "offending_circuit": list(circuit.labels)}
 
 
-def _dual_exchange_cases(d: DeltaMatroid, universe: Sequence) -> Iterator[Optional[dict]]:
+def _dual_exchange_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     ds = d.complement_dual()
-    ok = ds.upper == d.lower.dual() and ds.lower == d.upper.dual()
+    dual_up, dual_low = (_once(memo, ("dual", m), m.dual) for m in (d.upper, d.lower))
+    ok = ds.upper == dual_low and ds.lower == dual_up
     yield None if ok else delta_to_json(d)
 
 
@@ -253,18 +274,25 @@ def _augmentation_breaks(d: DeltaMatroid) -> bool:
     )
 
 
-def _fmax_cases(d: DeltaMatroid, universe: Sequence) -> Iterator[Optional[dict]]:
+def _fmax_pair(d: DeltaMatroid, build: Callable) -> tuple[frozenset[int], bool]:
+    """(fmax family of d's upper and lower, whether it is a maximal delta-matroid with those layers)."""
+    fam = build(d)
+    ok = _delta_ok(fam.masks)
+    if ok:
+        dm = DeltaMatroid._trusted(d.ground, fam.masks)
+        ok = dm.upper == d.upper and dm.lower == d.lower and _augmentation_breaks(dm)
+    return frozenset(fam.masks), ok
+
+
+def _fmax_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     for variant, applicable, build in (
         ("upper-uniform", d.upper.is_uniform(), fmax_upper_uniform),
         ("lower-uniform", d.lower.is_uniform(), fmax_lower_uniform),
     ):
         if not applicable:
             continue
-        fam = build(d)
-        ok = _delta_ok(fam.masks) and set(d.feasibles.masks) <= set(fam.masks)
-        if ok:
-            dm = DeltaMatroid._trusted(d.ground, fam.masks)
-            ok = dm.upper == d.upper and dm.lower == d.lower and _augmentation_breaks(dm)
+        fam, ok = _once(memo, (variant, d.upper, d.lower), lambda: _fmax_pair(d, build))
+        ok = ok and fam.issuperset(d.feasibles.masks)
         yield None if ok else {**delta_to_json(d), "variant": variant}
 
 
@@ -290,7 +318,7 @@ def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[in
     return None, tried
 
 
-def _sufficiency_cases(mu: Matroid, universe: Sequence) -> Iterator[Optional[dict]]:
+def _sufficiency_cases(mu: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     for ml in universe:
         if is_pairable(mu, ml).pairable:
             fam = construct_sandwich(mu, ml)
@@ -330,11 +358,12 @@ def _property_chunk(property_id: str, n: int, start: int, stop: int) -> tuple[in
     """(cases checked, witnesses) over objects start:stop of the shared universe;
     a forked worker inherits it, a spawned one rebuilds it."""
     axiom, cases = _PROPERTIES[property_id]
-    universe = _universe(axiom, n)[1]()
+    _, objects, memo = _universe(axiom, n)
+    universe = objects()
     count = 0
     witnesses = []
     for obj in universe[start:stop]:
-        for w in cases(obj, universe):
+        for w in cases(obj, universe, memo):
             count += 1
             if w is not None:
                 witnesses.append(w)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from deltamatroids import GroundSet, default_ground, direct_sum, uniform
+from deltamatroids import GroundSet, SetFamily, check_basis_axiom, default_ground, direct_sum, uniform
 from deltamatroids.cli import main
 from deltamatroids.rigidity import CORPUS
 from deltamatroids.serialize import dumps_canonical, graph_to_json, matroid_to_json
@@ -89,6 +89,17 @@ class TestPair:
         code, payload = run(capsys, "pair", mu, ml)
         assert code == 1
         assert payload["offending_circuit"] == ["b"]
+
+    def test_uncertified_input_follows_format(self, files, capsys):
+        bad = files("bad.json", {"ground": ["a", "b", "c"], "bases": [["a"], ["b", "c"]]})
+        good = files("good.json", {"ground": ["a", "b", "c"], "bases": [["a"]]})
+        violation = check_basis_axiom(SetFamily.from_labels(default_ground(3), [["a"], ["b", "c"]]))
+        for argv in (["pair", bad, good], ["pair", good, bad], ["check", "matroid", bad]):
+            assert main(["--format", "text", *argv]) == 1
+            assert capsys.readouterr().out == violation.describe() + "\n"
+            assert main(["--format", "json", *argv]) == 1
+            payload = {"ok": False, "witness": violation.to_json()}
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
     def test_mismatched_grounds(self, files, capsys):
         mu = files("mu.json", {"ground": ["a", "b"], "bases": [["a"]]})

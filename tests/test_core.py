@@ -104,6 +104,16 @@ class TestFamilies:
             SetFamily(default_ground(2), masks)
         assert str(err.value) == f"mask {named} has bits outside ground set of size 2"
 
+    def test_membership_matches_set_definition(self):
+        # reference: the definition by a set of member masks
+        for n in range(4):
+            g, other = default_ground(n), GroundSet(tuple("vwxyz"[:n]))
+            for code in range(0, 1 << (1 << n), 5):
+                fam = SetFamily(g, tuple(m for m in g.all_masks() if code >> m & 1))
+                for mask in g.all_masks():
+                    for s in (Subset(g, mask), Subset(other, mask)):
+                        assert (s in fam) == (s.ground == fam.ground and s.mask in set(fam.masks))
+
     def test_minimal_members(self):
         g = default_ground(3)
         fam = SetFamily.from_labels(g, [["a"], ["a", "b"], ["c"]])

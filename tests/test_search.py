@@ -7,18 +7,27 @@ from deltamatroids import (
     InputError,
     Matroid,
     SearchReport,
+    SetFamily,
     check_basis_axiom,
     default_ground,
     find_unpairable_pair,
     verify_property,
 )
-from deltamatroids.delta import DeltaMatroid, _decode_family, _delta_ok
+from deltamatroids.delta import (
+    DeltaMatroid,
+    _decode_family,
+    _delta_ok,
+    fmax_lower_uniform,
+    fmax_upper_uniform,
+)
 from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import (
     _UNIVERSES,
     PROPERTY_IDS,
     _accepts,
     _augmentation_breaks,
+    _uplow_cases,
+    _universe,
     _chunks,
     _codes,
     _exchange_violation,
@@ -31,7 +40,7 @@ from deltamatroids.search import (
     matroid_codes,
     resolve_workers,
 )
-from deltamatroids.serialize import matroid_from_json
+from deltamatroids.serialize import delta_to_json, matroid_from_json
 
 
 @pytest.fixture
@@ -208,18 +217,23 @@ class TestSharedUniverses:
     def test_second_df_sweep_builds_nothing(self, monkeypatch, fresh_universes):
         verify_property("uplow", 4, workers=1)
         accepts, inits = [], []
-        real_init = DeltaMatroid.__init__
 
         def counting_accepts(axiom, masks):
             accepts.append(masks)
             return _accepts(axiom, masks)
 
-        def counting_init(self, *args, **kwargs):
-            inits.append(self)
-            real_init(self, *args, **kwargs)
+        def counting(cls):
+            real_init = cls.__init__
+
+            def counting_init(self, *args, **kwargs):
+                inits.append(self)
+                real_init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
 
         monkeypatch.setattr("deltamatroids.search._accepts", counting_accepts)
-        monkeypatch.setattr(DeltaMatroid, "__init__", counting_init)
+        counting(DeltaMatroid)
+        counting(Matroid)
         report = verify_property("necessity-circuit-union", 4, workers=1)
         assert report.universe_size == 5959 and report.holds
         assert accepts == [] and inits == []
@@ -231,6 +245,112 @@ class TestSharedUniverses:
         assert [d.feasibles.masks for d in enumerate_delta_matroids(2)] == [
             _decode_family(c) for c in delta_codes(2)
         ]
+
+
+class TestSharedLayers:
+    """Each (DF) object's upper and lower matroid is the (MB) universe's own
+    object, and the sweeps that share work per pair agree with per-object
+    references."""
+
+    def test_layers_are_the_mb_universe_objects(self, fresh_universes):
+        seen = 0
+        for n in range(5):
+            mats = {id(m) for m in _universe("MB", n)[1]()}
+            for d in _universe("DF", n)[1]():
+                fresh = DeltaMatroid._trusted(d.ground, d.feasibles.masks)
+                assert id(d.upper) in mats and id(d.lower) in mats
+                assert d.upper == fresh.upper and d.lower == fresh.lower
+                seen += 1
+        assert seen == 6133
+
+    def test_layer_missing_from_mb_universe_raises(self, monkeypatch, fresh_universes):
+        def strict(axiom, masks):  # (MB) wrongly rejects U(1,2)
+            if axiom == "MB" and masks == (0b01, 0b10):
+                return False
+            return _accepts(axiom, masks)
+
+        monkeypatch.setattr("deltamatroids.search._accepts", strict)
+        with pytest.raises(RuntimeError, match="missing from the"):
+            verify_property("uplow", 2, workers=1)
+
+    def test_uplow_matches_reference_on_every_family(self):
+        # any nonempty family up to n = 3, delta-matroid or not, then (DF) at n = 4
+        for n in range(4):
+            g = default_ground(n)
+            for code in range(1, 1 << (1 << n)):
+                d = DeltaMatroid._trusted(g, _decode_family(code))
+                assert list(_uplow_cases(d, (), {})) == list(_uplow_reference(d)), d
+        ref = [w for d in enumerate_delta_matroids(4) for w in _uplow_reference(d)]
+        assert verify_property("uplow", 4, workers=1).to_json() == _report_json("uplow", ref)
+
+    def test_fmax_matches_reference_when_perturbed(self, monkeypatch, fresh_universes):
+        # a verdict that splits pairs, and a family that misses a set strictly
+        # between the ranks, which only some objects of a pair have: the
+        # per-pair memo must still give per-object answers
+        def delta_ok(masks):
+            return _delta_ok(masks) and len(masks) % 5 != 0
+
+        def breaks(dm):  # the family above is never maximal; judge the rest
+            return True
+
+        def upper_family(d):
+            fam = fmax_upper_uniform(d).masks
+            mid = [m for m in fam if d.lower.rank < m.bit_count() < d.upper.rank]
+            return SetFamily(d.ground, tuple(m for m in fam if mid[-1:] != [m]))
+
+        monkeypatch.setattr("deltamatroids.search._delta_ok", delta_ok)
+        monkeypatch.setattr("deltamatroids.search._augmentation_breaks", breaks)
+        monkeypatch.setattr("deltamatroids.search.fmax_upper_uniform", upper_family)
+        for n in range(1, 5):
+            ref = [
+                w
+                for d in enumerate_delta_matroids(n)
+                for w in _fmax_reference(d, delta_ok, breaks, upper_family, fmax_lower_uniform)
+            ]
+            assert verify_property("fmax-maximal", n, workers=1).to_json() == _report_json("fmax-maximal", ref)
+        assert any(w is None for w in ref) and any(w is not None for w in ref)
+
+    def test_patched_kernel_leaks_into_no_memo(self, monkeypatch, fresh_universes):
+        cold = {pid: verify_property(pid, 3, workers=1).canonical_bytes() for pid in PROPERTY_IDS}
+        _UNIVERSES.clear()
+        monkeypatch.setattr("deltamatroids.search._delta_ok", lambda masks: False)
+        monkeypatch.setattr(Matroid, "dual", lambda self: self)
+        for pid in ("fmax-maximal", "dual-exchange"):
+            assert not verify_property(pid, 3, workers=1).holds
+        assert _universe("DF", 3)[2]  # the sweeps kept per-pair results
+        monkeypatch.undo()
+        _UNIVERSES.clear()
+        for pid in PROPERTY_IDS:
+            assert verify_property(pid, 3, workers=1).canonical_bytes() == cold[pid], pid
+
+
+def _report_json(pid, cases):
+    witnesses = [w for w in cases if w is not None]
+    return {"property_id": pid, "universe_size": len(cases), "holds": not witnesses, "witnesses": witnesses}
+
+
+def _uplow_reference(d):
+    lowers, uppers = d.lower.bases.masks, d.upper.bases.masks
+    ok = all(
+        any(lb & ~f == 0 for lb in lowers) and any(f & ~ub == 0 for ub in uppers)
+        for f in d.feasibles.masks
+    )
+    yield None if ok else delta_to_json(d)
+
+
+def _fmax_reference(d, delta_ok, breaks, upper_family, lower_family):
+    for variant, applicable, build in (
+        ("upper-uniform", d.upper.is_uniform(), upper_family),
+        ("lower-uniform", d.lower.is_uniform(), lower_family),
+    ):
+        if not applicable:
+            continue
+        fam = build(d)
+        ok = delta_ok(fam.masks) and set(d.feasibles.masks) <= set(fam.masks)
+        if ok:
+            dm = DeltaMatroid._trusted(d.ground, fam.masks)
+            ok = dm.upper == d.upper and dm.lower == d.lower and breaks(dm)
+        yield None if ok else {**delta_to_json(d), "variant": variant}
 
 
 def _augmentation_breaks_by_definition(d):
