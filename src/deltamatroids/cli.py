@@ -176,15 +176,25 @@ def _cmd_search(args, fmt: str) -> int:
     return 0 if report.holds else 1
 
 
+def _nested(value: list, depth: int) -> str:
+    """json.dumps(value, indent=2) as it reads nested depth levels down."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def _cmd_enumerate(args, fmt: str) -> int:
-    g = default_ground(args.n)
-    labels = [list(g.labels_of(m)) for m in g.all_masks()]  # shared by every family
     key, codes = ("bases", matroid_codes) if args.kind == "matroid" else ("feasibles", delta_codes)
-    items = [
-        {"ground": list(g.labels), key: [labels[m] for m in _decode_family(c)]}
-        for c in codes(args.n, workers=resolve_workers())
-    ]
-    _emit({"count": len(items), "items": items}, fmt, f"{len(items)} structures at n={args.n}")
+    codes = codes(args.n, workers=resolve_workers())
+    if fmt != "json":
+        print(f"{len(codes)} structures at n={args.n}")
+        return 0
+    # the bytes json.dumps({"count": ..., "items": [...]}, indent=2) gives, labels once per mask
+    g = default_ground(args.n)
+    members = [_nested(list(g.labels_of(m)), 4) for m in g.all_masks()]
+    head = f'    {{\n      "ground": {_nested(list(g.labels), 3)},\n      {json.dumps(key)}: [\n        '
+    items = ",\n".join(
+        head + ",\n        ".join(members[m] for m in _decode_family(c)) + "\n      ]\n    }" for c in codes
+    )
+    print(f'{{\n  "count": {len(codes)},\n  "items": [\n{items}\n  ]\n}}')
     return 0
 
 

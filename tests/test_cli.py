@@ -8,7 +8,9 @@ import pytest
 
 from deltamatroids import GroundSet, SetFamily, check_basis_axiom, default_ground, direct_sum, uniform
 from deltamatroids.cli import main
+from deltamatroids.delta import _decode_family
 from deltamatroids.rigidity import CORPUS
+from deltamatroids.search import delta_codes, matroid_codes
 from deltamatroids.serialize import dumps_canonical, graph_to_json, matroid_to_json
 
 
@@ -164,6 +166,21 @@ class TestEnumerate:
 
     def test_cap(self, capsys):
         assert main(["enumerate", "matroid", "--n", "5"]) == 2
+
+    @pytest.mark.parametrize("kind", ["matroid", "delta"])
+    def test_bytes_match_the_payload_dump(self, kind, capsys):
+        # reference: the whole payload built as a dict tree, then dumped
+        key, codes = ("bases", matroid_codes) if kind == "matroid" else ("feasibles", delta_codes)
+        for n in range(5):
+            g = default_ground(n)
+            items = [
+                {"ground": list(g.labels), key: [list(g.labels_of(m)) for m in _decode_family(c)]}
+                for c in codes(n)
+            ]
+            assert main(["--format", "json", "enumerate", kind, "--n", str(n)]) == 0
+            assert capsys.readouterr().out == json.dumps({"count": len(items), "items": items}, indent=2) + "\n"
+            assert main(["--format", "text", "enumerate", kind, "--n", str(n)]) == 0
+            assert capsys.readouterr().out == f"{len(items)} structures at n={n}\n"
 
 
 class TestOutputRoundTrip:

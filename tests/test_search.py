@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 
 import pytest
 
@@ -13,12 +14,15 @@ from deltamatroids import (
     find_unpairable_pair,
     verify_property,
 )
+from deltamatroids.core import Subset
 from deltamatroids.delta import (
     DeltaMatroid,
+    PairabilityReport,
     _decode_family,
     _delta_ok,
     fmax_lower_uniform,
     fmax_upper_uniform,
+    is_pairable,
 )
 from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import (
@@ -33,6 +37,7 @@ from deltamatroids.search import (
     _exchange_violation,
     _graphic_pool,
     _pool_size,
+    _twists,
     constrained_realization,
     delta_codes,
     enumerate_delta_matroids,
@@ -97,7 +102,39 @@ class TestEnumeration:
 
         monkeypatch.setattr("deltamatroids.search._accepts", counting)
         assert len(_codes("DF", 4, 1)) == 5959
-        assert len(calls) < 16384
+        assert len(calls) <= 1000  # one kernel call per twist orbit of candidates
+        for axiom in ("MB", "MB-def"):  # not twist-invariant: every candidate runs
+            calls.clear()
+            assert len(_codes(axiom, 4, 1)) == 68
+            assert len(calls) == 164, axiom
+
+
+class TestTwists:
+    """(DF) holds on all of a twist orbit {F Δ S : F in family} or on none of
+    it, which lets the (DF) build decide a whole orbit with one kernel call."""
+
+    @staticmethod
+    def _codes_to_check():
+        for n in range(4):
+            for code in range(1, 1 << (1 << n)):
+                yield code, n
+        rng = random.Random(20260418)
+        for _ in range(2000):
+            yield rng.randrange(1, 1 << 16), 4
+
+    def test_df_verdict_is_constant_on_each_orbit(self):
+        for code, n in self._codes_to_check():
+            verdicts = {_accepts("DF", _decode_family(t)) for t in _twists(code, n)}
+            assert len(verdicts) == 1, (code, n)
+
+    def test_orbits_are_twists_by_every_subset(self):
+        for k in range(5):
+            assert _twists(1, k) == {1 << m for m in range(1 << k)}  # every {S}
+        for code, n in self._codes_to_check():
+            orbit = _twists(code, n)
+            family = _decode_family(code)
+            by_subset = {sum(1 << (f ^ s) for f in family) for s in range(1 << n)}
+            assert orbit == by_subset and (1 << n) % len(orbit) == 0, (code, n)
 
 
 class TestWorkers:
@@ -310,6 +347,49 @@ class TestSharedLayers:
             assert verify_property("fmax-maximal", n, workers=1).to_json() == _report_json("fmax-maximal", ref)
         assert any(w is None for w in ref) and any(w is not None for w in ref)
 
+    def test_dual_exchange_and_necessity_match_references(self, monkeypatch, fresh_universes):
+        # as shipped, then with a dual and a pairability verdict that fail on
+        # some pairs only, so the per-pair memos must still name each object
+        def unpairable_sometimes(mu, ml):
+            if (len(mu.bases) + 2 * len(ml.bases)) % 3 == 0:
+                return PairabilityReport(False, Subset(mu.ground, mu.ground.full_mask))
+            return is_pairable(mu, ml)
+
+        def dual_sometimes(m):
+            return m if len(m.bases) % 2 else real_dual(m)
+
+        real_dual = Matroid.dual
+        for patched in (False, True):
+            _UNIVERSES.clear()
+            if patched:
+                monkeypatch.setattr("deltamatroids.search.is_pairable", unpairable_sometimes)
+                monkeypatch.setattr(Matroid, "dual", dual_sometimes)
+            pairable = unpairable_sometimes if patched else is_pairable
+            for n in range(5):
+                ds = list(enumerate_delta_matroids(n))
+                refs = {
+                    "dual-exchange": [w for d in ds for w in _dual_exchange_reference(d)],
+                    "necessity-circuit-union": [w for d in ds for w in _necessity_reference(d, pairable)],
+                }
+                for pid, ref in refs.items():
+                    assert verify_property(pid, n, workers=1).to_json() == _report_json(pid, ref), (pid, n)
+            if patched:
+                assert not all(w is None for w in refs["dual-exchange"])
+                assert not all(w is None for w in refs["necessity-circuit-union"])
+
+    def test_dual_exchange_makes_a_dual_per_matroid(self, monkeypatch, fresh_universes):
+        _universe("DF", 4)[1]()
+        made = []
+        real_init = Matroid.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Matroid, "__init__", counting_init)
+        assert verify_property("dual-exchange", 4, workers=1).holds
+        assert 0 < len(made) <= 68
+
     def test_patched_kernel_leaks_into_no_memo(self, monkeypatch, fresh_universes):
         cold = {pid: verify_property(pid, 3, workers=1).canonical_bytes() for pid in PROPERTY_IDS}
         _UNIVERSES.clear()
@@ -327,6 +407,17 @@ class TestSharedLayers:
 def _report_json(pid, cases):
     witnesses = [w for w in cases if w is not None]
     return {"property_id": pid, "universe_size": len(cases), "holds": not witnesses, "witnesses": witnesses}
+
+
+def _dual_exchange_reference(d):
+    ds = d.complement_dual()
+    ok = ds.upper == d.lower.dual() and ds.lower == d.upper.dual()
+    yield None if ok else delta_to_json(d)
+
+
+def _necessity_reference(d, pairable):
+    rep = pairable(d.upper, d.lower)
+    yield None if rep.pairable else {**delta_to_json(d), "offending_circuit": list(rep.offending_circuit.labels)}
 
 
 def _uplow_reference(d):
