@@ -182,8 +182,8 @@ def _nested(value: list, depth: int) -> str:
 
 
 def _cmd_enumerate(args, fmt: str) -> int:
-    key, codes = ("bases", matroid_codes) if args.kind == "matroid" else ("feasibles", delta_codes)
-    codes = codes(args.n, workers=resolve_workers())
+    key, build = ("bases", matroid_codes) if args.kind == "matroid" else ("feasibles", delta_codes)
+    codes = build(args.n, workers=resolve_workers())
     if fmt != "json":
         print(f"{len(codes)} structures at n={args.n}")
         return 0
