@@ -13,7 +13,6 @@ from .core import (
     default_ground,
     maximal_members,
     minimal_members,
-    sym_diff,
 )
 from .delta import (
     DeltaMatroid,
@@ -99,7 +98,6 @@ __all__ = [
     "restrict_to_contained",
     "rigidity_feasible_family",
     "rigidity_matroid",
-    "sym_diff",
     "uniform",
     "verify_cone_quotient",
     "verify_property",

@@ -148,11 +148,6 @@ class Subset:
         return "{" + ",".join(self.labels) + "}"
 
 
-def sym_diff(a: Subset, b: Subset) -> Subset:
-    """Symmetric difference (a without b) union (b without a)."""
-    return a ^ b
-
-
 @dataclass(frozen=True)
 class SetFamily:
     """Deduplicated collection of subsets of one ground set.

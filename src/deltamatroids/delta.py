@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import GroundSet, InputError, SetFamily, Subset, _project
 from .matroids import (
@@ -50,11 +50,20 @@ class DeltaMatroid:
 
     # -- upper and lower matroids ----------------------------------------
 
-    def _layer(self, pick: Callable) -> tuple[int, ...]:
-        """Ascending feasible masks of the size pick (max or min) selects."""
-        masks = self.feasibles.masks
-        size = pick(m.bit_count() for m in masks)
-        return tuple(m for m in masks if m.bit_count() == size)
+    def _layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(minimum-size, maximum-size) feasible masks, each ascending, in one pass."""
+        lo, hi, lo_size, hi_size = [], [], self.ground.size + 1, -1
+        for m in self.feasibles.masks:
+            k = m.bit_count()
+            if k <= lo_size:
+                if k < lo_size:
+                    lo, lo_size = [], k
+                lo.append(m)
+            if k >= hi_size:
+                if k > hi_size:
+                    hi, hi_size = [], k
+                hi.append(m)
+        return tuple(lo), tuple(hi)
 
     @cached_property
     def upper(self) -> Matroid:
@@ -63,20 +72,23 @@ class DeltaMatroid:
         No re-certification: the extremal layers of a delta-matroid are
         matroids (Bouchet 1987, Greedy algorithm and symmetric matroids).
         """
-        return Matroid._trusted(self.ground, self._layer(max))
+        return Matroid._trusted(self.ground, self._layers()[1])
 
     @cached_property
     def lower(self) -> Matroid:
         """Matroid of the minimum-cardinality feasible sets."""
-        return Matroid._trusted(self.ground, self._layer(min))
+        return Matroid._trusted(self.ground, self._layers()[0])
 
     # -- operations -------------------------------------------------------
 
     def complement_dual(self) -> "DeltaMatroid":
-        """Replace every feasible set by its complement; re-certify."""
+        """Replace every feasible set by its complement.
+
+        No re-certification: this is the twist F Δ E by the whole ground set,
+        and (F1 Δ E) Δ (F2 Δ E) = F1 Δ F2 keeps symmetric exchange.
+        """
         full = self.ground.full_mask
-        fam = SetFamily(self.ground, tuple(full ^ m for m in self.feasibles.masks))
-        return DeltaMatroid.certify(fam)
+        return DeltaMatroid._trusted(self.ground, [full ^ m for m in self.feasibles.masks])
 
     def delete(self, x_set: Subset) -> "DeltaMatroid":
         """Remove x_set from the ground set and from every feasible set.

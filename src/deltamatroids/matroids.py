@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Container, Iterable, Optional, Sequence, Union
+from typing import Container, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     GroundSet,
@@ -58,35 +58,6 @@ class AxiomError(ValueError):
         self.violation = violation
 
 
-def _exchange_violation(
-    source: Sequence[int], members: Container[int], axiom: str
-) -> Optional[tuple[int, int, int]]:
-    """First exchange failure (first, second, pivot_bit) over pairs from source, or None.
-
-    Canonical order: `second` varies in the outer loop, `first` in the inner,
-    both in source order, and pivots ascend by element index.  A pivot x in
-    first Δ second needs a partner y in first Δ second, y possibly x, with
-    first Δ {x, y} in members.  For (MB) the pivot lies in first and the
-    partner in second only.
-    """
-    for f2 in source:
-        for f1 in source:
-            if axiom == "MB":
-                pivots, partners = f1 & ~f2, f2 & ~f1
-            else:
-                pivots = partners = f1 ^ f2
-            x = pivots
-            while x:
-                xb = x & -x
-                x ^= xb
-                y = partners
-                while y and f1 ^ (xb | (y & -y)) not in members:
-                    y &= y - 1
-                if not y:
-                    return f1, f2, xb
-    return None
-
-
 @lru_cache(maxsize=None)
 def _coordinates(n: int) -> tuple[int, ...]:
     """Per element i < n, the 2^n-bit integer whose bit m is set iff mask m has i."""
@@ -96,54 +67,76 @@ def _coordinates(n: int) -> tuple[int, ...]:
     )
 
 
-def _exchange_ok(masks: Sequence[int], axiom: str) -> bool:
-    """Pass/fail of (MB) or (DF) on a nonempty family, without visiting pairs.
+def _exchange_failures(
+    source: Sequence[int], members: Container[int], axiom: str
+) -> Iterator[tuple[int, int, int]]:
+    """(F1, x, failing) for each F1 in source and pivot bit x where the axiom fails.
 
-    For a member F1 and pivot x let P = {y : F1 Δ {x, y} is a member}.  The
-    axiom fails at (F1, x) exactly when x is not in P and some member F2
-    agrees with F1 Δ {x} on P ∪ {x}: F2 differs from F1 at x and at no
-    partner.  ANDing the family's 2^n-bit indicator with one "has i" or
-    "lacks i" coordinate per element of P ∪ {x} answers that.  (MB) forces
-    equal sizes, so its pivots are the elements of F1 and F1 - x is never a
-    member; its partners then lie outside F1.
+    F1 and F2 range over source; a partner y of pivot x needs F1 Δ {x, y} in
+    members.  Let P be the partners of x at F1.  The axiom fails at (F1, x, F2)
+    exactly when F2 differs from F1 at x and at no y in P, so `failing` is the
+    2^n-bit indicator of those F2: source's indicator ANDed with one "has i"
+    or "lacks i" coordinate per element of P ∪ {x}, with no pass over pairs.
+    (DF): any x, and y = x is a partner, so x fails only if F1 Δ {x} is not a
+    member.  (MB) by its definition: x lies in F1 and y outside it.
     """
-    mb = axiom == "MB"
-    if mb and len({m.bit_count() for m in masks}) > 1:
-        return False
-    fam = set(masks)
     union = 0
-    for m in masks:
+    for m in source:
         union |= m
     n = union.bit_length()
     buf = bytearray((1 << n) // 8 + 1)
-    for m in masks:
+    for m in source:
         buf[m >> 3] |= 1 << (m & 7)
     indicator = int.from_bytes(buf, "little")
     has = [indicator & c for c in _coordinates(n)]
     lacks = [indicator ^ h for h in has]
     elements = [(i, 1 << i) for i in range(n) if union >> i & 1]
-    for f in masks:
-        for x, xb in elements:
-            if mb and not f & xb or f ^ xb in fam:
+    df = axiom == "DF"
+    for f in source:
+        if df:
+            pivots = partners = elements
+        else:
+            pivots = [e for e in elements if f & e[1]]
+            partners = [e for e in elements if not f & e[1]]
+        for x, xb in pivots:
+            if df and f ^ xb in members:
                 continue
             acc = lacks[x] if f & xb else has[x]
-            for y, yb in elements:
-                if y != x and f ^ xb ^ yb in fam:
+            for y, yb in partners:
+                if y != x and f ^ xb ^ yb in members:
                     acc &= has[y] if f & yb else lacks[y]
                     if not acc:
                         break
             if acc:
-                return False
-    return True
+                yield f, xb, acc
+
+
+def _exchange_ok(masks: Sequence[int], axiom: str) -> bool:
+    """Pass/fail of (MB) or (DF) on a family; stops at the first failure."""
+    return next(_exchange_failures(masks, set(masks), axiom), None) is None
+
+
+def _exchange_witness(
+    source: Sequence[int], members: Container[int], axiom: str
+) -> Optional[tuple[int, int, int]]:
+    """The canonical failure (first, second, pivot bit), or None.
+
+    Canonical is least second, then first, then pivot: with source ascending,
+    the order of a scan over pairs with `second` outer and `first` inner.
+    """
+    failures = _exchange_failures(source, members, axiom)
+    least = min((((acc & -acc).bit_length() - 1, f1, xb) for f1, xb, acc in failures), default=None)
+    if least is None:
+        return None
+    f2, f1, xb = least
+    return f1, f2, xb
 
 
 def _certify_exchange(fam: SetFamily, axiom: str) -> None:
     """Raise AxiomError with the canonical witness unless fam passes the axiom."""
-    if _exchange_ok(fam.masks, axiom):
-        return
-    bad = _exchange_violation(fam.masks, set(fam.masks), axiom)
+    bad = _exchange_witness(fam.masks, set(fam.masks), axiom)
     if bad is None:
-        raise RuntimeError(f"({axiom}) kernel rejected a family the canonical scan accepts")
+        return
     f1, f2, xb = bad
     raise AxiomError(
         ExchangeViolation(

@@ -6,7 +6,7 @@ k elements from those on k - 1; one (DF) verdict per twist orbit), and is shared
 by every enumeration and sweep.  Its certified objects, built when a sweep first
 asks, keep their derived sets, and a delta-matroid's upper and lower are (MB)
 universe objects: at n = 4, 5,959 delta-matroids share 68 matroids in 2.4 MB,
-3.6 MB after every sweep (tracemalloc); n <= 4 caps the cache at 15 universes.
+3.6 MB after every sweep (tracemalloc); n <= 4 caps the cache at 10 universes.
 Builds and sweeps split into contiguous chunks that may be fanned out across
 worker processes and merge in chunk order: reports match for any worker count.
 """
@@ -32,7 +32,7 @@ from .delta import (
     fmax_upper_uniform,
     is_pairable,
 )
-from .matroids import Matroid, _coordinates, _exchange_ok, _exchange_violation
+from .matroids import Matroid, _coordinates, _exchange_ok, _exchange_witness
 from .rigidity import Multigraph, cycle_matroid
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
 
@@ -106,14 +106,6 @@ def _map_chunks(fn: Callable, tasks: list[tuple], workers: int) -> list:
 # at n holds 2^(2^n) - 1 nonempty families, 65,535 at n = 4.
 
 
-def _accepts(axiom: str, masks: tuple[int, ...]) -> bool:
-    """(MB) or (DF) by the kernel.  "MB-def" is (MB) by its definition, the
-    pair scan, which unlike the kernel does not reject unequal sizes first."""
-    if axiom == "MB-def":
-        return _exchange_violation(masks, set(masks), "MB") is None
-    return _exchange_ok(masks, axiom)
-
-
 def _twists(code: int, n: int) -> set[int]:
     """Codes of the twists F Δ S of a family on n elements, S any subset: the
     twist by element i swaps the code bits of masks with and without i."""
@@ -141,7 +133,7 @@ def _codes_chunk(axiom: str, k: int, prev: tuple[int, ...], highs: tuple[int, ..
             if c and (a & low) | b_del in known and (a >> q) | b_con in known:
                 if c not in decided:
                     orbit = _twists(c, k) if axiom == "DF" else (c,)
-                    decided.update(dict.fromkeys(orbit, _accepts(axiom, _decode_family(c))))
+                    decided.update(dict.fromkeys(orbit, _exchange_ok(_decode_family(c), axiom)))
                 if decided[c]:
                     out.append(c)
     return out
@@ -164,7 +156,7 @@ def _codes(axiom: str, n: int, workers: int) -> list[int]:
     return codes
 
 
-_UNIVERSES: dict[tuple[str, int], tuple] = {}  # at most 15 keys: n <= 4
+_UNIVERSES: dict[tuple[str, int], tuple] = {}  # at most 10 keys: two axioms, n <= 4
 
 
 def _universe(axiom: str, n: int, workers: Optional[int] = 1) -> tuple[tuple[int, ...], Callable, dict]:
@@ -186,8 +178,9 @@ def _with_shared_layers(g: GroundSet, codes: tuple[int, ...]) -> tuple[DeltaMatr
     out = []
     for c in codes:  # filled as built: 1.3 MB less at n = 4 than filling afterwards
         out.append(d := DeltaMatroid._trusted(g, _decode_family(c)))
-        for name, pick in (("upper", max), ("lower", min)):
-            if (m := layers.get(d._layer(pick))) is None:
+        lower, upper = d._layers()
+        for name, masks in (("upper", upper), ("lower", lower)):
+            if (m := layers.get(masks)) is None:
                 raise RuntimeError(f"{name} layer of {d!r} is missing from the (MB) universe")
             setattr(d, name, m)  # fills the cached_property
     return tuple(out)
@@ -272,7 +265,7 @@ def _necessity_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterato
 def _dual_exchange_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     ds = d.complement_dual()
     dual_up, dual_low = (_once(memo, ("dual", m), m.dual) for m in (d.upper, d.lower))
-    ok = ds._layer(max) == dual_low.bases.masks and ds._layer(min) == dual_up.bases.masks
+    ok = ds._layers() == (dual_up.bases.masks, dual_low.bases.masks)
     yield None if ok else delta_to_json(d)
 
 
@@ -357,7 +350,7 @@ def _sufficiency_cases(mu: Matroid, universe: Sequence, memo: dict) -> Iterator[
 
 #: property id -> (universe axiom, cases), in report order
 _PROPERTIES: dict[str, tuple[str, Callable]] = {
-    "mb-equicardinal": ("MB-def", _equicardinal_cases),
+    "mb-equicardinal": ("MB", _equicardinal_cases),
     "independents-are-delta": ("MB", _independents_cases),
     "spanning-are-delta": ("MB", _spanning_cases),
     "uplow": ("DF", _uplow_cases),
@@ -466,7 +459,7 @@ def _pair_witness(
     # a forced-feasible pair and pivot with no exchange partner inside the
     # sandwich; its existence alone rules out any realizing delta-matroid
     forced = sorted(set(mu.bases.masks) | set(ml.bases.masks))
-    triple = _exchange_violation(forced, set(construct_sandwich(mu, ml).masks), "DF")
+    triple = _exchange_witness(forced, set(construct_sandwich(mu, ml).masks), "DF")
     if triple is not None:
         f1, f2, xb = triple
         wit["replay"] = {

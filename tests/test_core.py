@@ -10,7 +10,6 @@ from deltamatroids import (
     default_ground,
     maximal_members,
     minimal_members,
-    sym_diff,
     uniform,
 )
 
@@ -43,23 +42,23 @@ class TestSubset:
 
     def test_sym_diff_definition(self):
         g = default_ground(3)
-        assert sym_diff(g.subset("ab"), g.subset("bc")) == g.subset("ac")
+        assert g.subset("ab") ^ g.subset("bc") == g.subset("ac")
 
     def test_sym_diff_self_cancels(self):
         g = default_ground(4)
         x = g.subset("ad")
-        assert sym_diff(x, x) == g.subset()
+        assert x ^ x == g.subset()
 
     def test_sym_diff_disjoint_sets(self):
         # {a,d,e} symmetric-difference {b} is {a,b,d,e}
         g = default_ground(5)
-        assert sym_diff(g.subset("ade"), g.subset("b")) == g.subset("abde")
+        assert g.subset("ade") ^ g.subset("b") == g.subset("abde")
 
     def test_mismatched_grounds_rejected(self):
         a = default_ground(2).subset("a")
         b = GroundSet.of("x", "y").subset("x")
         with pytest.raises(InputError):
-            sym_diff(a, b)
+            a ^ b
 
     def test_exhaustive_group_laws_up_to_4(self):
         # commutative, associative, identity empty set, every set self-inverse
@@ -68,21 +67,21 @@ class TestSubset:
             subs = [Subset(g, m) for m in g.all_masks()]
             empty = Subset(g, 0)
             for a in subs:
-                assert sym_diff(a, empty) == a
-                assert sym_diff(a, a) == empty
+                assert a ^ empty == a
+                assert a ^ a == empty
                 for b in subs:
-                    assert sym_diff(a, b) == sym_diff(b, a)
+                    assert a ^ b == b ^ a
             if n <= 3:
                 for a in subs:
                     for b in subs:
                         for c in subs:
-                            assert sym_diff(sym_diff(a, b), c) == sym_diff(a, sym_diff(b, c))
+                            assert (a ^ b) ^ c == a ^ (b ^ c)
 
     @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
     def test_sym_diff_matches_set_semantics(self, x, y, z):
         g = default_ground(8)
         a, b = Subset(g, x), Subset(g, y)
-        assert set(sym_diff(a, b).labels) == set(a.labels) ^ set(b.labels)
+        assert set((a ^ b).labels) == set(a.labels) ^ set(b.labels)
 
 
 class TestFamilies:

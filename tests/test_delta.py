@@ -30,9 +30,9 @@ from deltamatroids import (
     uniform,
 )
 from deltamatroids.delta import _decode_family
-from deltamatroids.matroids import Matroid
+from deltamatroids.matroids import Matroid, _exchange_ok
 from deltamatroids.rigidity import Multigraph, cycle_matroid
-from deltamatroids.search import enumerate_matroids
+from deltamatroids.search import delta_codes, enumerate_matroids
 
 
 def powerset(iterable):
@@ -182,6 +182,13 @@ class TestComplementDual:
             ds = d.complement_dual()
             assert ds.upper == d.lower.dual()
             assert ds.lower == d.upper.dual()
+
+    def test_complements_are_delta_matroids_up_to_n4(self):
+        # complement_dual is not re-certified: the complement is a twist
+        for n in range(5):
+            codes = set(delta_codes(n))
+            for d in enumerate_delta_matroids(n):
+                assert sum(1 << m for m in d.complement_dual().feasibles.masks) in codes, d
 
     def test_self_complementary_pair(self):
         g = default_ground(2)
@@ -410,6 +417,7 @@ class TestEnumeration:
                 masks = _decode_family(code)
                 got = check_symmetric_exchange(SetFamily(g, masks))
                 ref = reference_delta_violation(masks)
+                assert _exchange_ok(masks, "DF") == (ref is None), masks
                 if ref is None:
                     assert isinstance(got, DeltaMatroid)
                 else:

@@ -16,6 +16,7 @@ from deltamatroids import (
     SetFamily,
     Subset,
     check_basis_axiom,
+    check_symmetric_exchange,
     default_ground,
     direct_sum,
     is_quotient,
@@ -23,9 +24,9 @@ from deltamatroids import (
     uniform,
 )
 from deltamatroids.core import _minimal_masks
-from deltamatroids.delta import _decode_family, construct_sandwich
-from deltamatroids.matroids import _exchange_ok, _exchange_violation
-from deltamatroids.rigidity import Multigraph, cycle_matroid
+from deltamatroids.delta import DeltaMatroid, _decode_family, construct_sandwich
+from deltamatroids.matroids import _exchange_failures, _exchange_ok, _exchange_witness
+from deltamatroids.rigidity import Multigraph, cone, cycle_matroid, rigidity_matroid
 from deltamatroids.search import enumerate_matroids
 
 
@@ -90,16 +91,10 @@ class TestBasisAxiom:
     def test_unequal_sizes_past_mb_is_an_engine_error(self, monkeypatch):
         # (MB) implies equicardinality; if the kernel ever let unequal sizes
         # through, certify must refuse instead of building the matroid
-        monkeypatch.setattr("deltamatroids.matroids._exchange_ok", lambda masks, axiom: True)
+        monkeypatch.setattr("deltamatroids.matroids._exchange_failures", lambda *args: iter(()))
         g = default_ground(3)
         with pytest.raises(RuntimeError):
             Matroid.certify(SetFamily.from_labels(g, [["a"], ["b", "c"]]))
-
-    def test_kernel_rejection_without_witness_is_an_engine_error(self, monkeypatch):
-        # a failing verdict the canonical scan cannot back with a witness
-        monkeypatch.setattr("deltamatroids.matroids._exchange_ok", lambda masks, axiom: False)
-        with pytest.raises(RuntimeError):
-            Matroid.certify(uniform(2, default_ground(3)).bases)
 
     def test_u7_14_certifies(self):
         m = uniform(7, default_ground(14))
@@ -350,6 +345,53 @@ class TestCircuits:
             assert m._circuit_masks == minimal_dependents(m), m
 
 
+def exchange_violation(source, members, axiom):
+    """The canonical pair scan: first failure (first, second, pivot bit) with
+    `second` outer and `first` inner over source, pivots ascending, partners
+    tested against members.  (MB) by its definition: pivot in first - second,
+    partner in second - first; (DF): both in first Δ second, partner possibly
+    the pivot."""
+    for f2 in source:
+        for f1 in source:
+            if axiom == "MB":
+                pivots, partners = f1 & ~f2, f2 & ~f1
+            else:
+                pivots = partners = f1 ^ f2
+            x = pivots
+            while x:
+                xb = x & -x
+                x ^= xb
+                y = partners
+                while y and f1 ^ (xb | (y & -y)) not in members:
+                    y &= y - 1
+                if not y:
+                    return f1, f2, xb
+    return None
+
+
+def exchange_failures(source, members, axiom):
+    """Every failing (first, pivot bit, second), by the pair scan's definition."""
+    out = set()
+    for f2 in source:
+        for f1 in source:
+            pivots, partners = (f1 & ~f2, f2 & ~f1) if axiom == "MB" else (f1 ^ f2, f1 ^ f2)
+            for x in range(16):
+                xb = 1 << x
+                if pivots & xb and not any(
+                    partners >> y & 1 and f1 ^ (xb | 1 << y) in members for y in range(16)
+                ):
+                    out.add((f1, xb, f2))
+    return out
+
+
+def kernel_failures(source, members, axiom):
+    """Every failing (first, pivot bit, second) the kernel yields."""
+    out = set()
+    for f1, xb, failing in _exchange_failures(source, members, axiom):
+        out |= {(f1, xb, f2) for f2 in range(failing.bit_length()) if failing >> f2 & 1}
+    return out
+
+
 def reference_mb_violation(masks):
     """The basis-exchange double loop as written before the scans were folded
     into one: partner basis outer, first basis inner, pivots ascending."""
@@ -407,14 +449,6 @@ def seeded_families(seed=7):
 
 
 class TestExchangeKernel:
-    def test_verdict_equals_scan_on_every_family_up_to_n4(self):
-        for n in range(5):
-            for code in range(1, 1 << (1 << n)):
-                masks = _decode_family(code)
-                for axiom in ("MB", "DF"):
-                    scan = _exchange_violation(masks, set(masks), axiom)
-                    assert _exchange_ok(masks, axiom) == (scan is None), (axiom, masks)
-
     def test_mb_witnesses_equal_reference_up_to_n4(self):
         for n in range(5):
             g = default_ground(n)
@@ -422,6 +456,7 @@ class TestExchangeKernel:
                 masks = _decode_family(code)
                 got = check_basis_axiom(SetFamily(g, masks))
                 ref = reference_mb_violation(masks)
+                assert _exchange_ok(masks, "MB") == (ref is None), masks
                 if ref is None:
                     assert isinstance(got, Matroid)
                 else:
@@ -434,10 +469,65 @@ class TestExchangeKernel:
         cases = seeded_families()
         failing = 0
         for axiom, masks in cases:
-            scan = _exchange_violation(masks, set(masks), axiom)
-            assert _exchange_ok(masks, axiom) == (scan is None), (axiom, len(masks))
-            failing += scan is not None
+            ref = exchange_violation(masks, set(masks), axiom)
+            g = default_ground(max(masks).bit_length())
+            check = check_basis_axiom if axiom == "MB" else check_symmetric_exchange
+            got = check(SetFamily(g, masks))
+            assert _exchange_ok(masks, axiom) == (ref is None), (axiom, len(masks))
+            if ref is None:
+                assert not isinstance(got, ExchangeViolation)
+            else:
+                f1, f2, xb = ref
+                assert (got.first.mask, got.second.mask) == (f1, f2), (axiom, len(masks))
+                assert got.pivot == g.labels[xb.bit_length() - 1]
+            failing += ref is not None
         assert 0 < failing < len(cases)
+
+    def test_failures_equal_scan_when_source_differs_from_members(self):
+        # the unpairable replay's shape: pairs from one family, partners from
+        # a larger one; some splits also add sets outside members to source
+        rng = random.Random(11)
+        failing = 0
+        for _ in range(1500):
+            n = rng.randint(3, 6)
+            members = rng.sample(range(1 << n), rng.randint(1, min(24, 1 << n)))
+            source = set(rng.sample(members, rng.randint(1, len(members))))
+            if rng.random() < 0.25:
+                source |= set(rng.sample(range(1 << n), 2))
+            source, members = sorted(source), set(members)
+            for axiom in ("MB", "DF"):
+                ref = exchange_violation(source, members, axiom)
+                assert _exchange_witness(source, members, axiom) == ref, (axiom, source, members)
+                assert kernel_failures(source, members, axiom) == exchange_failures(source, members, axiom)
+                failing += ref is not None
+        assert 0 < failing < 3000
+
+    def test_k5_cone_less_a_basis_names_its_witness(self):
+        # the witness the quadratic pair scan named for these 3,354 bases
+        vs = "abcde"
+        k5 = Multigraph.build(list(vs), [(u + v, u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]])
+        m = rigidity_matroid(cone(k5).cone_graph)
+        assert len(m.bases) == 3355
+        v = check_basis_axiom(SetFamily(m.ground, m.bases.masks[:-1]))
+        assert isinstance(v, ExchangeViolation)
+        assert v.first.labels == ("ac", "ae", "be", "ce", "de", "x0-a", "x0-b", "x0-d", "x0-e")
+        assert v.second.labels == ("ab", "ad", "ae", "bd", "be", "ce", "x0-a", "x0-b", "x0-c")
+        assert v.pivot == "ac"
+
+    def test_complements_of_seeded_df_families_keep_the_verdict(self):
+        # the complement is the twist by the whole ground set
+        seen = 0
+        for axiom, masks in seeded_families():
+            if axiom == "DF":
+                full = (1 << max(masks).bit_length()) - 1
+                comp = tuple(sorted(full ^ m for m in masks))
+                ok = _exchange_ok(masks, "DF")
+                assert _exchange_ok(comp, "DF") == ok, len(masks)
+                if ok:
+                    d = DeltaMatroid.certify(SetFamily(default_ground(full.bit_length()), masks))
+                    assert d.complement_dual().feasibles.masks == comp
+                    seen += 1
+        assert seen > 0
 
     def test_coordinates_are_not_built_at_import(self):
         snippet = (
@@ -455,5 +545,5 @@ class TestExchangeKernel:
     def test_unequal_sizes_fail_mb_but_not_df(self):
         masks = (0b001, 0b110)
         assert not _exchange_ok(masks, "MB")
-        assert _exchange_violation(masks, set(masks), "MB") is not None
+        assert _exchange_witness(masks, set(masks), "MB") is not None
         assert _exchange_ok((0b00, 0b01, 0b11), "DF")

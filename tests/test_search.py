@@ -24,17 +24,16 @@ from deltamatroids.delta import (
     fmax_upper_uniform,
     is_pairable,
 )
+from deltamatroids.matroids import _exchange_failures, _exchange_ok
 from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import (
     _UNIVERSES,
     PROPERTY_IDS,
-    _accepts,
     _augmentation_breaks,
     _uplow_cases,
     _universe,
     _chunks,
     _codes,
-    _exchange_violation,
     _graphic_pool,
     _pool_size,
     _twists,
@@ -85,28 +84,27 @@ class TestEnumeration:
         _UNIVERSES.clear()  # so the 4-worker build runs
         assert (matroid_codes(3, workers=4), delta_codes(3, workers=4)) == one
 
-    @pytest.mark.parametrize("axiom", ["MB", "MB-def", "DF"])
+    @pytest.mark.parametrize("axiom", ["MB", "DF"])
     @pytest.mark.parametrize("n", range(5))
     def test_codes_equal_full_range_scan(self, axiom, n):
         # reference: every family code through the axiom, no minor pruning
-        ref = [c for c in range(1, 1 << (1 << n)) if _accepts(axiom, _decode_family(c))]
+        ref = [c for c in range(1, 1 << (1 << n)) if _exchange_ok(_decode_family(c), axiom)]
         for w in (1, 8):
             assert _codes(axiom, n, w) == ref, (axiom, n, w)
 
     def test_df_n4_runs_the_axiom_on_a_fraction_of_codes(self, monkeypatch, fresh_universes):
         calls = []
 
-        def counting(axiom, masks):
-            calls.append(masks)
-            return _accepts(axiom, masks)
+        def counting(source, members, axiom):
+            calls.append(source)
+            return _exchange_failures(source, members, axiom)
 
-        monkeypatch.setattr("deltamatroids.search._accepts", counting)
+        monkeypatch.setattr("deltamatroids.matroids._exchange_failures", counting)
         assert len(_codes("DF", 4, 1)) == 5959
         assert len(calls) <= 1000  # one kernel call per twist orbit of candidates
-        for axiom in ("MB", "MB-def"):  # not twist-invariant: every candidate runs
-            calls.clear()
-            assert len(_codes(axiom, 4, 1)) == 68
-            assert len(calls) == 164, axiom
+        calls.clear()
+        assert len(_codes("MB", 4, 1)) == 68
+        assert len(calls) == 164  # not twist-invariant: every candidate runs
 
 
 class TestTwists:
@@ -124,7 +122,7 @@ class TestTwists:
 
     def test_df_verdict_is_constant_on_each_orbit(self):
         for code, n in self._codes_to_check():
-            verdicts = {_accepts("DF", _decode_family(t)) for t in _twists(code, n)}
+            verdicts = {_exchange_ok(_decode_family(t), "DF") for t in _twists(code, n)}
             assert len(verdicts) == 1, (code, n)
 
     def test_orbits_are_twists_by_every_subset(self):
@@ -209,14 +207,14 @@ class TestVerifyProperty:
         assert all(r.holds and r.witnesses == [] for r in reports)
 
     def test_mb_equicardinal_reports_unequal_family(self, monkeypatch, fresh_universes):
-        # the universe comes from the definitional (MB) scan; let it wrongly
-        # accept {{}, {a}} and the theorem check must name that family
+        # the universe comes from (MB) by its definition; let the kernel
+        # wrongly accept {{}, {a}} and the theorem check must name that family
         odd = (0b0, 0b1)
 
         def lenient(source, members, axiom):
-            return None if tuple(source) == odd else _exchange_violation(source, members, axiom)
+            return iter(()) if tuple(source) == odd else _exchange_failures(source, members, axiom)
 
-        monkeypatch.setattr("deltamatroids.search._exchange_violation", lenient)
+        monkeypatch.setattr("deltamatroids.matroids._exchange_failures", lenient)
         report = verify_property("mb-equicardinal", 1, workers=1)
         assert not report.holds
         assert report.universe_size == 3
@@ -253,11 +251,11 @@ class TestSharedUniverses:
 
     def test_second_df_sweep_builds_nothing(self, monkeypatch, fresh_universes):
         verify_property("uplow", 4, workers=1)
-        accepts, inits = [], []
+        kernel, inits = [], []
 
-        def counting_accepts(axiom, masks):
-            accepts.append(masks)
-            return _accepts(axiom, masks)
+        def counting_kernel(source, members, axiom):
+            kernel.append(source)
+            return _exchange_failures(source, members, axiom)
 
         def counting(cls):
             real_init = cls.__init__
@@ -268,12 +266,12 @@ class TestSharedUniverses:
 
             monkeypatch.setattr(cls, "__init__", counting_init)
 
-        monkeypatch.setattr("deltamatroids.search._accepts", counting_accepts)
+        monkeypatch.setattr("deltamatroids.matroids._exchange_failures", counting_kernel)
         counting(DeltaMatroid)
         counting(Matroid)
         report = verify_property("necessity-circuit-union", 4, workers=1)
         assert report.universe_size == 5959 and report.holds
-        assert accepts == [] and inits == []
+        assert kernel == [] and inits == []
 
     def test_public_lists_are_fresh(self, fresh_universes):
         codes = delta_codes(2)
@@ -301,12 +299,12 @@ class TestSharedLayers:
         assert seen == 6133
 
     def test_layer_missing_from_mb_universe_raises(self, monkeypatch, fresh_universes):
-        def strict(axiom, masks):  # (MB) wrongly rejects U(1,2)
-            if axiom == "MB" and masks == (0b01, 0b10):
-                return False
-            return _accepts(axiom, masks)
+        def strict(source, members, axiom):  # (MB) wrongly rejects U(1,2)
+            if axiom == "MB" and tuple(source) == (0b01, 0b10):
+                return iter([(0b01, 0b01, 1 << 0b10)])
+            return _exchange_failures(source, members, axiom)
 
-        monkeypatch.setattr("deltamatroids.search._accepts", strict)
+        monkeypatch.setattr("deltamatroids.matroids._exchange_failures", strict)
         with pytest.raises(RuntimeError, match="missing from the"):
             verify_property("uplow", 2, workers=1)
 
