@@ -3,8 +3,7 @@
 One binary, subcommand style, no randomness anywhere.  Exit codes: 0 the
 property holds or the construction succeeded, 1 the property fails (witness
 printed in the payload), 2 input or usage error.  Payload goes to stdout as
-JSON by default when piped, as text on a terminal; DM_WORKERS sets the
-parallelism of the exhaustive sweeps and enumerations.
+JSON by default when piped, as text on a terminal.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .search import (
     delta_codes,
     find_unpairable_pair,
     matroid_codes,
-    resolve_workers,
     verify_property,
 )
 from .serialize import (
@@ -156,7 +154,7 @@ def _cmd_cone_check(args, fmt: str) -> int:
 
 
 def _cmd_verify(args, fmt: str) -> int:
-    report = verify_property(args.property_id, args.n, workers=resolve_workers())
+    report = verify_property(args.property_id, args.n)
     _emit(
         report.to_json(),
         fmt,
@@ -183,7 +181,7 @@ def _nested(value: list, depth: int) -> str:
 
 def _cmd_enumerate(args, fmt: str) -> int:
     key, build = ("bases", matroid_codes) if args.kind == "matroid" else ("feasibles", delta_codes)
-    codes = build(args.n, workers=resolve_workers())
+    codes = build(args.n)
     if fmt != "json":
         print(f"{len(codes)} structures at n={args.n}")
         return 0

@@ -67,9 +67,6 @@ class GroundSet:
             mask |= 1 << self.index(lab)
         return Subset(self, mask)
 
-    def subset_from_mask(self, mask: int) -> "Subset":
-        return Subset(self, mask)
-
     def labels_of(self, mask: int) -> tuple[str, ...]:
         self.validate_mask(mask)
         return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)

@@ -16,6 +16,7 @@ from .matroids import (
     Matroid,
     _certify_exchange,
     _exchange_ok,
+    _first_non_union,
 )
 
 
@@ -170,15 +171,8 @@ def is_pairable(mu: Matroid, ml: Matroid) -> PairabilityReport:
     """Pairable iff every circuit of mu is a union of circuits of ml."""
     if mu.ground != ml.ground:
         raise InputError("pairability test requires a common ground set")
-    ml_circuits = ml._circuit_masks
-    for c in mu._circuit_masks:
-        union = 0
-        for lc in ml_circuits:
-            if lc & ~c == 0:
-                union |= lc
-        if union != c:
-            return PairabilityReport(False, Subset(mu.ground, c))
-    return PairabilityReport(True)
+    bad = _first_non_union(mu._circuit_masks, ml._circuit_masks)  # the least, as circuits ascend
+    return PairabilityReport(True) if bad is None else PairabilityReport(False, Subset(mu.ground, bad))
 
 
 def bouchet_triple(m: Matroid) -> tuple[DeltaMatroid, DeltaMatroid, DeltaMatroid]:

@@ -308,6 +308,18 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
     return Matroid._trusted(ground, bases)
 
 
+def _first_non_union(masks: Iterable[int], circuits: Sequence[int]) -> Optional[int]:
+    """The first of masks that is not the union of the circuits inside it, or None."""
+    for s in masks:
+        union = 0
+        for c in circuits:
+            if c & ~s == 0:
+                union |= c
+        if union != s:
+            return s
+    return None
+
+
 def is_union_of_circuits(s: Subset, m: Matroid) -> bool:
     """True iff s equals the union of the circuits of m contained in it.
 
@@ -315,11 +327,7 @@ def is_union_of_circuits(s: Subset, m: Matroid) -> bool:
     """
     if s.ground != m.ground:
         raise InputError("subset over a different ground set")
-    union = 0
-    for c in m._circuit_masks:
-        if c & ~s.mask == 0:
-            union |= c
-    return union == s.mask
+    return _first_non_union((s.mask,), m._circuit_masks) is None
 
 
 def is_quotient(q: Matroid, m: Matroid) -> bool:
@@ -327,4 +335,4 @@ def is_quotient(q: Matroid, m: Matroid) -> bool:
     union of circuits of q."""
     if q.ground != m.ground:
         raise InputError("quotient test requires a common ground set")
-    return all(is_union_of_circuits(Subset(m.ground, c), q) for c in m._circuit_masks)
+    return _first_non_union(m._circuit_masks, q._circuit_masks) is None

@@ -7,17 +7,13 @@ by every enumeration and sweep.  Its certified objects, built when a sweep first
 asks, keep their derived sets, and a delta-matroid's upper and lower are (MB)
 universe objects: at n = 4, 5,959 delta-matroids share 68 matroids in 2.4 MB,
 3.6 MB after every sweep (tracemalloc); n <= 4 caps the cache at 10 universes.
-Builds and sweeps split into contiguous chunks that may be fanned out across
-worker processes and merge in chunk order: reports match for any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterator, Optional, Sequence
@@ -42,8 +38,7 @@ class SearchReport:
     """Outcome of one quantified check or search.
 
     `elapsed` is wall-clock seconds and is excluded from the canonical
-    serialization so that reports compare byte-identical across runs and
-    worker counts.
+    serialization so that reports compare byte-identical across runs.
     """
 
     property_id: str
@@ -67,40 +62,6 @@ class SearchReport:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """An explicit worker count, else DM_WORKERS, else the CPU count; the first
-    two must be positive integers."""
-    given = os.environ.get("DM_WORKERS") or None if workers is None else workers
-    if given is None:
-        return os.cpu_count() or 1
-    digits = isinstance(given, str) and given.strip().removeprefix("+").isdecimal()
-    w = int(given) if digits else given
-    if type(w) is not int or w < 1:
-        name = "DM_WORKERS" if workers is None else "workers"
-        raise InputError(f"{name} must be a positive integer, got {given!r}")
-    return w
-
-
-def _chunks(size: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous cover of range(size): a chunk per worker, at most max(8, 4 * CPUs)."""
-    step = -(-size // min(workers, max(8, 4 * (os.cpu_count() or 1)))) or 1
-    return [(i, min(i + step, size)) for i in range(0, size, step)]
-
-
-def _pool_size(workers: int, tasks: int) -> int:
-    """Processes to start: the default fork method starts them all up front,
-    so never more than there are tasks or CPUs."""
-    return min(workers, tasks, os.cpu_count() or 1)
-
-
-def _map_chunks(fn: Callable, tasks: list[tuple], workers: int) -> list:
-    size = _pool_size(workers, len(tasks))
-    if size <= 1:
-        return [fn(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
-
-
 # -- enumeration --------------------------------------------------------
 # Family code: bit i set means subset-mask i is a member.  The code space
 # at n holds 2^(2^n) - 1 nonempty families, 65,535 at n = 4.
@@ -116,17 +77,17 @@ def _twists(code: int, n: int) -> set[int]:
     return orbit
 
 
-def _codes_chunk(axiom: str, k: int, prev: tuple[int, ...], highs: tuple[int, ...]) -> list[int]:
-    """Passing codes a | b << 2^(k-1) for b in highs, a in prev (0, then the codes
-    on k - 1 elements); the axiom runs only if the deletion and contraction of
-    element k - 2, read off the code's four quarters, are both in prev."""
+def _codes_level(axiom: str, k: int, prev: tuple[int, ...]) -> list[int]:
+    """Passing codes a | b << 2^(k-1) for a, b in prev (0, then the codes on
+    k - 1 elements), b outer; the axiom runs only if the deletion and contraction
+    of element k - 2, read off the code's four quarters, are both in prev."""
     half = 1 << (k - 1)
     q = half >> 1
     low = (1 << q) - 1
     known = set(prev)
     decided: dict[int, bool] = {}  # verdicts by code
     out = []
-    for b in highs:
+    for b in prev:
         b_del, b_con = (b & low) << q, (b >> q) << q
         for a in prev:
             c = a | b << half
@@ -139,31 +100,27 @@ def _codes_chunk(axiom: str, k: int, prev: tuple[int, ...], highs: tuple[int, ..
     return out
 
 
-def _codes(axiom: str, n: int, workers: int) -> list[int]:
+def _codes(axiom: str, n: int) -> list[int]:
     """Ascending codes of every family on n elements that passes axiom.  Partners
     lie in F1 Δ F2, so deleting or contracting element k - 1 leaves a passing or
     empty family: level k pairs codes of level k - 1, high half outer, in order.
     (DF) is twist-invariant, as (F1 Δ S) Δ (F2 Δ S) = F1 Δ F2, so at n = 4 the
-    kernel runs on 912 of the 11,612 candidates, one per orbit a chunk meets."""
+    kernel runs on 912 of the 11,612 candidates, one per orbit."""
     if not 0 <= n <= 4:
         raise InputError(f"exhaustive enumeration capped at n <= 4, got {n}")
     codes = [1]  # n = 0: the family {∅}
     for k in range(1, n + 1):
-        prev = (0, *codes)
-        w = workers if k == n else 1  # lower levels take milliseconds
-        tasks = [(axiom, k, prev, prev[i:j]) for i, j in _chunks(len(prev), w)]
-        codes = [c for part in _map_chunks(_codes_chunk, tasks, w) for c in part]
+        codes = _codes_level(axiom, k, (0, *codes))
     return codes
 
 
 _UNIVERSES: dict[tuple[str, int], tuple] = {}  # at most 10 keys: two axioms, n <= 4
 
 
-def _universe(axiom: str, n: int, workers: Optional[int] = 1) -> tuple[tuple[int, ...], Callable, dict]:
+def _universe(axiom: str, n: int) -> tuple[tuple[int, ...], Callable, dict]:
     """(ascending codes, objects, memo) of the shared universe; objects() builds on first call."""
-    w = resolve_workers(workers)
     if (axiom, n) not in _UNIVERSES:
-        codes, g = tuple(_codes(axiom, n, w)), default_ground(n)
+        codes, g = tuple(_codes(axiom, n)), default_ground(n)
         if axiom == "DF":
             objects = cache(lambda: _with_shared_layers(g, codes))
         else:
@@ -186,20 +143,20 @@ def _with_shared_layers(g: GroundSet, codes: tuple[int, ...]) -> tuple[DeltaMatr
     return tuple(out)
 
 
-def matroid_codes(n: int, workers: int = 1) -> list[int]:
+def matroid_codes(n: int) -> list[int]:
     """Family codes of every basis family on n elements passing (MB)."""
-    return list(_universe("MB", n, workers)[0])
+    return list(_universe("MB", n)[0])
 
 
-def delta_codes(n: int, workers: int = 1) -> list[int]:
+def delta_codes(n: int) -> list[int]:
     """Family codes of every feasible family on n elements passing (DF)."""
-    return list(_universe("DF", n, workers)[0])
+    return list(_universe("DF", n)[0])
 
 
-def enumerate_matroids(n: int, workers: int = 1) -> Iterator[Matroid]:
+def enumerate_matroids(n: int) -> Iterator[Matroid]:
     """Every matroid on n labeled elements, once, in canonical code order."""
     g = default_ground(n)
-    for code in _universe("MB", n, workers)[0]:
+    for code in _universe("MB", n)[0]:
         yield Matroid._trusted(g, _decode_family(code))
 
 
@@ -265,7 +222,9 @@ def _necessity_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterato
 def _dual_exchange_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     ds = d.complement_dual()
     dual_up, dual_low = (_once(memo, ("dual", m), m.dual) for m in (d.upper, d.lower))
-    ok = ds._layers() == (dual_up.bases.masks, dual_low.bases.masks)
+    families = _once(memo, ("families",), lambda: frozenset(o.feasibles.masks for o in universe))
+    ok = ds.feasibles.masks in families  # the twist by E is a delta-matroid
+    ok = ok and ds._layers() == (dual_up.bases.masks, dual_low.bases.masks)
     yield None if ok else delta_to_json(d)
 
 
@@ -362,35 +321,24 @@ _PROPERTIES: dict[str, tuple[str, Callable]] = {
 PROPERTY_IDS = tuple(_PROPERTIES)
 
 
-def _property_chunk(property_id: str, n: int, start: int, stop: int) -> tuple[int, list]:
-    """(cases checked, witnesses) over objects start:stop of the shared universe;
-    a forked worker inherits it, a spawned one rebuilds it."""
+def verify_property(property_id: str, n: int) -> SearchReport:
+    """Run one registered quantified check over the full universe at size n."""
+    if property_id not in _PROPERTIES:
+        raise InputError(f"unknown property id {property_id!r}; known: {', '.join(PROPERTY_IDS)}")
+    t0 = time.monotonic()
     axiom, cases = _PROPERTIES[property_id]
     _, objects, memo = _universe(axiom, n)
     universe = objects()
     count = 0
     witnesses = []
-    for obj in universe[start:stop]:
+    for obj in universe:
         for w in cases(obj, universe, memo):
             count += 1
             if w is not None:
                 witnesses.append(w)
-    return count, witnesses
-
-
-def verify_property(property_id: str, n: int, workers: Optional[int] = None) -> SearchReport:
-    """Run one registered quantified check over the full universe at size n."""
-    if property_id not in _PROPERTIES:
-        raise InputError(f"unknown property id {property_id!r}; known: {', '.join(PROPERTY_IDS)}")
-    w = resolve_workers(workers)
-    t0 = time.monotonic()
-    size = len(_universe(_PROPERTIES[property_id][0], n, w)[1]())  # built before the pool forks
-    tasks = [(property_id, n, a, b) for a, b in _chunks(size, w)]
-    parts = _map_chunks(_property_chunk, tasks, w)
-    witnesses = [x for p in parts for x in p[1]]
     return SearchReport(
         property_id=property_id,
-        universe_size=sum(p[0] for p in parts),
+        universe_size=count,
         holds=not witnesses,
         witnesses=witnesses,
         elapsed=time.monotonic() - t0,

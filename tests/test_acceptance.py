@@ -1,12 +1,16 @@
 """Acceptance suite: the exit criteria, all exact (boolean) checks.
 
 Run `pytest tests/test_acceptance.py -s` to see one pass/fail line per
-criterion.  Criteria 1-6 are judged on the worker-count-1 reports; criterion
-7 re-runs the same computations with DM_WORKERS=8 and compares bytes.
+criterion.  Criteria 1-6 are judged on one collection of reports; criterion
+7 collects them again from cold caches, and runs two commands in fresh
+interpreters under two hash seeds, and compares bytes.
 """
 
 import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -57,55 +61,48 @@ REPORT_KEYS = (
 )
 
 
-def _collect_reports(workers):
-    _UNIVERSES.clear()  # each worker count builds its own universes
-    old = os.environ.get("DM_WORKERS")
-    os.environ["DM_WORKERS"] = str(workers)
-    try:
-        reports = {k: verify_property(k[0], k[1]) for k in REPORT_KEYS}
-        reports[("unpairable-pair", 5)] = find_unpairable_pair(5)
-        return reports
-    finally:
-        if old is None:
-            del os.environ["DM_WORKERS"]
-        else:
-            os.environ["DM_WORKERS"] = old
+def _collect_reports():
+    _UNIVERSES.clear()  # each collection builds its universes cold
+    _delta_ok.cache_clear()
+    reports = {k: verify_property(k[0], k[1]) for k in REPORT_KEYS}
+    reports[("unpairable-pair", 5)] = find_unpairable_pair(5)
+    return reports
 
 
 @pytest.fixture(scope="module")
-def reports_w1():
-    return _collect_reports(1)
+def reports():
+    return _collect_reports()
 
 
 @pytest.fixture(scope="module")
-def reports_w8():
-    return _collect_reports(8)
+def reports_again():
+    return _collect_reports()
 
 
-def test_criterion_1_axiom_exhaustives(reports_w1):
+def test_criterion_1_axiom_exhaustives(reports):
     with criterion(1, "axiom exhaustives at n=4"):
         assert (1 << 16) - 1 == 65535  # candidate nonempty families scanned
-        uplow = reports_w1[("uplow", 4)]
-        necessity = reports_w1[("necessity-circuit-union", 4)]
+        uplow = reports[("uplow", 4)]
+        necessity = reports[("necessity-circuit-union", 4)]
         assert uplow.holds and uplow.witnesses == []
         assert necessity.holds and necessity.witnesses == []
         # both quantify over the same exchange-certified families
         assert uplow.universe_size == necessity.universe_size > 0
 
 
-def test_criterion_2_main_theorem_round_trip(reports_w1):
+def test_criterion_2_main_theorem_round_trip(reports):
     with criterion(2, "main theorem round trip over all matroid pairs, n<=4"):
         for n in range(1, 5):
-            rep = reports_w1[("sufficiency-sandwich", n)]
+            rep = reports[("sufficiency-sandwich", n)]
             assert rep.holds and rep.witnesses == [], f"n={n}"
             assert rep.universe_size > 0
 
 
-def test_criterion_3_single_matroid_theorems(reports_w1):
+def test_criterion_3_single_matroid_theorems(reports):
     with criterion(3, "independent and spanning families are exchange families"):
-        assert reports_w1[("mb-equicardinal", 4)].holds
-        assert reports_w1[("independents-are-delta", 4)].holds
-        assert reports_w1[("spanning-are-delta", 4)].holds
+        assert reports[("mb-equicardinal", 4)].holds
+        assert reports[("independents-are-delta", 4)].holds
+        assert reports[("spanning-are-delta", 4)].holds
 
 
 def test_criterion_4_worked_examples():
@@ -161,9 +158,9 @@ def test_criterion_5_rigidity_suite():
             assert is_quotient(cycle_matroid(g), rigidity_matroid(g)), name
 
 
-def test_criterion_6_counterexample_reproduction(reports_w1):
+def test_criterion_6_counterexample_reproduction(reports):
     with criterion(6, "counterexample search at n=5"):
-        report = reports_w1[("unpairable-pair", 5)]
+        report = reports[("unpairable-pair", 5)]
         assert report.holds and report.witnesses
         wit = report.witnesses[0]
         mu = matroid_from_json(wit["upper"])
@@ -188,10 +185,19 @@ def test_criterion_6_counterexample_reproduction(reports_w1):
             assert (f1 ^ (pivot | g.subset([lab]))).mask not in sandwich
 
 
-def test_criterion_7_determinism(reports_w1, reports_w8):
-    with criterion(7, "byte-identical reports for DM_WORKERS=1 and 8"):
-        assert set(reports_w1) == set(reports_w8)
-        for key in reports_w1:
-            assert (
-                reports_w1[key].canonical_bytes() == reports_w8[key].canonical_bytes()
-            ), key
+def _cli_stdout(seed, *argv):
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltamatroids.cli", *argv], env=env, capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_criterion_7_determinism(reports, reports_again):
+    with criterion(7, "byte-identical reports from cold caches and under two hash seeds"):
+        assert set(reports) == set(reports_again)
+        for key in reports:
+            assert reports[key].canonical_bytes() == reports_again[key].canonical_bytes(), key
+        for argv in (("verify", "sufficiency-sandwich", "--n", "3"), ("search", "unpairable", "--n", "5")):
+            assert _cli_stdout("0", *argv) == _cli_stdout("1", *argv), argv

@@ -140,11 +140,6 @@ class TestVerifyAndSearch:
     def test_verify_bogus_id(self, capsys):
         assert main(["verify", "bogus-id", "--n", "3"]) == 2
 
-    def test_nonpositive_workers_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("DM_WORKERS", "0")
-        assert main(["verify", "uplow", "--n", "2"]) == 2
-        assert "DM_WORKERS" in capsys.readouterr().err
-
     def test_search_finds_witness(self, capsys):
         code, payload = run(capsys, "search", "unpairable", "--n", "5")
         assert code == 0
@@ -216,3 +211,16 @@ def test_reader_closing_the_pipe_early_ends_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_import_loads_no_process_pool():
+    # sweeps run in one process; a pool import would cost set-up time and memory
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    snippet = (
+        "import deltamatroids.cli, sys\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+        " or m.startswith('concurrent.futures')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", snippet], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
@@ -25,6 +25,7 @@ from deltamatroids import (
     fmax_lower_uniform,
     fmax_upper_uniform,
     is_pairable,
+    is_quotient,
     restrict_by_deletion,
     restrict_to_contained,
     uniform,
@@ -296,6 +297,28 @@ class TestSandwichAndPairability:
     def test_pairable_with_self(self):
         for m in enumerate_matroids(3):
             assert is_pairable(m, m).pairable
+
+    def test_agrees_with_quotient_and_least_failing_circuit_up_to_n3(self):
+        def circuits(m):  # minimal dependent sets, from the bases alone
+            dep = [s for s in m.ground.all_masks() if not any(s & ~b == 0 for b in m.bases.masks)]
+            return [c for c in dep if not any(x != c and x & ~c == 0 for x in dep)]
+
+        def union_inside(c, cs):
+            union = 0
+            for x in cs:
+                union |= x if x & ~c == 0 else 0
+            return union
+
+        pairs = 0
+        for n in range(4):
+            mats = list(enumerate_matroids(n))
+            for mu, ml in product(mats, repeat=2):
+                rep = is_pairable(mu, ml)
+                assert rep.pairable == is_quotient(ml, mu), (mu, ml)
+                least = next((c for c in circuits(mu) if c != union_inside(c, circuits(ml))), None)
+                assert (None if rep.pairable else rep.offending_circuit.mask) == least, (mu, ml)
+                pairs += 1
+        assert pairs == 1 + 4 + 25 + 256
 
     def test_u56_pair_is_pairable(self):
         ml = direct_sum(uniform(2, GroundSet.of("1", "2", "3")), uniform(2, GroundSet.of("a", "b", "c")))

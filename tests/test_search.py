@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 
 import pytest
@@ -32,17 +31,14 @@ from deltamatroids.search import (
     _augmentation_breaks,
     _uplow_cases,
     _universe,
-    _chunks,
     _codes,
     _graphic_pool,
-    _pool_size,
     _twists,
     constrained_realization,
     delta_codes,
     enumerate_delta_matroids,
     enumerate_matroids,
     matroid_codes,
-    resolve_workers,
 )
 from deltamatroids.serialize import delta_to_json, matroid_from_json
 
@@ -79,18 +75,12 @@ class TestEnumeration:
         with pytest.raises(InputError):
             matroid_codes(5)
 
-    def test_worker_count_does_not_change_codes(self, fresh_universes):
-        one = matroid_codes(3, workers=1), delta_codes(3, workers=1)
-        _UNIVERSES.clear()  # so the 4-worker build runs
-        assert (matroid_codes(3, workers=4), delta_codes(3, workers=4)) == one
-
     @pytest.mark.parametrize("axiom", ["MB", "DF"])
     @pytest.mark.parametrize("n", range(5))
     def test_codes_equal_full_range_scan(self, axiom, n):
         # reference: every family code through the axiom, no minor pruning
         ref = [c for c in range(1, 1 << (1 << n)) if _exchange_ok(_decode_family(c), axiom)]
-        for w in (1, 8):
-            assert _codes(axiom, n, w) == ref, (axiom, n, w)
+        assert _codes(axiom, n) == ref, (axiom, n)
 
     def test_df_n4_runs_the_axiom_on_a_fraction_of_codes(self, monkeypatch, fresh_universes):
         calls = []
@@ -100,10 +90,10 @@ class TestEnumeration:
             return _exchange_failures(source, members, axiom)
 
         monkeypatch.setattr("deltamatroids.matroids._exchange_failures", counting)
-        assert len(_codes("DF", 4, 1)) == 5959
-        assert len(calls) <= 1000  # one kernel call per twist orbit of candidates
+        assert len(_codes("DF", 4)) == 5959
+        assert len(calls) == 912  # one kernel call per twist orbit of the 11,612 candidates
         calls.clear()
-        assert len(_codes("MB", 4, 1)) == 68
+        assert len(_codes("MB", 4)) == 68
         assert len(calls) == 164  # not twist-invariant: every candidate runs
 
 
@@ -135,55 +125,10 @@ class TestTwists:
             assert orbit == by_subset and (1 << n) % len(orbit) == 0, (code, n)
 
 
-class TestWorkers:
-    def test_pool_never_exceeds_tasks_or_cpus(self):
-        cpus = os.cpu_count() or 1
-        assert _pool_size(10**9, 10**9) == cpus
-        assert _pool_size(10**9, 3) == min(3, cpus)
-        assert _pool_size(2, 10**9) == min(2, cpus)
-        assert _pool_size(1, 10**9) == 1
-        assert _pool_size(10**9, 0) == 0
-
-    def test_chunk_count_capped(self):
-        cap = max(8, 4 * (os.cpu_count() or 1))
-        for size in (10**9, 65535, cap + 1):
-            parts = _chunks(size, 10**9)
-            assert len(parts) <= cap
-            assert parts[0][0] == 0 and parts[-1][1] == size
-            assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
-        assert len(_chunks(10**9, 10**9)) == cap
-        assert len(_chunks(10**9, 8)) == 8
-        assert _chunks(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
-        assert _chunks(0, 10**9) == []
-
-    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
-    def test_bad_env_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("DM_WORKERS", value)
-        with pytest.raises(InputError, match="must be a positive integer"):
-            resolve_workers()
-
-    @pytest.mark.parametrize("value", [0, -1, 1.5])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda w: matroid_codes(4, workers=w),
-            lambda w: delta_codes(3, workers=w),
-            lambda w: list(enumerate_matroids(2, workers=w)),
-            lambda w: verify_property("uplow", 2, workers=w),
-        ],
-    )
-    def test_bad_explicit_workers_rejected(self, value, call):
-        # rejected whether or not the universe is already built
-        for _ in range(2):
-            with pytest.raises(InputError, match="must be a positive integer"):
-                call(value)
-        call(1)
-
-
 class TestVerifyProperty:
     @pytest.mark.parametrize("pid", PROPERTY_IDS)
     def test_all_properties_hold_at_n3(self, pid):
-        report = verify_property(pid, 3, workers=1)
+        report = verify_property(pid, 3)
         assert report.holds
         assert report.universe_size > 0
         assert report.witnesses == []
@@ -202,7 +147,7 @@ class TestVerifyProperty:
         ],
     )
     def test_universe_sizes_up_to_n4(self, pid, sizes):
-        reports = [verify_property(pid, n, workers=1) for n in range(5)]
+        reports = [verify_property(pid, n) for n in range(5)]
         assert [r.universe_size for r in reports] == sizes
         assert all(r.holds and r.witnesses == [] for r in reports)
 
@@ -215,7 +160,7 @@ class TestVerifyProperty:
             return iter(()) if tuple(source) == odd else _exchange_failures(source, members, axiom)
 
         monkeypatch.setattr("deltamatroids.matroids._exchange_failures", lenient)
-        report = verify_property("mb-equicardinal", 1, workers=1)
+        report = verify_property("mb-equicardinal", 1)
         assert not report.holds
         assert report.universe_size == 3
         assert report.witnesses == [{"ground": ["a"], "members": [[], ["a"]]}]
@@ -223,13 +168,6 @@ class TestVerifyProperty:
     def test_unknown_property(self):
         with pytest.raises(InputError):
             verify_property("bogus-id", 3)
-
-    def test_reports_byte_identical_across_workers(self, fresh_universes):
-        for pid in ("uplow", "sufficiency-sandwich"):
-            a = verify_property(pid, 3, workers=1)
-            _UNIVERSES.clear()  # so the 4-worker build runs
-            b = verify_property(pid, 3, workers=4)
-            assert a.canonical_bytes() == b.canonical_bytes()
 
     def test_elapsed_excluded_from_canonical_form(self):
         r = SearchReport("x", 1, True, [], elapsed=1.23)
@@ -243,14 +181,14 @@ class TestSharedUniverses:
         cold = {}
         for k in keys:
             _UNIVERSES.clear()
-            cold[k] = verify_property(*k, workers=1).canonical_bytes()
+            cold[k] = verify_property(*k).canonical_bytes()
         for order in (keys, keys[::-1]):
             _UNIVERSES.clear()
             for k in order:
-                assert verify_property(*k, workers=1).canonical_bytes() == cold[k], k
+                assert verify_property(*k).canonical_bytes() == cold[k], k
 
     def test_second_df_sweep_builds_nothing(self, monkeypatch, fresh_universes):
-        verify_property("uplow", 4, workers=1)
+        verify_property("uplow", 4)
         kernel, inits = [], []
 
         def counting_kernel(source, members, axiom):
@@ -269,7 +207,7 @@ class TestSharedUniverses:
         monkeypatch.setattr("deltamatroids.matroids._exchange_failures", counting_kernel)
         counting(DeltaMatroid)
         counting(Matroid)
-        report = verify_property("necessity-circuit-union", 4, workers=1)
+        report = verify_property("necessity-circuit-union", 4)
         assert report.universe_size == 5959 and report.holds
         assert kernel == [] and inits == []
 
@@ -306,7 +244,7 @@ class TestSharedLayers:
 
         monkeypatch.setattr("deltamatroids.matroids._exchange_failures", strict)
         with pytest.raises(RuntimeError, match="missing from the"):
-            verify_property("uplow", 2, workers=1)
+            verify_property("uplow", 2)
 
     def test_uplow_matches_reference_on_every_family(self):
         # any nonempty family up to n = 3, delta-matroid or not, then (DF) at n = 4
@@ -316,7 +254,7 @@ class TestSharedLayers:
                 d = DeltaMatroid._trusted(g, _decode_family(code))
                 assert list(_uplow_cases(d, (), {})) == list(_uplow_reference(d)), d
         ref = [w for d in enumerate_delta_matroids(4) for w in _uplow_reference(d)]
-        assert verify_property("uplow", 4, workers=1).to_json() == _report_json("uplow", ref)
+        assert verify_property("uplow", 4).to_json() == _report_json("uplow", ref)
 
     def test_fmax_matches_reference_when_perturbed(self, monkeypatch, fresh_universes):
         # a verdict that splits pairs, and a family that misses a set strictly
@@ -342,7 +280,7 @@ class TestSharedLayers:
                 for d in enumerate_delta_matroids(n)
                 for w in _fmax_reference(d, delta_ok, breaks, upper_family, fmax_lower_uniform)
             ]
-            assert verify_property("fmax-maximal", n, workers=1).to_json() == _report_json("fmax-maximal", ref)
+            assert verify_property("fmax-maximal", n).to_json() == _report_json("fmax-maximal", ref)
         assert any(w is None for w in ref) and any(w is not None for w in ref)
 
     def test_dual_exchange_and_necessity_match_references(self, monkeypatch, fresh_universes):
@@ -370,10 +308,26 @@ class TestSharedLayers:
                     "necessity-circuit-union": [w for d in ds for w in _necessity_reference(d, pairable)],
                 }
                 for pid, ref in refs.items():
-                    assert verify_property(pid, n, workers=1).to_json() == _report_json(pid, ref), (pid, n)
+                    assert verify_property(pid, n).to_json() == _report_json(pid, ref), (pid, n)
             if patched:
                 assert not all(w is None for w in refs["dual-exchange"])
                 assert not all(w is None for w in refs["necessity-circuit-union"])
+
+    def test_dual_exchange_sees_a_complement_that_loses_a_member(self, monkeypatch):
+        # one member strictly between the layers dropped, so the layers still
+        # match the duals: only the complement's own (DF) verdict can fail
+        real_complement_dual = DeltaMatroid.complement_dual
+
+        def lossy(d):
+            ds = real_complement_dual(d)
+            mid = [m for m in ds.feasibles.masks if ds.lower.rank < m.bit_count() < ds.upper.rank]
+            return DeltaMatroid._trusted(d.ground, [m for m in ds.feasibles.masks if m not in mid[:1]])
+
+        monkeypatch.setattr(DeltaMatroid, "complement_dual", lossy)
+        for n in (3, 4):
+            ref = [w for d in enumerate_delta_matroids(n) for w in _dual_exchange_reference(d)]
+            report = verify_property("dual-exchange", n)
+            assert not report.holds and report.to_json() == _report_json("dual-exchange", ref), n
 
     def test_dual_exchange_makes_a_dual_per_matroid(self, monkeypatch, fresh_universes):
         _universe("DF", 4)[1]()
@@ -385,21 +339,21 @@ class TestSharedLayers:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(Matroid, "__init__", counting_init)
-        assert verify_property("dual-exchange", 4, workers=1).holds
+        assert verify_property("dual-exchange", 4).holds
         assert 0 < len(made) <= 68
 
     def test_patched_kernel_leaks_into_no_memo(self, monkeypatch, fresh_universes):
-        cold = {pid: verify_property(pid, 3, workers=1).canonical_bytes() for pid in PROPERTY_IDS}
+        cold = {pid: verify_property(pid, 3).canonical_bytes() for pid in PROPERTY_IDS}
         _UNIVERSES.clear()
         monkeypatch.setattr("deltamatroids.search._delta_ok", lambda masks: False)
         monkeypatch.setattr(Matroid, "dual", lambda self: self)
         for pid in ("fmax-maximal", "dual-exchange"):
-            assert not verify_property(pid, 3, workers=1).holds
+            assert not verify_property(pid, 3).holds
         assert _universe("DF", 3)[2]  # the sweeps kept per-pair results
         monkeypatch.undo()
         _UNIVERSES.clear()
         for pid in PROPERTY_IDS:
-            assert verify_property(pid, 3, workers=1).canonical_bytes() == cold[pid], pid
+            assert verify_property(pid, 3).canonical_bytes() == cold[pid], pid
 
 
 def _report_json(pid, cases):
@@ -409,7 +363,7 @@ def _report_json(pid, cases):
 
 def _dual_exchange_reference(d):
     ds = d.complement_dual()
-    ok = ds.upper == d.lower.dual() and ds.lower == d.upper.dual()
+    ok = _exchange_ok(ds.feasibles.masks, "DF") and ds.upper == d.lower.dual() and ds.lower == d.upper.dual()
     yield None if ok else delta_to_json(d)
 
 
