@@ -15,8 +15,8 @@ import sys
 from typing import Optional
 
 from .core import InputError, default_ground
-from .delta import DeltaMatroid, _decode_family, construct_sandwich, is_pairable
-from .matroids import AxiomError
+from .delta import DeltaMatroid, construct_sandwich, is_pairable
+from .matroids import AxiomError, _decode_family
 from .rigidity import CORPUS, verify_cone_quotient
 from .search import (
     PROPERTY_IDS,

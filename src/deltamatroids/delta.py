@@ -15,6 +15,7 @@ from .matroids import (
     ExchangeViolation,
     Matroid,
     _certify_exchange,
+    _decode_family,
     _exchange_ok,
     _first_non_union,
 )
@@ -162,17 +163,21 @@ def construct_sandwich(mu: Matroid, ml: Matroid) -> SetFamily:
     """
     if mu.ground != ml.ground:
         raise InputError("sandwich requires a common ground set")
-    indep = mu._indep_masks
-    span = ml._spanning_masks
-    return SetFamily(mu.ground, tuple(m for m in mu.ground.all_masks() if m in indep and m in span))
+    return SetFamily(mu.ground, _decode_family(mu._indep & ml._spanning))
 
 
 def is_pairable(mu: Matroid, ml: Matroid) -> PairabilityReport:
-    """Pairable iff every circuit of mu is a union of circuits of ml."""
+    """Pairable iff every circuit of mu is a union of circuits of ml, that
+    is, iff ml is a quotient of mu: every flat of ml is a flat of mu."""
     if mu.ground != ml.ground:
         raise InputError("pairability test requires a common ground set")
-    bad = _first_non_union(mu._circuit_masks, ml._circuit_masks)  # the least, as circuits ascend
-    return PairabilityReport(True) if bad is None else PairabilityReport(False, Subset(mu.ground, bad))
+    if ml._flats & ~mu._flats == 0:
+        return PairabilityReport(True)
+    # the least offending circuit, as circuits ascend
+    bad = _first_non_union(_decode_family(mu._circuits), _decode_family(ml._circuits))
+    if bad is None:
+        raise RuntimeError(f"flats of {ml!r} are not flats of {mu!r}, yet every circuit is a union")
+    return PairabilityReport(False, Subset(mu.ground, bad))
 
 
 def bouchet_triple(m: Matroid) -> tuple[DeltaMatroid, DeltaMatroid, DeltaMatroid]:
@@ -188,29 +193,23 @@ def bouchet_triple(m: Matroid) -> tuple[DeltaMatroid, DeltaMatroid, DeltaMatroid
 def fmax_upper_uniform(d: DeltaMatroid) -> SetFamily:
     """Largest feasible family sharing d's lower matroid, when the upper
     matroid is uniform: the lower bases together with every strictly larger
-    lower-spanning set of size at most the upper rank."""
-    mu, ml = d.upper, d.lower
-    if not mu.is_uniform():
+    lower-spanning set of size at most the upper rank.  That is the sandwich:
+    the upper-independent sets are those of size at most the upper rank, and
+    the lower-spanning sets of the lower rank are the lower bases."""
+    if not d.upper.is_uniform():
         raise InputError("upper matroid is not uniform over the full ground set")
-    masks = set(ml.bases.masks)
-    for m in d.ground.all_masks():
-        if ml.rank < m.bit_count() <= mu.rank and m in ml._spanning_masks:
-            masks.add(m)
-    return SetFamily(d.ground, tuple(masks))
+    return construct_sandwich(d.upper, d.lower)
 
 
 def fmax_lower_uniform(d: DeltaMatroid) -> SetFamily:
     """Largest feasible family sharing d's upper matroid, when the lower
     matroid is uniform: lower bases, upper bases, and every intermediate
-    upper-independent set below the upper rank."""
-    mu, ml = d.upper, d.lower
-    if not ml.is_uniform():
+    upper-independent set below the upper rank.  That is the sandwich: the
+    lower-spanning sets are those of size at least the lower rank, and the
+    lower bases, feasible in d, are upper-independent."""
+    if not d.lower.is_uniform():
         raise InputError("lower matroid is not uniform over the full ground set")
-    masks = set(ml.bases.masks) | set(mu.bases.masks)
-    for m in d.ground.all_masks():
-        if ml.rank <= m.bit_count() < mu.rank and m in mu._indep_masks:
-            masks.add(m)
-    return SetFamily(d.ground, tuple(masks))
+    return construct_sandwich(d.upper, d.lower)
 
 
 def restrict_to_contained(d: DeltaMatroid, c: Subset) -> DeltaMatroid:
@@ -233,14 +232,3 @@ def restrict_by_deletion(d: DeltaMatroid, c: Subset) -> DeltaMatroid:
         raise InputError("restriction set over a different ground set")
     return d.delete(c.complement())
 
-
-def _decode_family(code: int) -> tuple[int, ...]:
-    """Family code -> member masks, ascending."""
-    masks = []
-    i = 0
-    while code:
-        if code & 1:
-            masks.append(i)
-        code >>= 1
-        i += 1
-    return tuple(masks)

@@ -1,16 +1,18 @@
 """Matroids given by their basis families: axiom checking and derived structure.
 
 A `Matroid` value only exists after its basis family passed the basis
-exchange axiom, so downstream code never re-checks.  All derived objects
-(rank, independents, spanning sets, circuits, duals, minors, quotient tests)
-are computed by brute force over bit masks; with at most 16 elements that is
-both fast enough and hard to get wrong.
+exchange axiom, so downstream code never re-checks.  Its independent sets,
+spanning sets, circuits and flats are 2^n-bit indicators (bit m set iff
+subset mask m is in the family), derived from the indicator of the bases in
+O(rank * n) shift-and-mask steps over `_coordinates(n)`; a quotient test is
+then one AND of flat indicators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Container, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -67,6 +69,33 @@ def _coordinates(n: int) -> tuple[int, ...]:
     )
 
 
+def _indicator(masks: Iterable[int], n: int) -> int:
+    """The 2^n-bit integer whose bit m is set iff m is among masks (all below 2^n)."""
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _decode_family(code: int) -> tuple[int, ...]:
+    """Indicator, or family code (the same thing), -> member masks, ascending.
+    Byte by byte: a lowest-set-bit loop on the whole int costs O(2^n) a member."""
+    masks = []
+    for i, byte in enumerate(code.to_bytes((code.bit_length() + 7) >> 3, "little")):
+        while byte:
+            low = byte & -byte
+            masks.append(i << 3 | low.bit_length() - 1)
+            byte ^= low
+    return tuple(masks)
+
+
+def _up_closure(indicator: int, n: int) -> int:
+    """Indicator of every superset of a member of indicator."""
+    for i, has in enumerate(_coordinates(n)):
+        indicator |= indicator << (1 << i) & has
+    return indicator
+
+
 def _exchange_failures(
     source: Sequence[int], members: Container[int], axiom: str
 ) -> Iterator[tuple[int, int, int]]:
@@ -84,10 +113,7 @@ def _exchange_failures(
     for m in source:
         union |= m
     n = union.bit_length()
-    buf = bytearray((1 << n) // 8 + 1)
-    for m in source:
-        buf[m >> 3] |= 1 << (m & 7)
-    indicator = int.from_bytes(buf, "little")
+    indicator = _indicator(source, n)
     has = [indicator & c for c in _coordinates(n)]
     lacks = [indicator ^ h for h in has]
     elements = [(i, 1 << i) for i in range(n) if union >> i & 1]
@@ -174,71 +200,77 @@ class Matroid:
         """Build without re-running (MB); for constructions correct by theory."""
         return cls(ground, SetFamily(ground, tuple(masks)), _certified=True)
 
-    # -- derived structure ------------------------------------------------
+    # -- derived structure: 2^n-bit indicators ----------------------------
 
     @cached_property
-    def _indep_masks(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b in self.bases.masks:
-            # enumerate all submasks of b
-            s = b
-            while True:
-                out.add(s)
-                if s == 0:
-                    break
-                s = (s - 1) & b
-        return frozenset(out)
+    def _bases(self) -> int:
+        return _indicator(self.bases.masks, self.ground.size)
 
     @cached_property
-    def _spanning_masks(self) -> frozenset[int]:
-        full = self.ground.full_mask
-        out: set[int] = set()
-        for b in self.bases.masks:
-            free = full & ~b
-            s = free
-            while True:
-                out.add(b | s)
-                if s == 0:
-                    break
-                s = (s - 1) & free
-        return frozenset(out)
+    def _indep(self) -> int:
+        """The down-closure of the bases."""
+        out = self._bases
+        for i, has in enumerate(_coordinates(self.ground.size)):
+            out |= (out & has) >> (1 << i)
+        return out
 
     @cached_property
-    def _circuit_masks(self) -> tuple[int, ...]:
-        # dependence is up-closed: a dependent D is minimal iff each D - e is not
-        indep = self._indep_masks
-        out = []
-        for d in self.ground.all_masks():
-            if d in indep:
-                continue
-            rest = d
-            while rest and d ^ (rest & -rest) in indep:
-                rest &= rest - 1
-            if not rest:
-                out.append(d)
-        return tuple(out)
+    def _spanning(self) -> int:
+        """The up-closure of the bases."""
+        return _up_closure(self._bases, self.ground.size)
+
+    @cached_property
+    def _circuits(self) -> int:
+        """The dependent sets with no dependent set one element smaller."""
+        n = self.ground.size
+        dep = ((1 << (1 << n)) - 1) ^ self._indep
+        above_dep = 0
+        for i, has in enumerate(_coordinates(n)):
+            above_dep |= dep << (1 << i) & has
+        return dep & ~above_dep
+
+    @cached_property
+    def _flats(self) -> int:
+        """F of rank k is a flat iff F + e has rank k + 1 for every e not in F.
+
+        For k = rank down to 0: the sets of rank >= k are the up-closure of
+        the independent k-sets, and those are the independent (k + 1)-sets
+        less one element (the bases, for k = rank).
+        """
+        n = self.ground.size
+        coords = _coordinates(n)
+        flats, above, layer = 0, 0, self._bases  # above: the sets of rank > k
+        for _ in range(self.rank + 1):
+            at_least = _up_closure(layer, n)
+            flat, smaller = at_least & ~above, 0
+            for i, has in enumerate(coords):
+                flat &= has | above >> (1 << i)
+                smaller |= (layer & has) >> (1 << i)
+            flats |= flat
+            above, layer = at_least, smaller
+        return flats
 
     def independents(self) -> SetFamily:
         """All subsets of some basis."""
-        return SetFamily(self.ground, tuple(self._indep_masks))
+        return SetFamily(self.ground, _decode_family(self._indep))
 
     def spanning_sets(self) -> SetFamily:
         """All supersets of some basis."""
-        return SetFamily(self.ground, tuple(self._spanning_masks))
+        return SetFamily(self.ground, _decode_family(self._spanning))
 
     def circuits(self) -> SetFamily:
         """Minimal dependent subsets."""
-        return SetFamily(self.ground, self._circuit_masks)
+        return SetFamily(self.ground, _decode_family(self._circuits))
 
     def is_independent(self, s: Subset) -> bool:
         if s.ground != self.ground:
             raise InputError("subset over a different ground set")
-        return s.mask in self._indep_masks
+        return self._indep >> s.mask & 1 == 1
 
     def is_spanning(self, s: Subset) -> bool:
         if s.ground != self.ground:
             raise InputError("subset over a different ground set")
-        return s.mask in self._spanning_masks
+        return self._spanning >> s.mask & 1 == 1
 
     # -- operations -------------------------------------------------------
 
@@ -264,8 +296,6 @@ class Matroid:
 
     def is_uniform(self) -> bool:
         """True iff the bases are exactly all rank-sized subsets of the ground."""
-        from math import comb
-
         return len(self.bases) == comb(self.ground.size, self.rank)
 
     def __eq__(self, other: object) -> bool:
@@ -327,12 +357,13 @@ def is_union_of_circuits(s: Subset, m: Matroid) -> bool:
     """
     if s.ground != m.ground:
         raise InputError("subset over a different ground set")
-    return _first_non_union((s.mask,), m._circuit_masks) is None
+    return _first_non_union((s.mask,), _decode_family(m._circuits)) is None
 
 
 def is_quotient(q: Matroid, m: Matroid) -> bool:
-    """Oxley's criterion: q is a quotient of m iff every circuit of m is a
-    union of circuits of q."""
+    """q is a quotient of m iff every flat of q is a flat of m, equivalently
+    iff every circuit of m is a union of circuits of q (Oxley, Matroid
+    Theory, section 7.3)."""
     if q.ground != m.ground:
         raise InputError("quotient test requires a common ground set")
-    return _first_non_union(m._circuit_masks, q._circuit_masks) is None
+    return q._flats & ~m._flats == 0

@@ -21,14 +21,13 @@ from typing import Callable, Iterator, Optional, Sequence
 from .core import GroundSet, InputError, default_ground
 from .delta import (
     DeltaMatroid,
-    _decode_family,
     _delta_ok,
     construct_sandwich,
     fmax_lower_uniform,
     fmax_upper_uniform,
     is_pairable,
 )
-from .matroids import Matroid, _coordinates, _exchange_ok, _exchange_witness
+from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness, _indicator
 from .rigidity import Multigraph, cycle_matroid
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
 
@@ -209,8 +208,7 @@ def _spanning_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Opti
 
 def _uplow_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     # some lower basis inside F, and F inside some upper basis
-    span, indep = d.lower._spanning_masks, d.upper._indep_masks
-    ok = all(f in span and f in indep for f in d.feasibles.masks)
+    ok = _indicator(d.feasibles.masks, d.ground.size) & ~(d.upper._indep & d.lower._spanning) == 0
     yield None if ok else delta_to_json(d)
 
 
@@ -378,9 +376,8 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
 
 
 def _basis_conditions(mu: Matroid, ml: Matroid) -> bool:
-    indep = mu._indep_masks
-    span = ml._spanning_masks
-    return all(b in indep for b in ml.bases.masks) and all(b in span for b in mu.bases.masks)
+    """Every lower basis is upper-independent and every upper basis lower-spanning."""
+    return (ml._bases | mu._bases) & ~(mu._indep & ml._spanning) == 0
 
 
 def _pair_witness(

@@ -30,8 +30,7 @@ from deltamatroids import (
     restrict_to_contained,
     uniform,
 )
-from deltamatroids.delta import _decode_family
-from deltamatroids.matroids import Matroid, _exchange_ok
+from deltamatroids.matroids import Matroid, _decode_family, _exchange_ok
 from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import delta_codes, enumerate_matroids
 
@@ -85,6 +84,49 @@ def random_graph_pair(rng, vertices, edges):
     upper = Multigraph.build(vs, [(f"e{k}", u, v) for k, (u, v) in enumerate(ends)])
     lower = Multigraph.build(vs, [(f"e{k}", merged[u], merged[v]) for k, (u, v) in enumerate(ends)])
     return upper, lower
+
+
+def reference_circuits(m):
+    """Circuits from the bases alone: the dependent sets whose subsets one
+    element smaller are all independent."""
+    indep = {s for s in m.ground.all_masks() if any(s & ~b == 0 for b in m.bases.masks)}
+    return [
+        d
+        for d in m.ground.all_masks()
+        if d not in indep and all(d & ~(1 << i) in indep for i in range(m.ground.size) if d >> i & 1)
+    ]
+
+
+def reference_offending_circuit(upper_circuits, lower_circuits):
+    """The least upper circuit that is not the union of the lower circuits inside it, or None."""
+    for c in upper_circuits:
+        union = 0
+        for x in lower_circuits:
+            if x & ~c == 0:
+                union |= x
+        if union != c:
+            return c
+    return None
+
+
+def seeded_pairs(seed=11):
+    """Matroid pairs on 8-11 elements, each in both orders: uniform pairs,
+    direct sums of uniform pairs, and graphic quotient pairs."""
+    rng = random.Random(seed)
+    pairs = []
+    for n, k, j in ((11, 4, 3), (10, 5, 4), (9, 5, 3), (8, 4, 2), (8, 4, 4)):
+        g = default_ground(n)
+        pairs.append((uniform(k, g), uniform(j, g)))
+    for (n1, k1, j1), (n2, k2, j2) in (((5, 3, 2), (6, 3, 2)), ((4, 2, 1), (5, 3, 2)), ((4, 2, 2), (6, 4, 2))):
+        g1 = GroundSet(tuple(f"x{i}" for i in range(n1)))
+        g2 = GroundSet(tuple(f"y{i}" for i in range(n2)))
+        pairs.append(
+            (direct_sum(uniform(k1, g1), uniform(k2, g2)), direct_sum(uniform(j1, g1), uniform(j2, g2)))
+        )
+    for vertices, edges in ((6, 9), (6, 10), (7, 10), (7, 11)):
+        upper, lower = random_graph_pair(rng, vertices, edges)
+        pairs.append((cycle_matroid(upper), cycle_matroid(lower)))
+    return pairs + [(ml, mu) for mu, ml in pairs]
 
 
 def size_classes_family(n, sizes):
@@ -319,6 +361,28 @@ class TestSandwichAndPairability:
                 assert (None if rep.pairable else rep.offending_circuit.mask) == least, (mu, ml)
                 pairs += 1
         assert pairs == 1 + 4 + 25 + 256
+
+    def test_agrees_with_circuit_union_reference_at_n4(self):
+        mats = list(enumerate_matroids(4))
+        circuits = {m: reference_circuits(m) for m in mats}
+        pairable = 0
+        for mu, ml in product(mats, repeat=2):
+            least = reference_offending_circuit(circuits[mu], circuits[ml])
+            rep = is_pairable(mu, ml)
+            assert (None if rep.pairable else rep.offending_circuit.mask) == least, (mu, ml)
+            assert is_quotient(ml, mu) == (least is None), (mu, ml)
+            pairable += rep.pairable
+        assert (len(mats) ** 2, pairable) == (4624, 558)
+
+    def test_agrees_with_circuit_union_reference_on_seeded_pairs(self):
+        verdicts = set()
+        for mu, ml in seeded_pairs():
+            least = reference_offending_circuit(reference_circuits(mu), reference_circuits(ml))
+            rep = is_pairable(mu, ml)
+            assert (None if rep.pairable else rep.offending_circuit.mask) == least, (mu, ml)
+            assert is_quotient(ml, mu) == (least is None), (mu, ml)
+            verdicts.add(rep.pairable)
+        assert verdicts == {True, False}
 
     def test_u56_pair_is_pairable(self):
         ml = direct_sum(uniform(2, GroundSet.of("1", "2", "3")), uniform(2, GroundSet.of("a", "b", "c")))

@@ -24,8 +24,8 @@ from deltamatroids import (
     uniform,
 )
 from deltamatroids.core import _minimal_masks
-from deltamatroids.delta import DeltaMatroid, _decode_family, construct_sandwich
-from deltamatroids.matroids import _exchange_failures, _exchange_ok, _exchange_witness
+from deltamatroids.delta import DeltaMatroid, construct_sandwich
+from deltamatroids.matroids import _decode_family, _exchange_failures, _exchange_ok, _exchange_witness
 from deltamatroids.rigidity import Multigraph, cone, cycle_matroid, rigidity_matroid
 from deltamatroids.search import enumerate_matroids
 
@@ -318,31 +318,91 @@ class TestExhaustiveInvariants:
             assert isinstance(check_basis_axiom(m.bases), Matroid)
 
 
+def submasks(mask):
+    s = mask
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & mask
+
+
+def reference_independents(m):
+    """Subsets of some basis, from the bases alone."""
+    return {s for b in m.bases.masks for s in submasks(b)}
+
+
 def minimal_dependents(m):
     """Circuits by their definition: the minimal members of the dependent sets."""
-    indep = m._indep_masks
+    indep = reference_independents(m)
     return _minimal_masks(d for d in m.ground.all_masks() if d not in indep)
+
+
+def reference_structure(m):
+    """(independents, spanning sets, circuits, flats) as ascending masks,
+    from the bases alone.  Spanning sets are supersets of a basis; circuits
+    are dependent sets whose one-element-smaller subsets are independent;
+    a flat is a set that every added element raises in rank, with the rank
+    of a dependent set the largest rank of it less one element."""
+    n, full = m.ground.size, m.ground.full_mask
+    indep = reference_independents(m)
+    spanning = {b | s for b in m.bases.masks for s in submasks(full & ~b)}
+    rank = []
+    for x in range(1 << n):
+        elements = [1 << i for i in range(n) if x >> i & 1]
+        rank.append(x.bit_count() if x in indep else max(rank[x ^ e] for e in elements))
+    circuits = [
+        d for d in range(1 << n) if d not in indep and all(d & ~(1 << i) in indep for i in range(n) if d >> i & 1)
+    ]
+    flats = [f for f in range(1 << n) if all(rank[f | 1 << i] > rank[f] for i in range(n) if not f >> i & 1)]
+    return tuple(sorted(indep)), tuple(sorted(spanning)), tuple(circuits), tuple(flats)
+
+
+def seeded_matroids():
+    """Uniform, direct-sum and graphic matroids on 8-11 elements."""
+    rng = random.Random(5)
+    mats = [uniform(rng.randint(1, n - 1), default_ground(n)) for n in (8, 9, 10, 11)]
+    for n1, n2 in ((3, 5), (4, 5), (5, 5), (5, 6)):
+        g1 = GroundSet(tuple(f"x{i}" for i in range(n1)))
+        g2 = GroundSet(tuple(f"y{i}" for i in range(n2)))
+        mats.append(direct_sum(uniform(rng.randint(0, n1), g1), uniform(rng.randint(0, n2), g2)))
+    for vertices, edges in ((5, 8), (6, 9), (6, 10), (7, 11)):
+        mats.append(cycle_matroid(random_graph(rng, vertices, edges)))
+    return mats
 
 
 class TestCircuits:
     def test_equal_minimal_dependents_up_to_n4(self):
         for n in range(5):
             for m in enumerate_matroids(n):
-                assert m._circuit_masks == minimal_dependents(m), m
+                assert m.circuits().masks == minimal_dependents(m), m
 
     def test_equal_minimal_dependents_on_seeded_matroids(self):
-        rng = random.Random(5)
-        mats = [uniform(rng.randint(1, n - 1), default_ground(n)) for n in (8, 9, 10, 11)]
-        for n1, n2 in ((3, 5), (4, 5), (5, 5), (5, 6)):
-            g1 = GroundSet(tuple(f"x{i}" for i in range(n1)))
-            g2 = GroundSet(tuple(f"y{i}" for i in range(n2)))
-            mats.append(
-                direct_sum(uniform(rng.randint(0, n1), g1), uniform(rng.randint(0, n2), g2))
-            )
-        for vertices, edges in ((5, 8), (6, 9), (6, 10), (7, 11)):
-            mats.append(cycle_matroid(random_graph(rng, vertices, edges)))
-        for m in mats:
-            assert m._circuit_masks == minimal_dependents(m), m
+        for m in seeded_matroids():
+            assert m.circuits().masks == minimal_dependents(m), m
+
+
+class TestIndicators:
+    """The derived indicators against brute force from the bases alone."""
+
+    def check(self, m):
+        indep, spanning, circuits, flats = reference_structure(m)
+        assert m.independents().masks == indep, m
+        assert m.spanning_sets().masks == spanning, m
+        assert m.circuits().masks == circuits, m
+        assert _decode_family(m._flats) == flats, m
+
+    def test_every_matroid_up_to_n4(self):
+        for n in range(5):
+            for m in enumerate_matroids(n):
+                self.check(m)
+
+    def test_seeded_matroids(self):
+        for m in seeded_matroids():
+            self.check(m)
+
+    def test_u8_16(self):
+        self.check(uniform(8, default_ground(16)))
 
 
 def exchange_violation(source, members, axiom):

@@ -17,13 +17,12 @@ from deltamatroids.core import Subset
 from deltamatroids.delta import (
     DeltaMatroid,
     PairabilityReport,
-    _decode_family,
     _delta_ok,
     fmax_lower_uniform,
     fmax_upper_uniform,
     is_pairable,
 )
-from deltamatroids.matroids import _exchange_failures, _exchange_ok
+from deltamatroids.matroids import _decode_family, _exchange_failures, _exchange_ok
 from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import (
     _UNIVERSES,
