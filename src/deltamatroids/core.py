@@ -134,10 +134,6 @@ class Subset:
         self._check_ground(other)
         return Subset(self.ground, self.mask & ~other.mask)
 
-    def issubset(self, other: "Subset") -> bool:
-        self._check_ground(other)
-        return self.mask & ~other.mask == 0
-
     def complement(self) -> "Subset":
         return Subset(self.ground, self.ground.full_mask ^ self.mask)
 

@@ -2,10 +2,11 @@
 
 A `Matroid` value only exists after its basis family passed the basis
 exchange axiom, so downstream code never re-checks.  Its independent sets,
-spanning sets, circuits and flats are 2^n-bit indicators (bit m set iff
-subset mask m is in the family), derived from the indicator of the bases in
-O(rank * n) shift-and-mask steps over `_coordinates(n)`; a quotient test is
-then one AND of flat indicators.
+spanning sets, circuits and unions of circuits are 2^n-bit indicators (bit m
+set iff subset mask m is in the family), derived from the indicator of the
+bases in O(rank * n) shift-and-mask steps over `_coordinates(n)`; a quotient
+test, and its least offending circuit, is then one AND of circuits against
+circuit unions.
 """
 
 from __future__ import annotations
@@ -230,8 +231,8 @@ class Matroid:
         return dep & ~above_dep
 
     @cached_property
-    def _flats(self) -> int:
-        """F of rank k is a flat iff F + e has rank k + 1 for every e not in F.
+    def _unions(self) -> int:
+        """The unions of circuits: X of rank k is one iff X - e has rank k for every e in X.
 
         For k = rank down to 0: the sets of rank >= k are the up-closure of
         the independent k-sets, and those are the independent (k + 1)-sets
@@ -239,16 +240,16 @@ class Matroid:
         """
         n = self.ground.size
         coords = _coordinates(n)
-        flats, above, layer = 0, 0, self._bases  # above: the sets of rank > k
+        unions, above, layer = 0, 0, self._bases  # above: the sets of rank > k
         for _ in range(self.rank + 1):
             at_least = _up_closure(layer, n)
-            flat, smaller = at_least & ~above, 0
+            union, smaller = at_least & ~above, 0
             for i, has in enumerate(coords):
-                flat &= has | above >> (1 << i)
+                union &= ~has | at_least << (1 << i)
                 smaller |= (layer & has) >> (1 << i)
-            flats |= flat
+            unions |= union
             above, layer = at_least, smaller
-        return flats
+        return unions
 
     def independents(self) -> SetFamily:
         """All subsets of some basis."""
@@ -338,18 +339,6 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
     return Matroid._trusted(ground, bases)
 
 
-def _first_non_union(masks: Iterable[int], circuits: Sequence[int]) -> Optional[int]:
-    """The first of masks that is not the union of the circuits inside it, or None."""
-    for s in masks:
-        union = 0
-        for c in circuits:
-            if c & ~s == 0:
-                union |= c
-        if union != s:
-            return s
-    return None
-
-
 def is_union_of_circuits(s: Subset, m: Matroid) -> bool:
     """True iff s equals the union of the circuits of m contained in it.
 
@@ -357,13 +346,13 @@ def is_union_of_circuits(s: Subset, m: Matroid) -> bool:
     """
     if s.ground != m.ground:
         raise InputError("subset over a different ground set")
-    return _first_non_union((s.mask,), _decode_family(m._circuits)) is None
+    return m._unions >> s.mask & 1 == 1
 
 
 def is_quotient(q: Matroid, m: Matroid) -> bool:
-    """q is a quotient of m iff every flat of q is a flat of m, equivalently
-    iff every circuit of m is a union of circuits of q (Oxley, Matroid
-    Theory, section 7.3)."""
+    """q is a quotient of m iff every circuit of m is a union of circuits of
+    q, equivalently iff every flat of q is a flat of m (Oxley, Matroid
+    Theory, section 7.3): one AND of m's circuits against q's circuit unions."""
     if q.ground != m.ground:
         raise InputError("quotient test requires a common ground set")
-    return q._flats & ~m._flats == 0
+    return m._circuits & ~q._unions == 0

@@ -55,9 +55,6 @@ class Multigraph:
         vi = self._vertex_index
         return tuple((1 << vi[u]) | (1 << vi[v]) for _, (u, v) in self.edges)
 
-    def edge_subset(self, labels: Iterable[str]) -> Subset:
-        return self.ground.subset(labels)
-
     def has_loop(self) -> bool:
         return any(u == v for _, (u, v) in self.edges)
 

@@ -27,7 +27,7 @@ from .delta import (
     fmax_upper_uniform,
     is_pairable,
 )
-from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness, _indicator
+from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness
 from .rigidity import Multigraph, cycle_matroid
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
 
@@ -154,16 +154,12 @@ def delta_codes(n: int) -> list[int]:
 
 def enumerate_matroids(n: int) -> Iterator[Matroid]:
     """Every matroid on n labeled elements, once, in canonical code order."""
-    g = default_ground(n)
-    for code in _universe("MB", n)[0]:
-        yield Matroid._trusted(g, _decode_family(code))
+    yield from _universe("MB", n)[1]()
 
 
 def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
     """Every delta-matroid on n labeled elements, once, in canonical code order."""
-    g = default_ground(n)
-    for code in _universe("DF", n)[0]:
-        yield DeltaMatroid._trusted(g, _decode_family(code))
+    yield from _universe("DF", n)[1]()
 
 
 # -- property checks ----------------------------------------------------
@@ -208,12 +204,12 @@ def _spanning_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Opti
 
 def _uplow_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     # some lower basis inside F, and F inside some upper basis
-    ok = _indicator(d.feasibles.masks, d.ground.size) & ~(d.upper._indep & d.lower._spanning) == 0
-    yield None if ok else delta_to_json(d)
+    sandwich = d.upper._indep & d.lower._spanning
+    yield None if all(sandwich >> f & 1 for f in d.feasibles.masks) else delta_to_json(d)
 
 
 def _necessity_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    rep = _once(memo, ("pairable", d.upper, d.lower), lambda: is_pairable(d.upper, d.lower))
+    rep = is_pairable(d.upper, d.lower)
     yield None if rep.pairable else {**delta_to_json(d), "offending_circuit": list(rep.offending_circuit.labels)}
 
 

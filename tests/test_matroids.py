@@ -268,6 +268,25 @@ class TestCircuitUnionAndQuotients:
         m = uniform(2, default_ground(3))
         assert not is_union_of_circuits(m.ground.subset("ab"), m)
 
+    @staticmethod
+    def check_unions(m):
+        """is_union_of_circuits on every subset against its definition; returns the case count."""
+        circuits = minimal_dependents(m)
+        for x in m.ground.all_masks():
+            union = 0
+            for c in circuits:
+                if c & ~x == 0:
+                    union |= c
+            assert is_union_of_circuits(Subset(m.ground, x), m) == (union == x), (m, x)
+        return 1 << m.ground.size
+
+    def test_union_of_circuits_matches_definition_up_to_n4(self):
+        assert sum(self.check_unions(m) for n in range(5) for m in enumerate_matroids(n)) == 1241
+
+    def test_union_of_circuits_matches_definition_on_seeded_matroids(self):
+        for m in seeded_matroids():
+            self.check_unions(m)
+
     def test_every_matroid_is_quotient_of_itself(self):
         for m in enumerate_matroids(3):
             assert is_quotient(m, m)
@@ -339,11 +358,12 @@ def minimal_dependents(m):
 
 
 def reference_structure(m):
-    """(independents, spanning sets, circuits, flats) as ascending masks,
-    from the bases alone.  Spanning sets are supersets of a basis; circuits
-    are dependent sets whose one-element-smaller subsets are independent;
-    a flat is a set that every added element raises in rank, with the rank
-    of a dependent set the largest rank of it less one element."""
+    """(independents, spanning sets, circuits, unions of circuits) as
+    ascending masks, from the bases alone.  Spanning sets are supersets of a
+    basis; circuits are dependent sets whose one-element-smaller subsets are
+    independent; a union of circuits is a set that no removed element lowers
+    in rank, with the rank of a dependent set the largest rank of it less
+    one element."""
     n, full = m.ground.size, m.ground.full_mask
     indep = reference_independents(m)
     spanning = {b | s for b in m.bases.masks for s in submasks(full & ~b)}
@@ -354,8 +374,8 @@ def reference_structure(m):
     circuits = [
         d for d in range(1 << n) if d not in indep and all(d & ~(1 << i) in indep for i in range(n) if d >> i & 1)
     ]
-    flats = [f for f in range(1 << n) if all(rank[f | 1 << i] > rank[f] for i in range(n) if not f >> i & 1)]
-    return tuple(sorted(indep)), tuple(sorted(spanning)), tuple(circuits), tuple(flats)
+    unions = [x for x in range(1 << n) if all(rank[x ^ 1 << i] == rank[x] for i in range(n) if x >> i & 1)]
+    return tuple(sorted(indep)), tuple(sorted(spanning)), tuple(circuits), tuple(unions)
 
 
 def seeded_matroids():
@@ -386,11 +406,11 @@ class TestIndicators:
     """The derived indicators against brute force from the bases alone."""
 
     def check(self, m):
-        indep, spanning, circuits, flats = reference_structure(m)
+        indep, spanning, circuits, unions = reference_structure(m)
         assert m.independents().masks == indep, m
         assert m.spanning_sets().masks == spanning, m
         assert m.circuits().masks == circuits, m
-        assert _decode_family(m._flats) == flats, m
+        assert _decode_family(m._unions) == unions, m
 
     def test_every_matroid_up_to_n4(self):
         for n in range(5):

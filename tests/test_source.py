@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import deltamatroids.delta
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -17,3 +20,27 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_targets_resolve():
+    # the benchmark's tracer wraps each TARGETS entry by name, and every round
+    # reads the exchange memo's cache_info: a rename breaks the benchmark only
+    tracing = SRC.parent / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(), filename=str(tracing))
+    (targets,) = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS"
+    ]
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert pairs
+    missing = []
+    for mod_name, attr in pairs:
+        module = importlib.import_module(f"deltamatroids.{mod_name}")
+        cls_name, _, name = attr.rpartition(".")
+        # tracing.install reads a method from its class's own __dict__
+        scope = vars(getattr(module, cls_name)) if cls_name else vars(module)
+        if name not in scope:
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []
+    assert callable(deltamatroids.delta._delta_ok.cache_info)
