@@ -9,6 +9,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .core import GroundSet, InputError, SetFamily, Subset
+from .delta import construct_sandwich
 from .matroids import Matroid
 
 
@@ -174,16 +175,17 @@ def rigidity_matroid(g: Multigraph) -> Matroid:
 def rigidity_feasible_family(g: Multigraph) -> SetFamily:
     """Edge sets inducing a connected spanning subgraph that is not overbraced.
 
-    Defined for connected simple graphs; this family satisfies symmetric
-    exchange, with upper matroid the spanning-connected part of the rigidity
-    matroid and lower matroid the cycle matroid.
+    Defined for connected simple graphs.  These are the sets independent in
+    the rigidity matroid and spanning in the cycle matroid: the sandwich of
+    that pair, which satisfies symmetric exchange, with upper matroid the
+    spanning-connected part of the rigidity matroid and lower matroid the
+    cycle matroid.
     """
     if not g.is_simple():
         raise InputError("rigidity feasible family requires a simple graph")
     if not g.is_connected():
         raise InputError("rigidity feasible family requires a connected graph")
-    sparse = _count_sparse(g, 2, 3)[0]
-    return SetFamily(g.ground, tuple(m for m in sparse if g.is_connected_spanning(m)))
+    return construct_sandwich(rigidity_matroid(g), cycle_matroid(g))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ Each (axiom, n) universe is built once per process, level by level (families on
 k elements from those on k - 1; one (DF) verdict per twist orbit), and is shared
 by every enumeration and sweep.  Its certified objects, built when a sweep first
 asks, keep their derived sets, and a delta-matroid's upper and lower are (MB)
-universe objects: at n = 4, 5,959 delta-matroids share 68 matroids in 2.4 MB,
-3.6 MB after every sweep (tracemalloc); n <= 4 caps the cache at 10 universes.
+universe objects: at n = 4, 5,959 delta-matroids share 68 matroids in 2.1 MB,
+3.3 MB after every sweep (tracemalloc); n <= 4 caps the cache at 10 universes.
 """
 
 from __future__ import annotations
@@ -184,22 +184,18 @@ def _equicardinal_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[
     yield _family_json(m.ground, masks) if len({b.bit_count() for b in masks}) > 1 else None
 
 
+def _realizes(g: GroundSet, masks: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
+    """Whether masks is a delta-matroid whose upper and lower matroids have the given bases."""
+    return _delta_ok(masks) and DeltaMatroid._trusted(g, masks)._layers() == (lower, upper)
+
+
 def _independents_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    fam = m.independents()
-    ok = _exchange_ok(fam.masks, "DF")
-    if ok:
-        d = DeltaMatroid._trusted(m.ground, fam.masks)
-        ok = d.lower.rank == 0 and d.upper == m
-    yield None if ok else matroid_to_json(m)
+    yield None if _realizes(m.ground, m.independents().masks, m.bases.masks, (0,)) else matroid_to_json(m)
 
 
 def _spanning_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    fam = m.spanning_sets()
-    ok = _exchange_ok(fam.masks, "DF")
-    if ok:
-        d = DeltaMatroid._trusted(m.ground, fam.masks)
-        ok = d.upper.rank == m.ground.size and d.lower == m
-    yield None if ok else matroid_to_json(m)
+    full = (m.ground.full_mask,)
+    yield None if _realizes(m.ground, m.spanning_sets().masks, full, m.bases.masks) else matroid_to_json(m)
 
 
 def _uplow_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
@@ -237,12 +233,9 @@ def _augmentation_breaks(d: DeltaMatroid) -> bool:
 
 def _fmax_pair(d: DeltaMatroid, build: Callable) -> tuple[frozenset[int], bool]:
     """(fmax family of d's upper and lower, whether it is a maximal delta-matroid with those layers)."""
-    fam = build(d)
-    ok = _delta_ok(fam.masks)
-    if ok:
-        dm = DeltaMatroid._trusted(d.ground, fam.masks)
-        ok = dm.upper == d.upper and dm.lower == d.lower and _augmentation_breaks(dm)
-    return frozenset(fam.masks), ok
+    masks = build(d).masks
+    ok = _realizes(d.ground, masks, d.upper.bases.masks, d.lower.bases.masks)
+    return frozenset(masks), ok and _augmentation_breaks(DeltaMatroid._trusted(d.ground, masks))
 
 
 def _fmax_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
@@ -263,31 +256,27 @@ def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[in
     Any realizing family must contain all bases of both matroids and sit
     inside the sandwich family, so candidates are exactly the subfamilies of
     the sandwich containing the forced bases.  Returns (family, candidates
-    tried) for the first realization in canonical order, or (None, total).
+    tried) for the first realization in canonical order, (None, total) when
+    none realizes the pair, or (None, 0) when a forced basis lies outside
+    the sandwich.
     """
-    forced = set(mu.bases.masks) | set(ml.bases.masks)
-    sandwich = set(construct_sandwich(mu, ml).masks)
-    if not forced <= sandwich:
+    if mu.ground != ml.ground:
+        raise InputError("sandwich requires a common ground set")
+    forced, sandwich = mu._bases | ml._bases, mu._indep & ml._spanning
+    if forced & ~sandwich:
         return None, 0
-    free = sorted(sandwich - forced)
-    tried = 0
+    free = _decode_family(sandwich & ~forced)
     for sel in range(1 << len(free)):
-        masks = tuple(sorted(forced | {free[k] for k in range(len(free)) if sel >> k & 1}))
-        tried += 1
+        masks = _decode_family(forced | sum(1 << f for k, f in enumerate(free) if sel >> k & 1))
         if _delta_ok(masks):
-            return masks, tried
-    return None, tried
+            return masks, sel + 1
+    return None, 1 << len(free)
 
 
 def _sufficiency_cases(mu: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     for ml in universe:
         if is_pairable(mu, ml).pairable:
-            fam = construct_sandwich(mu, ml)
-            ok = _delta_ok(fam.masks)
-            if ok:
-                d = DeltaMatroid._trusted(mu.ground, fam.masks)
-                ok = d.upper == mu and d.lower == ml
-            if ok:
+            if _realizes(mu.ground, construct_sandwich(mu, ml).masks, mu.bases.masks, ml.bases.masks):
                 yield None
                 continue
             kind, extra = "sandwich-failed", {}
@@ -371,11 +360,6 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
     return list(seen.values())
 
 
-def _basis_conditions(mu: Matroid, ml: Matroid) -> bool:
-    """Every lower basis is upper-independent and every upper basis lower-spanning."""
-    return (ml._bases | mu._bases) & ~(mu._indep & ml._spanning) == 0
-
-
 def _pair_witness(
     g: GroundSet,
     mu: Matroid,
@@ -383,13 +367,11 @@ def _pair_witness(
     graphs: Optional[tuple[Multigraph, Multigraph]],
 ) -> Optional[dict]:
     """Full witness for one candidate pair, or None if it does not qualify."""
-    if not _basis_conditions(mu, ml):
-        return None
     rep = is_pairable(mu, ml)
     if rep.pairable:
         return None
     found, tried = constrained_realization(mu, ml)
-    if found is not None:  # genuinely realizable; not a witness
+    if found is not None or not tried:  # realizable, or a basis condition fails
         return None
     wit = {
         "upper": matroid_to_json(mu),
@@ -399,8 +381,8 @@ def _pair_witness(
     }
     # a forced-feasible pair and pivot with no exchange partner inside the
     # sandwich; its existence alone rules out any realizing delta-matroid
-    forced = sorted(set(mu.bases.masks) | set(ml.bases.masks))
-    triple = _exchange_witness(forced, set(construct_sandwich(mu, ml).masks), "DF")
+    forced, sandwich = (_decode_family(c) for c in (mu._bases | ml._bases, mu._indep & ml._spanning))
+    triple = _exchange_witness(forced, sandwich, "DF")
     if triple is not None:
         f1, f2, xb = triple
         wit["replay"] = {

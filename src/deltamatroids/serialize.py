@@ -78,12 +78,12 @@ def graph_from_json(obj: Any) -> Multigraph:
 
 def load_json(path: Union[str, Path]) -> Any:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from e
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InputError(f"{path} is not valid JSON: {e}") from e
 
 

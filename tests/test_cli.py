@@ -45,8 +45,9 @@ class TestCheck:
 
     def test_malformed_file(self, tmp_path, capsys):
         p = tmp_path / "x.json"
-        p.write_text("{oops")
-        assert main(["check", "matroid", str(p)]) == 2
+        for content in (b"{oops", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000):
+            p.write_bytes(content)
+            assert main(["check", "matroid", str(p)]) == 2, content[:8]
 
     def test_missing_file(self):
         assert main(["check", "delta", "/no/such/file.json"]) == 2

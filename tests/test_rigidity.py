@@ -204,6 +204,35 @@ class TestFeasibleFamily:
         ]
         assert list(rigidity_feasible_family(k5).masks) == want
 
+    def test_seeded_graphs_match_brute_force_filter(self):
+        # seeded connected simple graphs, then the cone-rigidity benchmark's
+        # other feasible shapes: K5 less two disjoint edges, the prism, and
+        # the prism with a chord
+        rng = random.Random(7)
+        graphs = []
+        while len(graphs) < 12:
+            nv = rng.randint(3, 6)
+            pairs = list(combinations(range(nv), 2))
+            edges = rng.sample(pairs, rng.randint(nv - 1, min(10, len(pairs))))
+            graphs.append((nv, edges))
+        prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+        k5 = list(combinations(range(5), 2))
+        graphs += [(5, [e for e in k5 if e not in ((0, 1), (2, 3))]), (6, prism), (6, prism + [(0, 4)])]
+        checked = 0
+        for nv, edges in graphs:
+            vs = "abcdef"[:nv]
+            g = Multigraph.build(vs, [(f"e{i}", vs[u], vs[v]) for i, (u, v) in enumerate(edges)])
+            if not g.is_connected():
+                continue
+            want = [
+                m
+                for m in g.ground.all_masks()
+                if g.is_connected_spanning(m) and is_sparse_23(g, Subset(g.ground, m))
+            ]
+            assert list(rigidity_feasible_family(g).masks) == want, edges
+            checked += 1
+        assert checked >= 10
+
     def test_disconnected_rejected(self):
         g = Multigraph.build("uvwx", [("e1", "u", "v"), ("e2", "w", "x")])
         with pytest.raises(InputError):

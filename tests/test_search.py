@@ -18,6 +18,7 @@ from deltamatroids.delta import (
     DeltaMatroid,
     PairabilityReport,
     _delta_ok,
+    construct_sandwich,
     fmax_lower_uniform,
     fmax_upper_uniform,
     is_pairable,
@@ -39,7 +40,7 @@ from deltamatroids.search import (
     enumerate_matroids,
     matroid_codes,
 )
-from deltamatroids.serialize import delta_to_json, matroid_from_json
+from deltamatroids.serialize import delta_to_json, matroid_from_json, matroid_to_json
 
 
 @pytest.fixture
@@ -282,6 +283,47 @@ class TestSharedLayers:
             assert verify_property("fmax-maximal", n).to_json() == _report_json("fmax-maximal", ref)
         assert any(w is None for w in ref) and any(w is not None for w in ref)
 
+    def test_realization_sweeps_match_references_when_perturbed(self, monkeypatch, fresh_universes):
+        # a verdict flipped on some families, and families that lose their
+        # least or greatest member for some matroids or pairs, so that both
+        # the verdict and the layer comparison decide some cases
+        def delta_ok(masks):
+            return _delta_ok(masks) != (len(masks) % 5 == 0)
+
+        def independents(m):
+            fam = real_independents(m).masks
+            return SetFamily(m.ground, fam[1:] if len(fam) % 3 == 0 else fam)
+
+        def spanning_sets(m):
+            fam = real_spanning_sets(m).masks
+            return SetFamily(m.ground, fam[:-1] if len(fam) % 3 == 0 else fam)
+
+        def sandwich(mu, ml):
+            fam = construct_sandwich(mu, ml).masks
+            return SetFamily(mu.ground, fam[:-1] if len(fam) % 3 == 0 else fam)
+
+        real_independents, real_spanning_sets = Matroid.independents, Matroid.spanning_sets
+        monkeypatch.setattr("deltamatroids.search._delta_ok", delta_ok)
+        monkeypatch.setattr(Matroid, "independents", independents)
+        monkeypatch.setattr(Matroid, "spanning_sets", spanning_sets)
+        monkeypatch.setattr("deltamatroids.search.construct_sandwich", sandwich)
+        refs = {}
+        for n in range(5):
+            ms = list(enumerate_matroids(n))
+            refs = {
+                "independents-are-delta": [_independents_reference(m, delta_ok) for m in ms],
+                "spanning-are-delta": [_spanning_reference(m, delta_ok) for m in ms],
+                "sufficiency-sandwich": [
+                    _sufficiency_reference(mu, ml, delta_ok, sandwich) for mu in ms for ml in ms
+                ],
+            }
+            for pid, ref in refs.items():
+                assert verify_property(pid, n).to_json() == _report_json(pid, ref), (pid, n)
+        for pid, ref in refs.items():
+            assert any(w is None for w in ref) and any(w is not None for w in ref), pid
+        kinds = {w["kind"] for w in refs["sufficiency-sandwich"] if w is not None}
+        assert kinds == {"sandwich-failed", "realization-despite-unpairable"}
+
     def test_dual_exchange_and_necessity_match_references(self, monkeypatch, fresh_universes):
         # as shipped, then with a dual and a pairability verdict that fail on
         # some pairs only, so the per-pair memos must still name each object
@@ -371,6 +413,51 @@ def _necessity_reference(d, pairable):
     yield None if rep.pairable else {**delta_to_json(d), "offending_circuit": list(rep.offending_circuit.labels)}
 
 
+def _independents_reference(m, delta_ok):
+    fam = m.independents().masks
+    d = DeltaMatroid._trusted(m.ground, fam)
+    ok = delta_ok(fam) and d.upper == m and d.lower.rank == 0
+    return None if ok else matroid_to_json(m)
+
+
+def _spanning_reference(m, delta_ok):
+    fam = m.spanning_sets().masks
+    d = DeltaMatroid._trusted(m.ground, fam)
+    ok = delta_ok(fam) and d.lower == m and d.upper.rank == m.ground.size
+    return None if ok else matroid_to_json(m)
+
+
+def _sufficiency_reference(mu, ml, delta_ok, sandwich):
+    pair = {"upper": matroid_to_json(mu), "lower": matroid_to_json(ml)}
+    if is_pairable(mu, ml).pairable:
+        fam = sandwich(mu, ml).masks
+        d = DeltaMatroid._trusted(mu.ground, fam)
+        ok = delta_ok(fam) and d.upper == mu and d.lower == ml
+        return None if ok else {"kind": "sandwich-failed", **pair}
+    found, _ = _realization_by_subfamilies(mu, ml, delta_ok)
+    if found is None:
+        return None
+    feasibles = [list(mu.ground.labels_of(f)) for f in found]
+    return {"kind": "realization-despite-unpairable", **pair, "feasibles": feasibles}
+
+
+def _realization_by_subfamilies(mu, ml, delta_ok=_delta_ok):
+    """Every subfamily of the sandwich holding both basis families, as sets,
+    in the order of the bits of a counter over the free members."""
+    forced = set(mu.bases.masks) | set(ml.bases.masks)
+    sandwich = set(construct_sandwich(mu, ml).masks)
+    if not forced <= sandwich:
+        return None, 0
+    free = sorted(sandwich - forced)
+    tried = 0
+    for sel in range(1 << len(free)):
+        masks = tuple(sorted(forced | {free[k] for k in range(len(free)) if sel >> k & 1}))
+        tried += 1
+        if delta_ok(masks):
+            return masks, tried
+    return None, tried
+
+
 def _uplow_reference(d):
     lowers, uppers = d.lower.bases.masks, d.upper.bases.masks
     ok = all(
@@ -443,6 +530,22 @@ def test_graphic_pool_skips_only_isomorphic_repeats(n):
 
 
 class TestConstrainedRealization:
+    def test_matches_subfamily_exhaust_on_every_pair(self):
+        outcomes = set()
+        for n in range(5):
+            ms = list(enumerate_matroids(n))
+            for mu, ml in itertools.product(ms, repeat=2):
+                found, tried = constrained_realization(mu, ml)
+                assert (found, tried) == _realization_by_subfamilies(mu, ml), (mu, ml)
+                outcomes.add("none" if not tried else "exhausted" if found is None else "found")
+        assert outcomes == {"none", "exhausted", "found"}
+
+    def test_mismatched_grounds(self):
+        from deltamatroids import uniform
+
+        with pytest.raises(InputError):
+            constrained_realization(uniform(1, default_ground(2)), uniform(1, default_ground(3)))
+
     def test_pairable_pair_has_realization(self):
         from deltamatroids import uniform
 
