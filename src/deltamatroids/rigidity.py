@@ -201,17 +201,20 @@ def cone(g: Multigraph) -> ConeResult:
     """Add an apex vertex adjacent to every vertex of g.
 
     New labels are deterministic: the apex is "x0" (primed until fresh) and
-    each new edge is "<apex>-<vertex>".  New edges come after the old ones,
+    each new edge is "<apex>-<vertex>", primed until distinct from every old
+    label and every new label before it.  New edges come after the old ones,
     so the original edge order is preserved in the enlarged ground set.
     """
     apex = "x0"
     while apex in g.vertices:
         apex += "'"
+    taken = {e for e, _ in g.edges}
     new_edges = []
     for v in g.vertices:
         label = f"{apex}-{v}"
-        while label in (e for e, _ in g.edges):
+        while label in taken:
             label += "'"
+        taken.add(label)
         new_edges.append((label, (apex, v)))
     cg = Multigraph(g.vertices + (apex,), g.edges + tuple(new_edges))
     return ConeResult(cg, cg.ground.subset(e for e, _ in new_edges))

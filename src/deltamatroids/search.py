@@ -46,16 +46,13 @@ class SearchReport:
     witnesses: list = field(default_factory=list)
     elapsed: float = 0.0
 
-    def to_json(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "property_id": self.property_id,
             "universe_size": self.universe_size,
             "holds": self.holds,
             "witnesses": self.witnesses,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
     def canonical_bytes(self) -> bytes:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
@@ -113,19 +110,15 @@ def _codes(axiom: str, n: int) -> list[int]:
     return codes
 
 
-_UNIVERSES: dict[tuple[str, int], tuple] = {}  # at most 10 keys: two axioms, n <= 4
-
-
+@cache  # at most 10 entries: two axioms, n <= 4 (_codes raises beyond, and no error is cached)
 def _universe(axiom: str, n: int) -> tuple[tuple[int, ...], Callable, dict]:
     """(ascending codes, objects, memo) of the shared universe; objects() builds on first call."""
-    if (axiom, n) not in _UNIVERSES:
-        codes, g = tuple(_codes(axiom, n)), default_ground(n)
-        if axiom == "DF":
-            objects = cache(lambda: _with_shared_layers(g, codes))
-        else:
-            objects = cache(lambda: tuple(Matroid._trusted(g, _decode_family(c)) for c in codes))
-        _UNIVERSES[axiom, n] = codes, objects, {}
-    return _UNIVERSES[axiom, n]
+    codes, g = tuple(_codes(axiom, n)), default_ground(n)
+    if axiom == "DF":
+        objects = cache(lambda: _with_shared_layers(g, codes))
+    else:
+        objects = cache(lambda: tuple(Matroid._trusted(g, _decode_family(c)) for c in codes))
+    return codes, objects, {}
 
 
 def _with_shared_layers(g: GroundSet, codes: tuple[int, ...]) -> tuple[DeltaMatroid, ...]:
@@ -360,13 +353,10 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
     return list(seen.values())
 
 
-def _pair_witness(
-    g: GroundSet,
-    mu: Matroid,
-    ml: Matroid,
-    graphs: Optional[tuple[Multigraph, Multigraph]],
-) -> Optional[dict]:
-    """Full witness for one candidate pair, or None if it does not qualify."""
+def _pair_witness(upper: tuple[Matroid, Multigraph], lower: tuple[Matroid, Multigraph]) -> Optional[dict]:
+    """Full witness for one candidate pair of (cycle matroid, graph) pool
+    entries, or None if it does not qualify."""
+    (mu, gu), (ml, gl) = upper, lower
     rep = is_pairable(mu, ml)
     if rep.pairable:
         return None
@@ -385,14 +375,14 @@ def _pair_witness(
     triple = _exchange_witness(forced, sandwich, "DF")
     if triple is not None:
         f1, f2, xb = triple
+        g = mu.ground
         wit["replay"] = {
             "first": list(g.labels_of(f1)),
             "second": list(g.labels_of(f2)),
             "pivot": g.labels[xb.bit_length() - 1],
         }
-    if graphs is not None:
-        wit["upper_graph"] = graph_to_json(graphs[0])
-        wit["lower_graph"] = graph_to_json(graphs[1])
+    wit["upper_graph"] = graph_to_json(gu)
+    wit["lower_graph"] = graph_to_json(gl)
     return wit
 
 
@@ -400,38 +390,23 @@ def find_unpairable_pair(n: int) -> SearchReport:
     """Hunt for matroid pairs meeting both basis-level necessary conditions
     that still cannot be the upper and lower matroids of any delta-matroid.
 
-    Multigraph cycle-matroid pairs are scanned first (the counterexample in
-    the source material is graphic); for n <= 4 the scan then falls back to
-    all matroid pairs.  The scan is ordered with early exit, so the result
-    is deterministic.
+    Scans ordered pairs of distinct cycle matroids of n-edge multigraphs (the
+    counterexample in the source material is graphic); for n <= 3 that pool
+    is every matroid on n elements.  The scan is ordered with early exit, so
+    the result is deterministic.
     """
     if not 1 <= n <= 5:
         raise InputError(f"unpairable-pair search supports 1 <= n <= 5, got {n}")
     t0 = time.monotonic()
-    g = default_ground(n)
     # Vertex cap: 3 keeps the 5-edge scan at 6^5 graphs while still covering
     # the bridge-plus-parallel-edges shape the counterexample needs.
-    max_v = 3 if n >= 4 else n + 1
-    pool = _graphic_pool(n, max_v)
-    universe = len(pool) * (len(pool) - 1)
-    witnesses = []
-    for (mu, gu), (ml, gl) in itertools.permutations(pool, 2):
-        wit = _pair_witness(g, mu, ml, (gu, gl))
-        if wit is not None:
-            witnesses.append(wit)
-            break
-    if not witnesses and n <= 4:
-        mats = _universe("MB", n)[1]()
-        universe += len(mats) * (len(mats) - 1)
-        for mu, ml in itertools.permutations(mats, 2):
-            wit = _pair_witness(g, mu, ml, None)
-            if wit is not None:
-                witnesses.append(wit)
-                break
+    pool = _graphic_pool(n, 3 if n >= 4 else n + 1)
+    pairs = itertools.permutations(pool, 2)
+    wit = next((w for w in itertools.starmap(_pair_witness, pairs) if w is not None), None)
     return SearchReport(
         property_id="unpairable-pair",
-        universe_size=universe,
-        holds=bool(witnesses),
-        witnesses=witnesses,
+        universe_size=len(pool) * (len(pool) - 1),
+        holds=wit is not None,
+        witnesses=[] if wit is None else [wit],
         elapsed=time.monotonic() - t0,
     )

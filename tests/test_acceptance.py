@@ -34,7 +34,7 @@ from deltamatroids import (
     verify_property,
 )
 from deltamatroids.delta import _delta_ok
-from deltamatroids.search import _UNIVERSES
+from deltamatroids.search import _universe
 from deltamatroids.serialize import matroid_from_json
 
 
@@ -62,7 +62,7 @@ REPORT_KEYS = (
 
 
 def _collect_reports():
-    _UNIVERSES.clear()  # each collection builds its universes cold
+    _universe.cache_clear()  # each collection builds its universes cold
     _delta_ok.cache_clear()
     reports = {k: verify_property(k[0], k[1]) for k in REPORT_KEYS}
     reports[("unpairable-pair", 5)] = find_unpairable_pair(5)

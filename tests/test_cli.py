@@ -122,6 +122,12 @@ class TestConeCheck:
         assert code == 0
         assert set(payload["graphs"]) == set(CORPUS)
 
+    def test_cone_labels_that_collide_with_each_other(self, files, capsys):
+        edges = [{"id": "x0-a'", "ends": ["a", "a'"]}, {"id": "e", "ends": ["a'", "a''"]}]
+        path = files("g.json", {"vertices": ["a", "a'", "a''"], "edges": edges})
+        code, payload = run(capsys, "cone-check", path)
+        assert code == 0 and payload["ok"]
+
     def test_disconnected_graph(self, files, capsys):
         path = files(
             "g.json",

@@ -143,6 +143,18 @@ class TestFamilies:
         fam = SetFamily(g, tuple(m for m in g.all_masks() if m.bit_count() in (1, 3)))
         assert maximal_members(fam).masks == tuple(m for m in g.all_masks() if m.bit_count() == 3)
 
+    def test_extreme_members_match_definitions_on_every_family(self):
+        for n in range(4):
+            g = default_ground(n)
+            for code in range(1 << (1 << n)):  # every family, the empty one included
+                masks = tuple(i for i in g.all_masks() if code >> i & 1)
+                fam = SetFamily(g, masks)
+                # a member is minimal (maximal) when no other member is a subset (superset) of it
+                mins = tuple(m for m in masks if not any(k != m and k & ~m == 0 for k in masks))
+                maxs = tuple(m for m in masks if not any(k != m and m & ~k == 0 for k in masks))
+                assert minimal_members(fam).masks == mins, (n, code)
+                assert maximal_members(fam).masks == maxs, (n, code)
+
     def test_minimal_covers_every_member(self):
         for n in range(4):
             g = default_ground(n)

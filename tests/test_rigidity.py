@@ -288,6 +288,12 @@ class TestCone:
         result = cone(g)
         assert len(set(result.cone_graph.vertices)) == 3
 
+    def test_new_edge_labels_avoid_each_other(self):
+        # a' primes its label past the old "x0-a'" onto the one a'' asks for first
+        g = Multigraph.build(("a", "a'", "a''"), [("x0-a'", "a", "a'")])
+        labels = cone(g).cone_graph.ground.labels
+        assert labels == ("x0-a'", "x0-a", "x0-a''", "x0-a" + "'" * 3)
+
 
 class TestConeQuotient:
     def test_triangle_identities(self):

@@ -26,7 +26,6 @@ from deltamatroids.delta import (
 from deltamatroids.matroids import _decode_family, _exchange_failures, _exchange_ok
 from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import (
-    _UNIVERSES,
     PROPERTY_IDS,
     _augmentation_breaks,
     _uplow_cases,
@@ -47,9 +46,9 @@ from deltamatroids.serialize import delta_to_json, matroid_from_json, matroid_to
 def fresh_universes():
     """Start from no shared universe, and let none built under the test's
     patches outlive it."""
-    _UNIVERSES.clear()
+    _universe.cache_clear()
     yield
-    _UNIVERSES.clear()
+    _universe.cache_clear()
 
 
 class TestEnumeration:
@@ -172,7 +171,7 @@ class TestVerifyProperty:
     def test_elapsed_excluded_from_canonical_form(self):
         r = SearchReport("x", 1, True, [], elapsed=1.23)
         assert b"elapsed" not in r.canonical_bytes()
-        assert "elapsed" in r.to_json(include_elapsed=True)
+        assert "elapsed" not in r.to_json() and r.elapsed == 1.23
 
 
 class TestSharedUniverses:
@@ -180,10 +179,10 @@ class TestSharedUniverses:
         keys = [(pid, n) for pid in PROPERTY_IDS for n in range(5)]
         cold = {}
         for k in keys:
-            _UNIVERSES.clear()
+            _universe.cache_clear()
             cold[k] = verify_property(*k).canonical_bytes()
         for order in (keys, keys[::-1]):
-            _UNIVERSES.clear()
+            _universe.cache_clear()
             for k in order:
                 assert verify_property(*k).canonical_bytes() == cold[k], k
 
@@ -337,7 +336,7 @@ class TestSharedLayers:
 
         real_dual = Matroid.dual
         for patched in (False, True):
-            _UNIVERSES.clear()
+            _universe.cache_clear()
             if patched:
                 monkeypatch.setattr("deltamatroids.search.is_pairable", unpairable_sometimes)
                 monkeypatch.setattr(Matroid, "dual", dual_sometimes)
@@ -385,14 +384,14 @@ class TestSharedLayers:
 
     def test_patched_kernel_leaks_into_no_memo(self, monkeypatch, fresh_universes):
         cold = {pid: verify_property(pid, 3).canonical_bytes() for pid in PROPERTY_IDS}
-        _UNIVERSES.clear()
+        _universe.cache_clear()
         monkeypatch.setattr("deltamatroids.search._delta_ok", lambda masks: False)
         monkeypatch.setattr(Matroid, "dual", lambda self: self)
         for pid in ("fmax-maximal", "dual-exchange"):
             assert not verify_property(pid, 3).holds
         assert _universe("DF", 3)[2]  # the sweeps kept per-pair results
         monkeypatch.undo()
-        _UNIVERSES.clear()
+        _universe.cache_clear()
         for pid in PROPERTY_IDS:
             assert verify_property(pid, 3).canonical_bytes() == cold[pid], pid
 
@@ -587,3 +586,14 @@ class TestUnpairableSearch:
     def test_out_of_range(self):
         with pytest.raises(InputError):
             find_unpairable_pair(6)
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_graphic_pool_is_every_matroid_up_to_n3(self, n):
+        pool = {m.bases.masks for m, _ in _graphic_pool(n, n + 1)}
+        assert pool == {m.bases.masks for m in enumerate_matroids(n)}
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_scans_each_ordered_pool_pair_once(self, n, fresh_universes):
+        pool = _graphic_pool(n, 3 if n >= 4 else n + 1)
+        assert find_unpairable_pair(n).universe_size == len(pool) * (len(pool) - 1)
+        assert _universe.cache_info().currsize == 0  # no shared universe was built
