@@ -18,7 +18,6 @@ from .delta import (
     DeltaMatroid,
     PairabilityReport,
     bouchet_triple,
-    check_symmetric_exchange,
     construct_sandwich,
     fmax_lower_uniform,
     fmax_upper_uniform,
@@ -30,7 +29,6 @@ from .matroids import (
     AxiomError,
     ExchangeViolation,
     Matroid,
-    check_basis_axiom,
     direct_sum,
     is_quotient,
     is_union_of_circuits,
@@ -76,8 +74,6 @@ __all__ = [
     "SetFamily",
     "Subset",
     "bouchet_triple",
-    "check_basis_axiom",
-    "check_symmetric_exchange",
     "cone",
     "construct_sandwich",
     "cycle_matroid",

@@ -125,6 +125,8 @@ def _cmd_pair(args, fmt: str) -> int:
 
 
 def _cmd_cone_check(args, fmt: str) -> int:
+    if args.corpus and args.graph_file is not None:
+        raise InputError("cone-check takes a graph file or --corpus, not both")
     if args.corpus:
         results = {}
         all_ok = True

@@ -61,11 +61,18 @@ class GroundSet:
             raise InputError(f"mask {mask:#b} has bits outside ground set of size {self.size}")
         return mask
 
-    def subset(self, labels: Iterable[str] = ()) -> "Subset":
+    def _mask(self, labels: Iterable[str]) -> int:
+        """The mask of the named labels; each may be named once."""
         mask = 0
         for lab in labels:
-            mask |= 1 << self.index(lab)
-        return Subset(self, mask)
+            bit = 1 << self.index(lab)
+            if mask & bit:
+                raise InputError(f"label {lab!r} named twice in one subset of {self.labels!r}")
+            mask |= bit
+        return mask
+
+    def subset(self, labels: Iterable[str] = ()) -> "Subset":
+        return Subset(self, self._mask(labels))
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         self.validate_mask(mask)
@@ -161,17 +168,8 @@ class SetFamily:
         object.__setattr__(self, "masks", canon)
 
     @classmethod
-    def from_subsets(cls, ground: GroundSet, subsets: Iterable[Subset]) -> "SetFamily":
-        masks = []
-        for s in subsets:
-            if s.ground != ground:
-                raise InputError("family member over a different ground set")
-            masks.append(s.mask)
-        return cls(ground, tuple(masks))
-
-    @classmethod
     def from_labels(cls, ground: GroundSet, members: Iterable[Iterable[str]]) -> "SetFamily":
-        return cls.from_subsets(ground, [ground.subset(m) for m in members])
+        return cls(ground, tuple(ground._mask(m) for m in members))
 
     @property
     def members(self) -> tuple[Subset, ...]:

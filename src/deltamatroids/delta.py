@@ -7,17 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .core import GroundSet, InputError, SetFamily, Subset, _project
-from .matroids import (
-    AxiomError,
-    ExchangeViolation,
-    Matroid,
-    _certify_exchange,
-    _decode_family,
-    _exchange_ok,
-)
+from .matroids import Matroid, _certify_exchange, _decode_family, _exchange_ok
 
 
 @lru_cache(maxsize=1 << 18)
@@ -33,9 +26,7 @@ class DeltaMatroid:
 
     def __init__(self, ground: GroundSet, feasibles: SetFamily, _certified: bool = False):
         if not _certified:
-            raise TypeError(
-                "use DeltaMatroid.certify or check_symmetric_exchange to build delta-matroids"
-            )
+            raise TypeError("use DeltaMatroid.certify to build delta-matroids")
         self.ground = ground
         self.feasibles = feasibles
 
@@ -111,7 +102,16 @@ class DeltaMatroid:
         return DeltaMatroid.certify(fam)
 
     def contract(self, x_set: Subset) -> "DeltaMatroid":
-        """Contraction via the complement dual: (D* delete X)*."""
+        """Contraction via the complement dual: (D* delete X)*.
+
+        Requires x_set to miss at least one feasible set.  Deletion is read
+        as projection, so whenever both are defined this is the same family
+        as delete(x_set): both keep {F without X} for every feasible F.
+        """
+        if x_set.ground != self.ground:
+            raise InputError("contraction set over a different ground set")
+        if all(x_set.mask & f for f in self.feasibles.masks):
+            raise InputError(f"{x_set!r} meets every feasible set")
         return self.complement_dual().delete(x_set).complement_dual()
 
     def __eq__(self, other: object) -> bool:
@@ -126,14 +126,6 @@ class DeltaMatroid:
 
     def __repr__(self) -> str:
         return f"DeltaMatroid(feasibles={self.feasibles!r})"
-
-
-def check_symmetric_exchange(fam: SetFamily) -> Union[DeltaMatroid, ExchangeViolation]:
-    """Certify a feasible family, or return the first violating triple."""
-    try:
-        return DeltaMatroid.certify(fam)
-    except AxiomError as e:
-        return e.violation
 
 
 @dataclass(frozen=True)

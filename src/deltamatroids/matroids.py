@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Container, Iterable, Iterator, Optional, Sequence, Union
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     GroundSet,
@@ -180,7 +180,7 @@ class Matroid:
 
     def __init__(self, ground: GroundSet, bases: SetFamily, _certified: bool = False):
         if not _certified:
-            raise TypeError("use Matroid.certify or check_basis_axiom to build matroids")
+            raise TypeError("use Matroid.certify to build matroids")
         self.ground = ground
         self.bases = bases
         self.rank = bases.masks[0].bit_count()
@@ -311,14 +311,6 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"Matroid(rank={self.rank}, bases={self.bases!r})"
-
-
-def check_basis_axiom(fam: SetFamily) -> Union[Matroid, ExchangeViolation]:
-    """Certify a basis family, or return the first violating triple."""
-    try:
-        return Matroid.certify(fam)
-    except AxiomError as e:
-        return e.violation
 
 
 def uniform(k: int, ground: GroundSet) -> Matroid:

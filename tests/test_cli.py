@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from deltamatroids import GroundSet, SetFamily, check_basis_axiom, default_ground, direct_sum, uniform
+from deltamatroids import AxiomError, GroundSet, Matroid, SetFamily, default_ground, direct_sum, uniform
 from deltamatroids.cli import main
 from deltamatroids.matroids import _decode_family
 from deltamatroids.rigidity import CORPUS
@@ -52,6 +52,13 @@ class TestCheck:
     def test_missing_file(self):
         assert main(["check", "delta", "/no/such/file.json"]) == 2
 
+    def test_member_naming_a_label_twice(self, files, capsys):
+        path = files("m.json", {"ground": ["a", "b"], "bases": [["a", "a"]]})
+        assert main(["check", "matroid", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: label 'a' named twice in one subset of ('a', 'b')\n"
+
 
 class TestUpperLower:
     def test_two_size_classes(self, files, capsys):
@@ -96,7 +103,9 @@ class TestPair:
     def test_uncertified_input_follows_format(self, files, capsys):
         bad = files("bad.json", {"ground": ["a", "b", "c"], "bases": [["a"], ["b", "c"]]})
         good = files("good.json", {"ground": ["a", "b", "c"], "bases": [["a"]]})
-        violation = check_basis_axiom(SetFamily.from_labels(default_ground(3), [["a"], ["b", "c"]]))
+        with pytest.raises(AxiomError) as e:
+            Matroid.certify(SetFamily.from_labels(default_ground(3), [["a"], ["b", "c"]]))
+        violation = e.value.violation
         for argv in (["pair", bad, good], ["pair", good, bad], ["check", "matroid", bad]):
             assert main(["--format", "text", *argv]) == 1
             assert capsys.readouterr().out == violation.describe() + "\n"
@@ -121,6 +130,13 @@ class TestConeCheck:
         code, payload = run(capsys, "cone-check", "--corpus")
         assert code == 0
         assert set(payload["graphs"]) == set(CORPUS)
+
+    def test_corpus_and_a_graph_file_is_a_usage_error(self, files, capsys):
+        path = files("g.json", graph_to_json(CORPUS["triangle"]))
+        assert main(["cone-check", "--corpus", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not both" in captured.err
 
     def test_cone_labels_that_collide_with_each_other(self, files, capsys):
         edges = [{"id": "x0-a'", "ends": ["a", "a'"]}, {"id": "e", "ends": ["a'", "a''"]}]

@@ -103,6 +103,25 @@ class TestFamilies:
             SetFamily(default_ground(2), masks)
         assert str(err.value) == f"mask {named} has bits outside ground set of size 2"
 
+    def test_from_labels_builds_each_mask(self):
+        g = default_ground(3)
+        fam = SetFamily.from_labels(g, [["c", "a"], [], ("b",), "ab"])
+        assert fam.masks == (0b000, 0b010, 0b011, 0b101)
+
+    def test_from_labels_rejects_a_label_named_twice(self):
+        g = default_ground(2)
+        with pytest.raises(InputError) as err:
+            SetFamily.from_labels(g, [["b"], ["a", "b", "a"]])
+        assert str(err.value) == "label 'a' named twice in one subset of ('a', 'b')"
+        with pytest.raises(InputError):
+            g.subset("bb")
+
+    def test_from_labels_unknown_label_names_the_ground(self):
+        g = default_ground(2)
+        with pytest.raises(InputError) as err:
+            SetFamily.from_labels(g, [["a"], ["z"]])
+        assert str(err.value) == "label 'z' not in ground set ('a', 'b')"
+
     def test_membership_matches_set_definition(self):
         # reference: the definition by a set of member masks
         for n in range(4):
@@ -132,9 +151,9 @@ class TestFamilies:
         m = uniform(2, g)
         indep = {frozenset(s.labels) for s in m.independents()}
         dependents = [
-            Subset(g, mask) for mask in g.all_masks() if frozenset(g.labels_of(mask)) not in indep
+            g.labels_of(mask) for mask in g.all_masks() if frozenset(g.labels_of(mask)) not in indep
         ]
-        fam = SetFamily.from_subsets(g, dependents)
+        fam = SetFamily.from_labels(g, dependents)
         assert minimal_members(fam) == SetFamily.from_labels(g, [["a", "b", "c"]])
 
     def test_maximal_of_two_size_classes(self):

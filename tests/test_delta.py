@@ -17,7 +17,6 @@ from deltamatroids import (
     SetFamily,
     Subset,
     bouchet_triple,
-    check_symmetric_exchange,
     construct_sandwich,
     default_ground,
     direct_sum,
@@ -137,23 +136,25 @@ def size_classes_family(n, sizes):
 class TestSymmetricExchange:
     def test_empty_and_pair(self):
         g = default_ground(2)
-        d = check_symmetric_exchange(SetFamily.from_labels(g, [[], ["a", "b"]]))
+        d = DeltaMatroid.certify(SetFamily.from_labels(g, [[], ["a", "b"]]))
         assert isinstance(d, DeltaMatroid)
 
     def test_full_powerset_of_two(self):
         g = default_ground(2)
-        d = check_symmetric_exchange(SetFamily.from_labels(g, [["a", "b"], ["a"], ["b"], []]))
+        d = DeltaMatroid.certify(SetFamily.from_labels(g, [["a", "b"], ["a"], ["b"], []]))
         assert isinstance(d, DeltaMatroid)
 
     def test_two_size_classes(self):
         # all subsets of sizes k-1 or k+1 of an n-set, k=2, n=4
-        d = check_symmetric_exchange(size_classes_family(4, (1, 3)))
+        d = DeltaMatroid.certify(size_classes_family(4, (1, 3)))
         assert isinstance(d, DeltaMatroid)
 
     def test_violation_witness_replays(self):
         g = default_ground(3)
         fam = SetFamily.from_labels(g, [[], ["a", "b", "c"]])
-        v = check_symmetric_exchange(fam)
+        with pytest.raises(AxiomError) as e:
+            DeltaMatroid.certify(fam)
+        v = e.value.violation
         assert isinstance(v, ExchangeViolation)
         assert v.axiom == "DF"
         assert v.first == g.subset("abc") and v.second == g.subset() and v.pivot == "a"
@@ -171,7 +172,10 @@ class TestSymmetricExchange:
             for code in range(1, 1 << (1 << n)):
                 masks = _decode_family(code)
                 members = {frozenset(g.labels_of(m)) for m in masks}
-                got = check_symmetric_exchange(SetFamily(g, masks))
+                try:
+                    got = DeltaMatroid.certify(SetFamily(g, masks))
+                except AxiomError as e:
+                    got = e.violation
                 assert isinstance(got, DeltaMatroid) == naive_satisfies_exchange(members)
 
 
@@ -282,6 +286,30 @@ class TestMinors:
                 got = d.contract(xs)
                 want = d.complement_dual().delete(xs).complement_dual()
                 assert got == want
+
+    def test_contract_names_its_own_precondition(self):
+        g = default_ground(2)
+        d = DeltaMatroid.certify(SetFamily.from_labels(g, [["a"]]))
+        with pytest.raises(InputError) as err:
+            d.contract(g.subset("a"))
+        assert str(err.value) == "{a} meets every feasible set"
+        assert d.contract(g.subset("b")).feasibles.member_labels() == [["a"]]
+
+    def test_contract_equals_delete_where_both_are_defined(self):
+        both = 0
+        for n in range(4):
+            for d in enumerate_delta_matroids(n):
+                for x in range(1, 1 << n):
+                    xs = Subset(d.ground, x)
+                    inside = any(x & ~f == 0 for f in d.feasibles.masks)
+                    misses = any(x & f == 0 for f in d.feasibles.masks)
+                    if not misses:
+                        with pytest.raises(InputError, match="meets every feasible set"):
+                            d.contract(xs)
+                    elif inside:
+                        assert d.contract(xs) == d.delete(xs)
+                        both += 1
+        assert both > 0
 
 
 class TestRestrictionVariants:
@@ -502,7 +530,10 @@ class TestEnumeration:
             g = default_ground(n)
             for code in range(1, 1 << (1 << n)):
                 masks = _decode_family(code)
-                got = check_symmetric_exchange(SetFamily(g, masks))
+                try:
+                    got = DeltaMatroid.certify(SetFamily(g, masks))
+                except AxiomError as e:
+                    got = e.violation
                 ref = reference_delta_violation(masks)
                 assert _exchange_ok(masks, "DF") == (ref is None), masks
                 if ref is None:

@@ -15,8 +15,6 @@ from deltamatroids import (
     Matroid,
     SetFamily,
     Subset,
-    check_basis_axiom,
-    check_symmetric_exchange,
     default_ground,
     direct_sum,
     is_quotient,
@@ -50,13 +48,15 @@ def naive_is_matroid(bases):
 class TestBasisAxiom:
     def test_u12_certifies(self):
         g = default_ground(2)
-        m = check_basis_axiom(SetFamily.from_labels(g, [["a"], ["b"]]))
+        m = Matroid.certify(SetFamily.from_labels(g, [["a"], ["b"]]))
         assert isinstance(m, Matroid)
         assert m.rank == 1
 
     def test_violation_witness_is_canonical(self):
         g = default_ground(3)
-        v = check_basis_axiom(SetFamily.from_labels(g, [["a"], ["b", "c"]]))
+        with pytest.raises(AxiomError) as e:
+            Matroid.certify(SetFamily.from_labels(g, [["a"], ["b", "c"]]))
+        v = e.value.violation
         assert isinstance(v, ExchangeViolation)
         assert v.first == g.subset("bc")
         assert v.second == g.subset("a")
@@ -67,14 +67,16 @@ class TestBasisAxiom:
         # at (first, second, pivot) no exchange partner exists in the family
         g = default_ground(3)
         fam = SetFamily.from_labels(g, [["a"], ["b", "c"]])
-        v = check_basis_axiom(fam)
+        with pytest.raises(AxiomError) as e:
+            Matroid.certify(fam)
+        v = e.value.violation
         partners = v.second - v.first
         pivot = g.subset(v.pivot)
         assert all((v.first ^ pivot ^ y) not in fam for y in (g.subset(lab) for lab in partners))
 
     def test_u23_bases_certify(self):
         g = GroundSet.of("1", "2", "3")
-        m = check_basis_axiom(SetFamily.from_labels(g, [["1", "2"], ["1", "3"], ["2", "3"]]))
+        m = Matroid.certify(SetFamily.from_labels(g, [["1", "2"], ["1", "3"], ["2", "3"]]))
         assert isinstance(m, Matroid)
 
     def test_empty_family_is_input_error(self):
@@ -334,7 +336,7 @@ class TestExhaustiveInvariants:
 
     def test_reconstructed_matroids_recertify(self):
         for m in enumerate_matroids(3):
-            assert isinstance(check_basis_axiom(m.bases), Matroid)
+            assert isinstance(Matroid.certify(m.bases), Matroid)
 
 
 def submasks(mask):
@@ -542,7 +544,10 @@ class TestExchangeKernel:
             g = default_ground(n)
             for code in range(1, 1 << (1 << n)):
                 masks = _decode_family(code)
-                got = check_basis_axiom(SetFamily(g, masks))
+                try:
+                    got = Matroid.certify(SetFamily(g, masks))
+                except AxiomError as e:
+                    got = e.violation
                 ref = reference_mb_violation(masks)
                 if ref is None:
                     assert isinstance(got, Matroid)
@@ -558,8 +563,10 @@ class TestExchangeKernel:
         for axiom, masks in cases:
             ref = exchange_violation(masks, set(masks), axiom)
             g = default_ground(max(masks).bit_length())
-            check = check_basis_axiom if axiom == "MB" else check_symmetric_exchange
-            got = check(SetFamily(g, masks))
+            try:
+                got = (Matroid if axiom == "MB" else DeltaMatroid).certify(SetFamily(g, masks))
+            except AxiomError as e:
+                got = e.violation
             assert _exchange_ok(masks, axiom) == (ref is None), (axiom, len(masks))
             if ref is None:
                 assert not isinstance(got, ExchangeViolation)
@@ -595,7 +602,9 @@ class TestExchangeKernel:
         k5 = Multigraph.build(list(vs), [(u + v, u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]])
         m = rigidity_matroid(cone(k5).cone_graph)
         assert len(m.bases) == 3355
-        v = check_basis_axiom(SetFamily(m.ground, m.bases.masks[:-1]))
+        with pytest.raises(AxiomError) as e:
+            Matroid.certify(SetFamily(m.ground, m.bases.masks[:-1]))
+        v = e.value.violation
         assert isinstance(v, ExchangeViolation)
         assert v.first.labels == ("ac", "ae", "be", "ce", "de", "x0-a", "x0-b", "x0-d", "x0-e")
         assert v.second.labels == ("ab", "ad", "ae", "bd", "be", "ce", "x0-a", "x0-b", "x0-c")

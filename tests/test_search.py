@@ -8,7 +8,6 @@ from deltamatroids import (
     Matroid,
     SearchReport,
     SetFamily,
-    check_basis_axiom,
     default_ground,
     find_unpairable_pair,
     verify_property,
@@ -62,7 +61,7 @@ class TestEnumeration:
 
     def test_emitted_matroids_recertify(self):
         for m in enumerate_matroids(3):
-            assert isinstance(check_basis_axiom(m.bases), Matroid)
+            assert isinstance(Matroid.certify(m.bases), Matroid)
 
     def test_no_duplicates(self):
         seen = set()

@@ -4,6 +4,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import deltamatroids
 import deltamatroids.delta
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,3 +45,20 @@ def test_benchmark_targets_resolve():
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
     assert callable(deltamatroids.delta._delta_ok.cache_info)
+
+
+def test_public_names_are_listed_once():
+    # every name in __all__ resolves, and every public name __init__ imports
+    # is in __all__, so a removed API cannot linger in one of the two lists
+    path = SRC / "deltamatroids" / "__init__.py"
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    listed = set(deltamatroids.__all__)
+    assert len(listed) == len(deltamatroids.__all__)
+    assert [name for name in deltamatroids.__all__ if not hasattr(deltamatroids, name)] == []
+    assert sorted(imported - listed) == []
