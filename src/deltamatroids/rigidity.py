@@ -1,5 +1,9 @@
 """Multigraphs, cycle matroids, 2D generic rigidity via (2,3)-sparsity
 counts, the rigidity feasible family, and the cone construction.
+
+Both matroids come from one count pass over the 2^m edge subsets, one
+up-closure of the sets that break the count, and one shift-AND per edge
+coordinate for the maximal sparse sets, the bases.
 """
 
 from __future__ import annotations
@@ -8,9 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .core import GroundSet, InputError, SetFamily, Subset
+from .core import MAX_GROUND_SIZE, GroundSet, InputError, SetFamily, Subset
 from .delta import construct_sandwich
-from .matroids import Matroid
+from .matroids import Matroid, _coordinates, _decode_family, _up_closure
 
 
 @dataclass(frozen=True)
@@ -103,52 +107,36 @@ class Multigraph:
         return self.is_connected_spanning(self.ground.full_mask)
 
 
-def _count_sparse(g: Multigraph, k: int, l: int) -> tuple[list[int], list[int]]:
-    """The (k,l)-sparse edge sets of g and their maximal members, both ascending.
+def _count_sparse(g: Multigraph, k: int, l: int) -> tuple[int, int]:
+    """2^m-bit indicators of the (k,l)-sparse edge sets of g and of their maximal members.
 
     F is (k,l)-sparse when every nonempty F' within F has |F'| <= k|V(F')| - l.
-    One ascending pass over the edge masks suffices, since each X - e comes
-    before X: a nonempty X is sparse iff every X - e is sparse and X itself
-    meets the count.  A sparse X marks each X - e as not maximal.
+    One ascending pass builds V(X) from V(X - lowest edge) and marks each X
+    that breaks the count.  The up-closure of the marks is exact for the
+    complement: X is sparse iff none of its subsets is marked.  Sparse sets
+    are down-closed, so one is maximal iff no one-edge extension is sparse,
+    one shift-AND per edge coordinate.
     """
     ev = g._edge_vertex_masks
     size = 1 << len(ev)
     vmask = [0] * size
-    state = bytearray(size)  # 0 not sparse, 1 sparse, 2 sparse and extendable
-    state[0] = 1
-    sparse = [0]
+    broken = bytearray((size + 7) >> 3)
     for x in range(1, size):
         low = x & -x
         vmask[x] = v = vmask[x ^ low] | ev[low.bit_length() - 1]
         if x.bit_count() > k * v.bit_count() - l:
-            continue
-        y = x
-        while y and state[x ^ (y & -y)]:
-            y &= y - 1
-        if y:
-            continue
-        state[x] = 1
-        sparse.append(x)
-        y = x
-        while y:
-            state[x ^ (y & -y)] = 2
-            y &= y - 1
-    return sparse, [x for x in sparse if state[x] == 1]
+            broken[x >> 3] |= 1 << (x & 7)
+    sparse = ((1 << size) - 1) ^ _up_closure(int.from_bytes(broken, "little"), len(ev))
+    extendable = 0
+    for i, has in enumerate(_coordinates(len(ev))):
+        extendable |= (sparse & has) >> (1 << i)
+    return sparse, sparse & ~extendable
 
 
 def cycle_matroid(g: Multigraph) -> Matroid:
     """Connectivity matroid on the edge labels: independents are forests,
     the (1,1)-sparse edge sets."""
-    return Matroid._trusted(g.ground, _count_sparse(g, 1, 1)[1])
-
-
-def _sparse_count_ok(g: Multigraph, mask: int) -> bool:
-    """Check the single count |F| <= 2|V(F)| - 3 for one nonempty edge set."""
-    vmask = 0
-    for i in range(len(g.edges)):
-        if mask >> i & 1:
-            vmask |= g._edge_vertex_masks[i]
-    return mask.bit_count() <= 2 * vmask.bit_count() - 3
+    return Matroid._trusted(g.ground, _decode_family(_count_sparse(g, 1, 1)[1]))
 
 
 def is_sparse_23(g: Multigraph, f: Subset) -> bool:
@@ -161,7 +149,11 @@ def is_sparse_23(g: Multigraph, f: Subset) -> bool:
         raise InputError("edge subset over a different ground set")
     s = f.mask
     while s:
-        if not _sparse_count_ok(g, s):
+        vmask = 0
+        for i, ends in enumerate(g._edge_vertex_masks):
+            if s >> i & 1:
+                vmask |= ends
+        if s.bit_count() > 2 * vmask.bit_count() - 3:
             return False
         s = (s - 1) & f.mask
     return True
@@ -169,7 +161,7 @@ def is_sparse_23(g: Multigraph, f: Subset) -> bool:
 
 def rigidity_matroid(g: Multigraph) -> Matroid:
     """2D generic rigidity matroid: independents are the (2,3)-sparse sets."""
-    return Matroid.certify(SetFamily(g.ground, tuple(_count_sparse(g, 2, 3)[1])))
+    return Matroid.certify(SetFamily(g.ground, _decode_family(_count_sparse(g, 2, 3)[1])))
 
 
 def rigidity_feasible_family(g: Multigraph) -> SetFamily:
@@ -205,6 +197,11 @@ def cone(g: Multigraph) -> ConeResult:
     label and every new label before it.  New edges come after the old ones,
     so the original edge order is preserved in the enlarged ground set.
     """
+    if len(g.edges) + len(g.vertices) > MAX_GROUND_SIZE:
+        raise InputError(
+            f"the cone of a graph with {len(g.edges)} edges and {len(g.vertices)} vertices "
+            f"has {len(g.edges) + len(g.vertices)} edges; the cap is {MAX_GROUND_SIZE}"
+        )
     apex = "x0"
     while apex in g.vertices:
         apex += "'"

@@ -144,6 +144,17 @@ class TestConeCheck:
         code, payload = run(capsys, "cone-check", path)
         assert code == 0 and payload["ok"]
 
+    def test_cone_over_the_cap(self, files, capsys):
+        # a 7-cycle with three chords: 10 edges and 7 vertices, so a 17-edge cone
+        vs = "abcdefg"
+        pairs = [(vs[i], vs[(i + 1) % 7]) for i in range(7)] + [("a", "c"), ("a", "d"), ("a", "e")]
+        edges = [{"id": f"e{i}", "ends": list(p)} for i, p in enumerate(pairs)]
+        path = files("g.json", {"vertices": list(vs), "edges": edges})
+        assert main(["cone-check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the cone of a graph with 10 edges and 7 vertices has 17 edges; the cap is 16\n"
+
     def test_disconnected_graph(self, files, capsys):
         path = files(
             "g.json",

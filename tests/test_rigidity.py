@@ -21,6 +21,8 @@ from deltamatroids import (
     rigidity_matroid,
     verify_cone_quotient,
 )
+from deltamatroids.core import MAX_GROUND_SIZE
+from deltamatroids.matroids import _decode_family
 from deltamatroids.rigidity import _count_sparse
 
 
@@ -42,12 +44,65 @@ def brute_force_sparse(g, k, l):
     return [m for m in g.ground.all_masks() if is_sparse_23(g, Subset(g.ground, m))]
 
 
+def state_machine_sparse(g, k, l):
+    """Reference for `_count_sparse`: a per-bit state machine over the edge masks.
+
+    One ascending pass: a nonempty X is sparse iff every X - e is sparse and X
+    meets the count, and a sparse X marks each X - e as not maximal.  Returns
+    the sparse sets and their maximal members, both ascending.
+    """
+    ev = g._edge_vertex_masks
+    size = 1 << len(ev)
+    vmask = [0] * size
+    state = bytearray(size)  # 0 not sparse, 1 sparse, 2 sparse and extendable
+    state[0] = 1
+    sparse = [0]
+    for x in range(1, size):
+        low = x & -x
+        vmask[x] = v = vmask[x ^ low] | ev[low.bit_length() - 1]
+        if x.bit_count() > k * v.bit_count() - l:
+            continue
+        y = x
+        while y and state[x ^ (y & -y)]:
+            y &= y - 1
+        if y:
+            continue
+        state[x] = 1
+        sparse.append(x)
+        y = x
+        while y:
+            state[x ^ (y & -y)] = 2
+            y &= y - 1
+    return sparse, [x for x in sparse if state[x] == 1]
+
+
+def decoded_count_sparse(g, k, l):
+    sparse, maximal = _count_sparse(g, k, l)
+    return list(_decode_family(sparse)), list(_decode_family(maximal))
+
+
 def assert_kernel_matches_brute_force(g):
     for k, l in ((1, 1), (2, 3)):
         want = brute_force_sparse(g, k, l)
-        sparse, maximal = _count_sparse(g, k, l)
+        sparse, maximal = decoded_count_sparse(g, k, l)
         assert sparse == want, (g, k, l)
         assert maximal == list(maximal_members(SetFamily(g.ground, tuple(want))).masks), (g, k, l)
+
+
+def k5():
+    return Multigraph.build("abcde", [(f"{u}{v}", u, v) for u, v in combinations("abcde", 2)])
+
+
+def k5_less(removed):
+    """K5 on vertices 0..4 less the named edges, e.g. "01 12 23"."""
+    gone = {tuple(int(c) for c in pair) for pair in removed.split()}
+    edges = [(u, v) for u, v in combinations(range(5), 2) if (u, v) not in gone]
+    return Multigraph.build("abcde", [(f"e{i}", "abcde"[u], "abcde"[v]) for i, (u, v) in enumerate(edges)])
+
+
+#: The cone-rigidity benchmark's cone shapes: K5 less a triangle, a 3-edge
+#: path, a 3-edge star, a 2-path and an edge, a 4-cycle and a 4-edge path.
+CONE_SHAPES = ("01 02 12", "01 12 23", "01 02 03", "01 12 34", "01 12 23 03", "01 12 23 34")
 
 
 class TestMultigraph:
@@ -153,6 +208,17 @@ class TestCountSparseKernel:
         assert sum(g.has_parallel() for g in graphs) >= 50
         for g in graphs:
             assert_kernel_matches_brute_force(g)
+
+    def test_matches_state_machine_beyond_brute_force(self):
+        # cones of 11 to 16 edges, where the per-set brute force is too slow,
+        # and the graphs under the last four
+        bases = (cycle_with_chords(6, [(0, 3)]), cycle_with_chords(7), k5(), cycle_with_chords(8))
+        graphs = [cone(k5_less(shape)).cone_graph for shape in CONE_SHAPES]
+        graphs += [cone(g).cone_graph for g in bases] + list(bases)
+        assert sorted(len(g.edges) for g in graphs) == [7, 7, 8, 10, 11, 11, 12, 12, 12, 12, 13, 14, 15, 16]
+        for g in graphs:
+            for k, l in ((1, 1), (2, 3)):
+                assert decoded_count_sparse(g, k, l) == state_machine_sparse(g, k, l), (g, k, l)
 
 
 class TestRigidityMatroid:
@@ -314,10 +380,14 @@ class TestConeQuotient:
             assert verify_cone_quotient(g).both_hold
 
     def test_k5_and_its_fifteen_edge_cone(self):
-        k5 = Multigraph.build("abcde", [(f"{u}{v}", u, v) for u, v in combinations("abcde", 2)])
-        assert len(cone(k5).cone_graph.edges) == 15
-        assert len(rigidity_matroid(cone(k5).cone_graph).bases) == 3355
-        assert verify_cone_quotient(k5).both_hold
+        assert len(cone(k5()).cone_graph.edges) == 15
+        assert len(rigidity_matroid(cone(k5()).cone_graph).bases) == 3355
+        assert verify_cone_quotient(k5()).both_hold
+
+    def test_sixteen_edge_cone_at_the_cap(self):
+        g = cycle_with_chords(8)
+        assert len(cone(g).cone_graph.edges) == MAX_GROUND_SIZE == 16
+        assert verify_cone_quotient(g).both_hold
 
     def test_misaligned_minor_ground_is_an_engine_error(self, monkeypatch):
         real_cone = cone
