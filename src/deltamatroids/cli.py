@@ -19,7 +19,6 @@ from .delta import DeltaMatroid, construct_sandwich, is_pairable
 from .matroids import AxiomError, _decode_family
 from .rigidity import CORPUS, verify_cone_quotient
 from .search import (
-    PROPERTY_IDS,
     delta_codes,
     find_unpairable_pair,
     matroid_codes,

@@ -133,10 +133,6 @@ class Subset:
         self._check_ground(other)
         return Subset(self.ground, self.mask | other.mask)
 
-    def __and__(self, other: "Subset") -> "Subset":
-        self._check_ground(other)
-        return Subset(self.ground, self.mask & other.mask)
-
     def __sub__(self, other: "Subset") -> "Subset":
         self._check_ground(other)
         return Subset(self.ground, self.mask & ~other.mask)

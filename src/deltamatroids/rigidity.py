@@ -1,16 +1,17 @@
 """Multigraphs, cycle matroids, 2D generic rigidity via (2,3)-sparsity
 counts, the rigidity feasible family, and the cone construction.
 
-Both matroids come from one count pass over the 2^m edge subsets, one
-up-closure of the sets that break the count, and one shift-AND per edge
-coordinate for the maximal sparse sets, the bases.
+Each edge's vertex mask is a graph's one derived vertex form.  Both matroids
+come from one count pass over the 2^m edge subsets, one up-closure of the sets
+that break the count, and one shift-AND per edge coordinate for the maximal
+sparse sets, the bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import MAX_GROUND_SIZE, GroundSet, InputError, SetFamily, Subset
 from .delta import construct_sandwich
@@ -22,6 +23,8 @@ class Multigraph:
     """Labeled vertices and labeled edges; parallel edges and loops allowed.
 
     Edge labels form the ground set of every matroid derived from the graph.
+    Each edge's vertex mask (one bit for a loop) is the one derived vertex
+    form; equal masks are parallel edges, so two loops at one vertex are too.
     """
 
     vertices: tuple[str, ...]
@@ -52,56 +55,37 @@ class Multigraph:
         return GroundSet(tuple(e for e, _ in self.edges))
 
     @cached_property
-    def _vertex_index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def _edge_vertex_masks(self) -> tuple[int, ...]:
-        vi = self._vertex_index
-        return tuple((1 << vi[u]) | (1 << vi[v]) for _, (u, v) in self.edges)
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        return tuple(bit[u] | bit[v] for _, (u, v) in self.edges)
 
     def has_loop(self) -> bool:
-        return any(u == v for _, (u, v) in self.edges)
+        return any(ends.bit_count() == 1 for ends in self._edge_vertex_masks)
 
     def has_parallel(self) -> bool:
-        seen = set()
-        for _, (u, v) in self.edges:
-            key = frozenset((u, v))
-            if key in seen:
-                return True
-            seen.add(key)
-        return False
+        return len(set(self._edge_vertex_masks)) < len(self.edges)
 
     def is_simple(self) -> bool:
         return not self.has_loop() and not self.has_parallel()
 
-    def _forest_rank(self, edge_mask: int) -> int:
-        """Edges of a spanning forest of (V, F), by union-find: the cycle-matroid rank of F."""
-        parent = list(range(len(self.vertices)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        vi = self._vertex_index
-        rank = 0
-        for i, (_, (u, v)) in enumerate(self.edges):
+    def _component_count(self, edge_mask: int) -> int:
+        """Components of (V, F): each edge of F merges the component masks it
+        meets, disjoint masks whose sum is their union.  The cycle-matroid
+        rank of F is |V| minus this count."""
+        components = [1 << i for i in range(len(self.vertices))]
+        for i, ends in enumerate(self._edge_vertex_masks):
             if edge_mask >> i & 1:
-                ra, rb = find(vi[u]), find(vi[v])
-                if ra != rb:
-                    parent[ra] = rb
-                    rank += 1
-        return rank
+                merged = sum(c for c in components if c & ends)
+                components = [c for c in components if not c & ends] + [merged]
+        return len(components)
 
     def is_forest(self, edge_mask: int) -> bool:
         """True iff the edge set contains no cycle (loops and parallel pairs count)."""
-        return self._forest_rank(edge_mask) == edge_mask.bit_count()
+        return len(self.vertices) - self._component_count(edge_mask) == edge_mask.bit_count()
 
     def is_connected_spanning(self, edge_mask: int) -> bool:
         """True iff (V, F) is connected over *all* vertices of the graph."""
-        return len(self.vertices) - self._forest_rank(edge_mask) == 1
+        return self._component_count(edge_mask) == 1
 
     def is_connected(self) -> bool:
         return self.is_connected_spanning(self.ground.full_mask)
@@ -254,71 +238,21 @@ def verify_cone_quotient(g: Multigraph) -> ConeQuotientReport:
     )
 
 
-def _corpus() -> dict[str, Multigraph]:
-    tri = Multigraph.build("uvw", [("e1", "u", "v"), ("e2", "v", "w"), ("e3", "u", "w")])
-    p3 = Multigraph.build("uvw", [("e1", "u", "v"), ("e2", "v", "w")])
-    k4 = Multigraph.build(
-        "tuvw",
-        [
-            ("e1", "t", "u"),
-            ("e2", "t", "v"),
-            ("e3", "t", "w"),
-            ("e4", "u", "v"),
-            ("e5", "u", "w"),
-            ("e6", "v", "w"),
-        ],
-    )
-    k4_minus = Multigraph.build(
-        "tuvw",
-        [
-            ("e1", "t", "u"),
-            ("e2", "t", "v"),
-            ("e3", "t", "w"),
-            ("e4", "u", "v"),
-            ("e5", "u", "w"),
-        ],
-    )
-    bowtie = Multigraph.build(
-        "stuvw",
-        [
-            ("e1", "s", "t"),
-            ("e2", "t", "u"),
-            ("e3", "s", "u"),
-            ("e4", "u", "v"),
-            ("e5", "v", "w"),
-            ("e6", "u", "w"),
-        ],
-    )
-    c5 = Multigraph.build(
-        "stuvw",
-        [
-            ("e1", "s", "t"),
-            ("e2", "t", "u"),
-            ("e3", "u", "v"),
-            ("e4", "v", "w"),
-            ("e5", "w", "s"),
-        ],
-    )
-    chordal_c4 = Multigraph.build(
-        "tuvw",
-        [
-            ("e1", "t", "u"),
-            ("e2", "u", "v"),
-            ("e3", "v", "w"),
-            ("e4", "w", "t"),
-            ("e5", "t", "v"),
-        ],
-    )
-    return {
-        "triangle": tri,
-        "path_p3": p3,
-        "k4": k4,
-        "k4_minus_edge": k4_minus,
-        "two_triangles": bowtie,
-        "c5": c5,
-        "c4_with_chord": chordal_c4,
-    }
+def _graph(vertices: str, ends: str) -> Multigraph:
+    """One-character vertices; edges as space-separated end pairs, labeled e1, e2, ..."""
+    return Multigraph.build(vertices, ((f"e{i}", u, v) for i, (u, v) in enumerate(ends.split(), 1)))
 
 
 #: Fixed graph corpus used by the batch verification suites.
-CORPUS: dict[str, Multigraph] = _corpus()
+CORPUS: dict[str, Multigraph] = {
+    name: _graph(vertices, ends)
+    for name, (vertices, ends) in {
+        "triangle": ("uvw", "uv vw uw"),
+        "path_p3": ("uvw", "uv vw"),
+        "k4": ("tuvw", "tu tv tw uv uw vw"),
+        "k4_minus_edge": ("tuvw", "tu tv tw uv uw"),
+        "two_triangles": ("stuvw", "st tu su uv vw uw"),
+        "c5": ("stuvw", "st tu uv vw ws"),
+        "c4_with_chord": ("tuvw", "tu uv vw wt tv"),
+    }.items()
+}

@@ -89,6 +89,27 @@ def assert_kernel_matches_brute_force(g):
         assert maximal == list(maximal_members(SetFamily(g.ground, tuple(want))).masks), (g, k, l)
 
 
+def bfs_component_count(g, edge_mask):
+    """Components of (V, F) by breadth-first search over the edges' end labels."""
+    adjacent = {v: [] for v in g.vertices}
+    for i, (_, (u, v)) in enumerate(g.edges):
+        if edge_mask >> i & 1:
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+    seen, count = set(), 0
+    for start in g.vertices:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = [start]
+        for u in queue:
+            fresh = [v for v in adjacent[u] if v not in seen]
+            seen.update(fresh)
+            queue += fresh
+    return count
+
+
 def k5():
     return Multigraph.build("abcde", [(f"{u}{v}", u, v) for u, v in combinations("abcde", 2)])
 
@@ -120,11 +141,89 @@ class TestMultigraph:
         assert loop.has_loop() and not loop.has_parallel()
         assert par.has_parallel() and not par.has_loop()
         assert triangle().is_simple()
+        # two loops at one vertex are parallel; a loop and an edge there are not
+        assert Multigraph.build("u", [("e1", "u", "u"), ("e2", "u", "u")]).has_parallel()
+        loop_and_edge = Multigraph.build("uv", [("e1", "u", "u"), ("e2", "u", "v")])
+        assert loop_and_edge.has_loop() and not loop_and_edge.has_parallel()
 
     def test_connectivity(self):
         assert triangle().is_connected()
         two = Multigraph.build("uvwx", [("e1", "u", "v"), ("e2", "w", "x")])
         assert not two.is_connected()
+        assert not Multigraph((), ()).is_connected()
+        assert not Multigraph.build("uvw", [("e1", "u", "v")]).is_connected()
+        assert Multigraph.build("u", []).is_connected()
+
+    def test_forest_and_spanning_match_breadth_first_search(self):
+        rng = random.Random(1808)
+        graphs = []
+        for _ in range(100):
+            vs = [f"v{i}" for i in range(rng.randint(1, 6))]
+            edges = [(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(rng.randint(0, 9))]
+            graphs.append(Multigraph.build(vs, edges))
+        assert sum(g.has_loop() for g in graphs) >= 20
+        assert sum(g.has_parallel() for g in graphs) >= 20
+        for g in graphs:
+            for mask in range(1 << len(g.edges)):
+                count = bfs_component_count(g, mask)
+                assert g.is_forest(mask) == (len(g.vertices) - count == mask.bit_count()), (g, mask)
+                assert g.is_connected_spanning(mask) == (count == 1), (g, mask)
+
+    def test_corpus_is_pinned(self):
+        # the corpus spelled out edge by edge, apart from how the module builds it
+        want = {
+            "triangle": (
+                ("u", "v", "w"),
+                (
+                    ("e1", ("u", "v")), ("e2", ("v", "w")), ("e3", ("u", "w")),
+                ),
+            ),
+            "path_p3": (
+                ("u", "v", "w"),
+                (
+                    ("e1", ("u", "v")), ("e2", ("v", "w")),
+                ),
+            ),
+            "k4": (
+                ("t", "u", "v", "w"),
+                (
+                    ("e1", ("t", "u")), ("e2", ("t", "v")), ("e3", ("t", "w")),
+                    ("e4", ("u", "v")), ("e5", ("u", "w")), ("e6", ("v", "w")),
+                ),
+            ),
+            "k4_minus_edge": (
+                ("t", "u", "v", "w"),
+                (
+                    ("e1", ("t", "u")), ("e2", ("t", "v")), ("e3", ("t", "w")),
+                    ("e4", ("u", "v")), ("e5", ("u", "w")),
+                ),
+            ),
+            "two_triangles": (
+                ("s", "t", "u", "v", "w"),
+                (
+                    ("e1", ("s", "t")), ("e2", ("t", "u")), ("e3", ("s", "u")),
+                    ("e4", ("u", "v")), ("e5", ("v", "w")), ("e6", ("u", "w")),
+                ),
+            ),
+            "c5": (
+                ("s", "t", "u", "v", "w"),
+                (
+                    ("e1", ("s", "t")), ("e2", ("t", "u")), ("e3", ("u", "v")),
+                    ("e4", ("v", "w")), ("e5", ("w", "s")),
+                ),
+            ),
+            "c4_with_chord": (
+                ("t", "u", "v", "w"),
+                (
+                    ("e1", ("t", "u")), ("e2", ("u", "v")), ("e3", ("v", "w")),
+                    ("e4", ("w", "t")), ("e5", ("t", "v")),
+                ),
+            ),
+        }
+        assert list(CORPUS) == list(want)
+        for name, (vertices, edges) in want.items():
+            assert CORPUS[name].vertices == vertices, name
+            assert CORPUS[name].edges == edges, name
 
 
 class TestCycleMatroid:

@@ -62,3 +62,23 @@ def test_public_names_are_listed_once():
     assert len(listed) == len(deltamatroids.__all__)
     assert [name for name in deltamatroids.__all__ if not hasattr(deltamatroids, name)] == []
     assert sorted(imported - listed) == []
+
+
+def test_no_unused_imports():
+    # __init__.py imports the public API for its callers; every other module
+    # imports a name only to use it
+    unused = []
+    for path in sorted((SRC / "deltamatroids").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        # a name read as an attribute base (json.dumps) is a Name node too
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
