@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
-from .core import GroundSet, InputError, SetFamily, Subset, _project
+from .core import MAX_GROUND_SIZE, GroundSet, InputError, SetFamily, Subset, _project
 from .matroids import Matroid, _certify_exchange, _decode_family, _exchange_ok
 
 
@@ -19,6 +19,22 @@ def _delta_ok(masks: tuple[int, ...]) -> bool:
     family (346 hits in 2,313 calls over a traced cli-sweep round); the memo
     stays because bench/one_round.py reports its cache_info()."""
     return _exchange_ok(masks, "DF")
+
+
+def _layers(masks: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(minimum-size, maximum-size) masks, each in the given order, in one pass."""
+    lo, hi, lo_size, hi_size = [], [], MAX_GROUND_SIZE + 1, -1
+    for m in masks:
+        k = m.bit_count()
+        if k <= lo_size:
+            if k < lo_size:
+                lo, lo_size = [], k
+            lo.append(m)
+        if k >= hi_size:
+            if k > hi_size:
+                hi, hi_size = [], k
+            hi.append(m)
+    return tuple(lo), tuple(hi)
 
 
 class DeltaMatroid:
@@ -43,21 +59,6 @@ class DeltaMatroid:
 
     # -- upper and lower matroids ----------------------------------------
 
-    def _layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(minimum-size, maximum-size) feasible masks, each ascending, in one pass."""
-        lo, hi, lo_size, hi_size = [], [], self.ground.size + 1, -1
-        for m in self.feasibles.masks:
-            k = m.bit_count()
-            if k <= lo_size:
-                if k < lo_size:
-                    lo, lo_size = [], k
-                lo.append(m)
-            if k >= hi_size:
-                if k > hi_size:
-                    hi, hi_size = [], k
-                hi.append(m)
-        return tuple(lo), tuple(hi)
-
     @cached_property
     def upper(self) -> Matroid:
         """Matroid of the maximum-cardinality feasible sets.
@@ -65,12 +66,12 @@ class DeltaMatroid:
         No re-certification: the extremal layers of a delta-matroid are
         matroids (Bouchet 1987, Greedy algorithm and symmetric matroids).
         """
-        return Matroid._trusted(self.ground, self._layers()[1])
+        return Matroid._trusted(self.ground, _layers(self.feasibles.masks)[1])
 
     @cached_property
     def lower(self) -> Matroid:
         """Matroid of the minimum-cardinality feasible sets."""
-        return Matroid._trusted(self.ground, self._layers()[0])
+        return Matroid._trusted(self.ground, _layers(self.feasibles.masks)[0])
 
     # -- operations -------------------------------------------------------
 

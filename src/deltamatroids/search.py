@@ -2,11 +2,12 @@
 pairs: theorem verification suites and the unpairable-pair hunt.
 
 Each (axiom, n) universe is built once per process, level by level (families on
-k elements from those on k - 1; one (DF) verdict per twist orbit), and is shared
-by every enumeration and sweep.  Its certified objects, built when a sweep first
-asks, keep their derived sets, and a delta-matroid's upper and lower are (MB)
-universe objects: at n = 4, 5,959 delta-matroids share 68 matroids in 2.1 MB,
-3.3 MB after every sweep (tracemalloc); n <= 4 caps the cache at 10 universes.
+k elements from those on k - 1; one (DF) verdict per twist orbit): `_codes` and
+`_objects` cache its codes and its certified objects, which keep their derived
+sets, and a delta-matroid's upper and lower are (MB) universe objects.  At n = 4,
+5,959 delta-matroids share 68 matroids in 2.1 MB, 2.6 MB after every sweep
+(tracemalloc).  Per-matroid and per-pair work is shared within one sweep and
+redone by a repeated sweep.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import GroundSet, InputError, default_ground
 from .delta import (
     DeltaMatroid,
     _delta_ok,
+    _layers,
     construct_sandwich,
     fmax_lower_uniform,
     fmax_upper_uniform,
@@ -96,7 +98,8 @@ def _codes_level(axiom: str, k: int, prev: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _codes(axiom: str, n: int) -> list[int]:
+@cache  # at most 10 entries: two axioms, n <= 4 (beyond, the InputError is not cached)
+def _codes(axiom: str, n: int) -> tuple[int, ...]:
     """Ascending codes of every family on n elements that passes axiom.  Partners
     lie in F1 Δ F2, so deleting or contracting element k - 1 leaves a passing or
     empty family: level k pairs codes of level k - 1, high half outer, in order.
@@ -107,29 +110,22 @@ def _codes(axiom: str, n: int) -> list[int]:
     codes = [1]  # n = 0: the family {∅}
     for k in range(1, n + 1):
         codes = _codes_level(axiom, k, (0, *codes))
-    return codes
+    return tuple(codes)
 
 
-@cache  # at most 10 entries: two axioms, n <= 4 (_codes raises beyond, and no error is cached)
-def _universe(axiom: str, n: int) -> tuple[tuple[int, ...], Callable, dict]:
-    """(ascending codes, objects, memo) of the shared universe; objects() builds on first call."""
-    codes, g = tuple(_codes(axiom, n)), default_ground(n)
-    if axiom == "DF":
-        objects = cache(lambda: _with_shared_layers(g, codes))
-    else:
-        objects = cache(lambda: tuple(Matroid._trusted(g, _decode_family(c)) for c in codes))
-    return codes, objects, {}
-
-
-def _with_shared_layers(g: GroundSet, codes: tuple[int, ...]) -> tuple[DeltaMatroid, ...]:
-    """The (DF) objects, with the (MB) universe's own objects as uppers and lowers."""
-    layers = {m.bases.masks: m for m in _universe("MB", g.size)[1]()}
+@cache  # as _codes: at most 10 entries
+def _objects(axiom: str, n: int) -> tuple:
+    """The universe's certified objects in code order; a (DF) object's upper
+    and lower are the (MB) universe's own objects."""
+    codes, g = _codes(axiom, n), default_ground(n)
+    if axiom == "MB":
+        return tuple(Matroid._trusted(g, _decode_family(c)) for c in codes)
+    by_bases = {m.bases.masks: m for m in _objects("MB", n)}
     out = []
     for c in codes:  # filled as built: 1.3 MB less at n = 4 than filling afterwards
-        out.append(d := DeltaMatroid._trusted(g, _decode_family(c)))
-        lower, upper = d._layers()
-        for name, masks in (("upper", upper), ("lower", lower)):
-            if (m := layers.get(masks)) is None:
+        out.append(d := DeltaMatroid._trusted(g, masks := _decode_family(c)))
+        for name, layer in zip(("upper", "lower"), _layers(masks)[::-1]):
+            if (m := by_bases.get(layer)) is None:
                 raise RuntimeError(f"{name} layer of {d!r} is missing from the (MB) universe")
             setattr(d, name, m)  # fills the cached_property
     return tuple(out)
@@ -137,29 +133,29 @@ def _with_shared_layers(g: GroundSet, codes: tuple[int, ...]) -> tuple[DeltaMatr
 
 def matroid_codes(n: int) -> list[int]:
     """Family codes of every basis family on n elements passing (MB)."""
-    return list(_universe("MB", n)[0])
+    return list(_codes("MB", n))
 
 
 def delta_codes(n: int) -> list[int]:
     """Family codes of every feasible family on n elements passing (DF)."""
-    return list(_universe("DF", n)[0])
+    return list(_codes("DF", n))
 
 
 def enumerate_matroids(n: int) -> Iterator[Matroid]:
     """Every matroid on n labeled elements, once, in canonical code order."""
-    yield from _universe("MB", n)[1]()
+    yield from _objects("MB", n)
 
 
 def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
     """Every delta-matroid on n labeled elements, once, in canonical code order."""
-    yield from _universe("DF", n)[1]()
+    yield from _objects("DF", n)
 
 
 # -- property checks ----------------------------------------------------
 # Each property's cases(obj, universe, memo) yields one entry per case it
 # checks on obj: None when the case holds, else a JSON-ready witness.
 # `universe` holds every object of the property's universe, for properties
-# that pair; `memo` is the universe's own, for results objects share.
+# that pair; `memo` lives for one sweep, for results its objects share.
 
 
 def _once(memo: dict, key: tuple, make: Callable):
@@ -177,18 +173,19 @@ def _equicardinal_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[
     yield _family_json(m.ground, masks) if len({b.bit_count() for b in masks}) > 1 else None
 
 
-def _realizes(g: GroundSet, masks: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
-    """Whether masks is a delta-matroid whose upper and lower matroids have the given bases."""
-    return _delta_ok(masks) and DeltaMatroid._trusted(g, masks)._layers() == (lower, upper)
+def _realizes(masks: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
+    """Whether masks, a SetFamily's (ascending, no repeats), is a delta-matroid
+    whose upper and lower matroids have the given bases."""
+    return _delta_ok(masks) and _layers(masks) == (lower, upper)
 
 
 def _independents_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    yield None if _realizes(m.ground, m.independents().masks, m.bases.masks, (0,)) else matroid_to_json(m)
+    yield None if _realizes(m.independents().masks, m.bases.masks, (0,)) else matroid_to_json(m)
 
 
 def _spanning_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     full = (m.ground.full_mask,)
-    yield None if _realizes(m.ground, m.spanning_sets().masks, full, m.bases.masks) else matroid_to_json(m)
+    yield None if _realizes(m.spanning_sets().masks, full, m.bases.masks) else matroid_to_json(m)
 
 
 def _uplow_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
@@ -207,7 +204,7 @@ def _dual_exchange_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Ite
     dual_up, dual_low = (_once(memo, ("dual", m), m.dual) for m in (d.upper, d.lower))
     families = _once(memo, ("families",), lambda: frozenset(o.feasibles.masks for o in universe))
     ok = ds.feasibles.masks in families  # the twist by E is a delta-matroid
-    ok = ok and ds._layers() == (dual_up.bases.masks, dual_low.bases.masks)
+    ok = ok and _layers(ds.feasibles.masks) == (dual_up.bases.masks, dual_low.bases.masks)
     yield None if ok else delta_to_json(d)
 
 
@@ -227,7 +224,7 @@ def _augmentation_breaks(d: DeltaMatroid) -> bool:
 def _fmax_pair(d: DeltaMatroid, build: Callable) -> tuple[frozenset[int], bool]:
     """(fmax family of d's upper and lower, whether it is a maximal delta-matroid with those layers)."""
     masks = build(d).masks
-    ok = _realizes(d.ground, masks, d.upper.bases.masks, d.lower.bases.masks)
+    ok = _realizes(masks, d.upper.bases.masks, d.lower.bases.masks)
     return frozenset(masks), ok and _augmentation_breaks(DeltaMatroid._trusted(d.ground, masks))
 
 
@@ -269,7 +266,7 @@ def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[in
 def _sufficiency_cases(mu: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     for ml in universe:
         if is_pairable(mu, ml).pairable:
-            if _realizes(mu.ground, construct_sandwich(mu, ml).masks, mu.bases.masks, ml.bases.masks):
+            if _realizes(construct_sandwich(mu, ml).masks, mu.bases.masks, ml.bases.masks):
                 yield None
                 continue
             kind, extra = "sandwich-failed", {}
@@ -303,18 +300,12 @@ def verify_property(property_id: str, n: int) -> SearchReport:
         raise InputError(f"unknown property id {property_id!r}; known: {', '.join(PROPERTY_IDS)}")
     t0 = time.monotonic()
     axiom, cases = _PROPERTIES[property_id]
-    _, objects, memo = _universe(axiom, n)
-    universe = objects()
-    count = 0
-    witnesses = []
-    for obj in universe:
-        for w in cases(obj, universe, memo):
-            count += 1
-            if w is not None:
-                witnesses.append(w)
+    universe, memo = _objects(axiom, n), {}
+    results = [w for obj in universe for w in cases(obj, universe, memo)]
+    witnesses = [w for w in results if w is not None]
     return SearchReport(
         property_id=property_id,
-        universe_size=count,
+        universe_size=len(results),
         holds=not witnesses,
         witnesses=witnesses,
         elapsed=time.monotonic() - t0,

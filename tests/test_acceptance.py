@@ -34,7 +34,7 @@ from deltamatroids import (
     verify_property,
 )
 from deltamatroids.delta import _delta_ok
-from deltamatroids.search import _universe
+from deltamatroids.search import _codes, _objects
 from deltamatroids.serialize import matroid_from_json
 
 
@@ -62,7 +62,8 @@ REPORT_KEYS = (
 
 
 def _collect_reports():
-    _universe.cache_clear()  # each collection builds its universes cold
+    _codes.cache_clear()  # each collection builds its universes cold
+    _objects.cache_clear()
     _delta_ok.cache_clear()
     reports = {k: verify_property(k[0], k[1]) for k in REPORT_KEYS}
     reports[("unpairable-pair", 5)] = find_unpairable_pair(5)

@@ -29,6 +29,7 @@ from deltamatroids import (
     restrict_to_contained,
     uniform,
 )
+from deltamatroids.delta import _layers
 from deltamatroids.matroids import Matroid, _decode_family, _exchange_ok
 from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import delta_codes, enumerate_matroids
@@ -217,6 +218,20 @@ class TestUpperLower:
         for d in deltas:
             assert Matroid.certify(d.upper.bases) == d.upper
             assert Matroid.certify(d.lower.bases) == d.lower
+
+
+class TestLayers:
+    def test_layers_are_the_extreme_size_members(self):
+        # every nonempty family up to n = 3 (one size, ties), then (DF) at n = 4
+        fams = [(default_ground(n), _decode_family(c)) for n in range(4) for c in range(1, 1 << (1 << n))]
+        fams += [(d.ground, d.feasibles.masks) for d in enumerate_delta_matroids(4)]
+        for g, masks in fams:
+            sizes = [m.bit_count() for m in masks]
+            want = tuple(tuple(m for m in masks if m.bit_count() == k) for k in (min(sizes), max(sizes)))
+            assert _layers(masks) == want, masks
+            assert _layers(masks[::-1]) == tuple(layer[::-1] for layer in want), masks
+            d = DeltaMatroid._trusted(g, masks)
+            assert (d.lower.bases.masks, d.upper.bases.masks) == want, masks
 
 
 class TestComplementDual:

@@ -28,8 +28,8 @@ from deltamatroids.search import (
     PROPERTY_IDS,
     _augmentation_breaks,
     _uplow_cases,
-    _universe,
     _codes,
+    _objects,
     _graphic_pool,
     _twists,
     constrained_realization,
@@ -41,13 +41,18 @@ from deltamatroids.search import (
 from deltamatroids.serialize import delta_to_json, matroid_from_json, matroid_to_json
 
 
+def _clear_universes():
+    _codes.cache_clear()
+    _objects.cache_clear()
+
+
 @pytest.fixture
 def fresh_universes():
     """Start from no shared universe, and let none built under the test's
     patches outlive it."""
-    _universe.cache_clear()
+    _clear_universes()
     yield
-    _universe.cache_clear()
+    _clear_universes()
 
 
 class TestEnumeration:
@@ -78,7 +83,7 @@ class TestEnumeration:
     def test_codes_equal_full_range_scan(self, axiom, n):
         # reference: every family code through the axiom, no minor pruning
         ref = [c for c in range(1, 1 << (1 << n)) if _exchange_ok(_decode_family(c), axiom)]
-        assert _codes(axiom, n) == ref, (axiom, n)
+        assert list(_codes(axiom, n)) == ref, (axiom, n)
 
     def test_df_n4_runs_the_axiom_on_a_fraction_of_codes(self, monkeypatch, fresh_universes):
         calls = []
@@ -178,10 +183,10 @@ class TestSharedUniverses:
         keys = [(pid, n) for pid in PROPERTY_IDS for n in range(5)]
         cold = {}
         for k in keys:
-            _universe.cache_clear()
+            _clear_universes()
             cold[k] = verify_property(*k).canonical_bytes()
         for order in (keys, keys[::-1]):
-            _universe.cache_clear()
+            _clear_universes()
             for k in order:
                 assert verify_property(*k).canonical_bytes() == cold[k], k
 
@@ -226,8 +231,8 @@ class TestSharedLayers:
     def test_layers_are_the_mb_universe_objects(self, fresh_universes):
         seen = 0
         for n in range(5):
-            mats = {id(m) for m in _universe("MB", n)[1]()}
-            for d in _universe("DF", n)[1]():
+            mats = {id(m) for m in _objects("MB", n)}
+            for d in _objects("DF", n):
                 fresh = DeltaMatroid._trusted(d.ground, d.feasibles.masks)
                 assert id(d.upper) in mats and id(d.lower) in mats
                 assert d.upper == fresh.upper and d.lower == fresh.lower
@@ -335,7 +340,7 @@ class TestSharedLayers:
 
         real_dual = Matroid.dual
         for patched in (False, True):
-            _universe.cache_clear()
+            _clear_universes()
             if patched:
                 monkeypatch.setattr("deltamatroids.search.is_pairable", unpairable_sometimes)
                 monkeypatch.setattr(Matroid, "dual", dual_sometimes)
@@ -369,7 +374,7 @@ class TestSharedLayers:
             assert not report.holds and report.to_json() == _report_json("dual-exchange", ref), n
 
     def test_dual_exchange_makes_a_dual_per_matroid(self, monkeypatch, fresh_universes):
-        _universe("DF", 4)[1]()
+        _objects("DF", 4)
         made = []
         real_init = Matroid.__init__
 
@@ -383,14 +388,25 @@ class TestSharedLayers:
 
     def test_patched_kernel_leaks_into_no_memo(self, monkeypatch, fresh_universes):
         cold = {pid: verify_property(pid, 3).canonical_bytes() for pid in PROPERTY_IDS}
-        _universe.cache_clear()
+        _clear_universes()
         monkeypatch.setattr("deltamatroids.search._delta_ok", lambda masks: False)
         monkeypatch.setattr(Matroid, "dual", lambda self: self)
         for pid in ("fmax-maximal", "dual-exchange"):
             assert not verify_property(pid, 3).holds
-        assert _universe("DF", 3)[2]  # the sweeps kept per-pair results
         monkeypatch.undo()
-        _universe.cache_clear()
+        _clear_universes()
+        for pid in PROPERTY_IDS:
+            assert verify_property(pid, 3).canonical_bytes() == cold[pid], pid
+
+    def test_patched_sweep_leaves_no_trace(self, monkeypatch, fresh_universes):
+        # each sweep's memo dies with it, so results a patched sweep computed
+        # reach no later sweep, though the universes stay built
+        cold = {pid: verify_property(pid, 3).canonical_bytes() for pid in PROPERTY_IDS}
+        monkeypatch.setattr("deltamatroids.search._delta_ok", lambda masks: False)
+        monkeypatch.setattr(Matroid, "dual", lambda self: self)
+        for pid in ("fmax-maximal", "dual-exchange"):
+            assert not verify_property(pid, 3).holds
+        monkeypatch.undo()
         for pid in PROPERTY_IDS:
             assert verify_property(pid, 3).canonical_bytes() == cold[pid], pid
 
@@ -595,4 +611,5 @@ class TestUnpairableSearch:
     def test_scans_each_ordered_pool_pair_once(self, n, fresh_universes):
         pool = _graphic_pool(n, 3 if n >= 4 else n + 1)
         assert find_unpairable_pair(n).universe_size == len(pool) * (len(pool) - 1)
-        assert _universe.cache_info().currsize == 0  # no shared universe was built
+        # no shared universe was built
+        assert _codes.cache_info().currsize == _objects.cache_info().currsize == 0
