@@ -85,15 +85,20 @@ def _emit(payload: dict, fmt: str, text: str) -> None:
         print(text)
 
 
+def _count(k: int, one: str, many: str) -> str:
+    """The count with the noun it takes: "1 basis", "2 bases"."""
+    return f"{k} {one if k == 1 else many}"
+
+
 def _cmd_check(args, fmt: str) -> int:
     if args.kind == "matroid":
         m = matroid_from_json(load_json(args.file))
         payload = {"ok": True, "kind": "matroid", "rank": m.rank, "bases": len(m.bases)}
-        _emit(payload, fmt, f"matroid: rank {m.rank}, {len(m.bases)} bases")
+        _emit(payload, fmt, f"matroid: rank {m.rank}, {_count(len(m.bases), 'basis', 'bases')}")
     else:
         d = delta_from_json(load_json(args.file))
         payload = {"ok": True, "kind": "delta", "feasibles": len(d.feasibles)}
-        _emit(payload, fmt, f"delta-matroid: {len(d.feasibles)} feasible sets")
+        _emit(payload, fmt, f"delta-matroid: {_count(len(d.feasibles), 'feasible set', 'feasible sets')}")
     return 0
 
 
@@ -103,8 +108,8 @@ def _cmd_upper_lower(args, fmt: str) -> int:
     _emit(
         payload,
         fmt,
-        f"upper: rank {d.upper.rank}, {len(d.upper.bases)} bases\n"
-        f"lower: rank {d.lower.rank}, {len(d.lower.bases)} bases",
+        f"upper: rank {d.upper.rank}, {_count(len(d.upper.bases), 'basis', 'bases')}\n"
+        f"lower: rank {d.lower.rank}, {_count(len(d.lower.bases), 'basis', 'bases')}",
     )
     return 0
 
@@ -160,7 +165,7 @@ def _cmd_verify(args, fmt: str) -> int:
         report.to_json(),
         fmt,
         f"{report.property_id} at n={args.n}: "
-        f"{'holds' if report.holds else 'FAILS'} over {report.universe_size} cases",
+        f"{'holds' if report.holds else 'FAILS'} over {_count(report.universe_size, 'case', 'cases')}",
     )
     return 0 if report.holds else 1
 
@@ -184,7 +189,7 @@ def _cmd_enumerate(args, fmt: str) -> int:
     key, build = ("bases", matroid_codes) if args.kind == "matroid" else ("feasibles", delta_codes)
     codes = build(args.n)
     if fmt != "json":
-        print(f"{len(codes)} structures at n={args.n}")
+        print(f"{_count(len(codes), 'structure', 'structures')} at n={args.n}")
         return 0
     # the bytes json.dumps({"count": ..., "items": [...]}, indent=2) gives, labels once per mask
     g = default_ground(args.n)

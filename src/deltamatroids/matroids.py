@@ -12,9 +12,10 @@ circuit unions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import comb
-from typing import Container, Iterable, Iterator, Optional, Sequence
+from operator import and_
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     GroundSet,
@@ -98,17 +99,19 @@ def _up_closure(indicator: int, n: int) -> int:
 
 
 def _exchange_failures(
-    source: Sequence[int], members: Container[int], axiom: str
+    source: Sequence[int], members: AbstractSet[int], axiom: str
 ) -> Iterator[tuple[int, int, int]]:
     """(F1, x, failing) for each F1 in source and pivot bit x where the axiom fails.
 
-    F1 and F2 range over source; a partner y of pivot x needs F1 Δ {x, y} in
-    members.  Let P be the partners of x at F1.  The axiom fails at (F1, x, F2)
-    exactly when F2 differs from F1 at x and at no y in P, so `failing` is the
-    2^n-bit indicator of those F2: source's indicator ANDed with one "has i"
-    or "lacks i" coordinate per element of P ∪ {x}, with no pass over pairs.
-    (DF): any x, and y = x is a partner, so x fails only if F1 Δ {x} is not a
-    member.  (MB) by its definition: x lies in F1 and y outside it.
+    F1 and F2 range over source.  A partner y != x of x needs g Δ {y} in
+    members, with g = F1 Δ {x}, so the partners depend on g alone, through
+    N(g) = {y : g Δ {y} in members}: the axiom fails at (F1, x, F2) exactly
+    when F2 agrees with g on N(g) ∪ {x}.  `failing` is the 2^n-bit indicator
+    of those F2, source's indicator ANDed with one coordinate per element.
+    (MB), x in F1 and y outside it: F2 fails iff it avoids Z = N⁺(g) ∪ {x},
+    N⁺(g) the additions that make g a member; that is one byte of source's
+    up-closure at union - Z.  (DF), any x, and y = x is a partner, so x fails
+    only if g is no member; the AND over N(g) runs once per such g.
     """
     union = 0
     for m in source:
@@ -118,24 +121,42 @@ def _exchange_failures(
     has = [indicator & c for c in _coordinates(n)]
     lacks = [indicator ^ h for h in has]
     elements = [(i, 1 << i) for i in range(n) if union >> i & 1]
-    df = axiom == "DF"
+    if axiom == "MB":
+        additions: dict[int, int] = {}
+        for m in members:
+            rest = m
+            while rest:
+                yb = rest & -rest
+                rest ^= yb
+                additions[m ^ yb] = additions.get(m ^ yb, 0) | yb
+        covered = _up_closure(indicator, n).to_bytes(((1 << n) + 7) >> 3, "little")
+        for f in source:
+            for _, xb in elements:
+                if f & xb:
+                    z = additions.get(f ^ xb, 0) | xb
+                    free = union & ~z
+                    if covered[free >> 3] >> (free & 7) & 1:
+                        yield f, xb, reduce(and_, (lacks[y] for y, yb in elements if z & yb), indicator)
+        return
+    agree: dict[int, int] = {}  # per non-member g: the source members agreeing with g on N(g)
     for f in source:
-        if df:
-            pivots = partners = elements
-        else:
-            pivots = [e for e in elements if f & e[1]]
-            partners = [e for e in elements if not f & e[1]]
-        for x, xb in pivots:
-            if df and f ^ xb in members:
+        for x, xb in elements:
+            g = f ^ xb
+            if g in members:
                 continue
-            acc = lacks[x] if f & xb else has[x]
-            for y, yb in partners:
-                if y != x and f ^ xb ^ yb in members:
-                    acc &= has[y] if f & yb else lacks[y]
-                    if not acc:
-                        break
+            acc = agree.get(g)
+            if acc is None:
+                acc = indicator
+                for y, yb in elements:
+                    if g ^ yb in members:
+                        acc &= has[y] if g & yb else lacks[y]
+                        if not acc:
+                            break
+                agree[g] = acc
             if acc:
-                yield f, xb, acc
+                acc &= has[x] if g & xb else lacks[x]
+                if acc:
+                    yield f, xb, acc
 
 
 def _exchange_ok(masks: Sequence[int], axiom: str) -> bool:
@@ -144,7 +165,7 @@ def _exchange_ok(masks: Sequence[int], axiom: str) -> bool:
 
 
 def _exchange_witness(
-    source: Sequence[int], members: Container[int], axiom: str
+    source: Sequence[int], members: AbstractSet[int], axiom: str
 ) -> Optional[tuple[int, int, int]]:
     """The canonical failure (first, second, pivot bit), or None.
 

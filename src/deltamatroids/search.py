@@ -362,8 +362,8 @@ def _pair_witness(upper: tuple[Matroid, Multigraph], lower: tuple[Matroid, Multi
     }
     # a forced-feasible pair and pivot with no exchange partner inside the
     # sandwich; its existence alone rules out any realizing delta-matroid
-    forced, sandwich = (_decode_family(c) for c in (mu._bases | ml._bases, mu._indep & ml._spanning))
-    triple = _exchange_witness(forced, sandwich, "DF")
+    forced = _decode_family(mu._bases | ml._bases)
+    triple = _exchange_witness(forced, set(_decode_family(mu._indep & ml._spanning)), "DF")
     if triple is not None:
         f1, f2, xb = triple
         g = mu.ground

@@ -209,7 +209,27 @@ class TestEnumerate:
             assert main(["--format", "json", "enumerate", kind, "--n", str(n)]) == 0
             assert capsys.readouterr().out == json.dumps({"count": len(items), "items": items}, indent=2) + "\n"
             assert main(["--format", "text", "enumerate", kind, "--n", str(n)]) == 0
-            assert capsys.readouterr().out == f"{len(items)} structures at n={n}\n"
+            noun = "structure" if len(items) == 1 else "structures"
+            assert capsys.readouterr().out == f"{len(items)} {noun} at n={n}\n"
+
+
+def test_text_counts_take_the_noun_they_count(files, capsys):
+    one = files("one.json", {"ground": [], "bases": [[]]})
+    two = files("two.json", {"ground": ["a", "b"], "bases": [["a"], ["b"]]})
+    d_one = files("d1.json", {"ground": ["a"], "feasibles": [["a"]]})
+    expected = [
+        (["enumerate", "matroid", "--n", "0"], "1 structure at n=0"),
+        (["enumerate", "delta", "--n", "1"], "3 structures at n=1"),
+        (["verify", "uplow", "--n", "0"], "uplow at n=0: holds over 1 case"),
+        (["verify", "fmax-maximal", "--n", "0"], "fmax-maximal at n=0: holds over 2 cases"),
+        (["check", "matroid", one], "matroid: rank 0, 1 basis"),
+        (["check", "matroid", two], "matroid: rank 1, 2 bases"),
+        (["check", "delta", d_one], "delta-matroid: 1 feasible set"),
+        (["upper-lower", d_one], "upper: rank 1, 1 basis\nlower: rank 1, 1 basis"),
+    ]
+    for argv, text in expected:
+        assert main(["--format", "text", *argv]) == 0, argv
+        assert capsys.readouterr().out == text + "\n", argv
 
 
 class TestOutputRoundTrip:

@@ -23,7 +23,13 @@ from deltamatroids import (
 )
 from deltamatroids.core import _minimal_masks
 from deltamatroids.delta import DeltaMatroid, construct_sandwich
-from deltamatroids.matroids import _decode_family, _exchange_failures, _exchange_ok, _exchange_witness
+from deltamatroids.matroids import (
+    _coordinates,
+    _decode_family,
+    _exchange_failures,
+    _exchange_ok,
+    _exchange_witness,
+)
 from deltamatroids.rigidity import Multigraph, cone, cycle_matroid, rigidity_matroid
 from deltamatroids.search import enumerate_matroids
 
@@ -466,12 +472,55 @@ def exchange_failures(source, members, axiom):
     return out
 
 
+def expand(failures):
+    """Every failing (first, pivot bit, second) in (first, pivot bit, failing) triples."""
+    return {(f1, xb, f2) for f1, xb, failing in failures for f2 in _decode_family(failing)}
+
+
 def kernel_failures(source, members, axiom):
     """Every failing (first, pivot bit, second) the kernel yields."""
-    out = set()
-    for f1, xb, failing in _exchange_failures(source, members, axiom):
-        out |= {(f1, xb, f2) for f2 in range(failing.bit_length()) if failing >> f2 & 1}
-    return out
+    return expand(_exchange_failures(source, members, axiom))
+
+
+def per_partner_failures(source, members, axiom):
+    """The kernel as it was before neighbour sets: per (F1, x), one
+    membership test and one AND per partner y."""
+    union = 0
+    for m in source:
+        union |= m
+    n = union.bit_length()
+    indicator = sum(1 << m for m in source)
+    has = [indicator & c for c in _coordinates(n)]
+    lacks = [indicator ^ h for h in has]
+    elements = [(i, 1 << i) for i in range(n) if union >> i & 1]
+    df = axiom == "DF"
+    for f in source:
+        if df:
+            pivots = partners = elements
+        else:
+            pivots = [e for e in elements if f & e[1]]
+            partners = [e for e in elements if not f & e[1]]
+        for x, xb in pivots:
+            if df and f ^ xb in members:
+                continue
+            acc = lacks[x] if f & xb else has[x]
+            for y, yb in partners:
+                if y != x and f ^ xb ^ yb in members:
+                    acc &= has[y] if f & yb else lacks[y]
+                    if not acc:
+                        break
+            if acc:
+                yield f, xb, acc
+
+
+class CountingSet(set):
+    """A set that counts its membership tests."""
+
+    tests = 0
+
+    def __contains__(self, m):
+        self.tests += 1
+        return super().__contains__(m)
 
 
 def reference_mb_violation(masks):
@@ -595,6 +644,39 @@ class TestExchangeKernel:
                 assert kernel_failures(source, members, axiom) == exchange_failures(source, members, axiom)
                 failing += ref is not None
         assert 0 < failing < 3000
+
+    def test_failures_equal_the_per_partner_loop_on_seeded_families(self):
+        failing = 0
+        for axiom, masks in seeded_families():
+            got = kernel_failures(masks, set(masks), axiom)
+            assert got == expand(per_partner_failures(masks, set(masks), axiom)), (axiom, len(masks))
+            failing += bool(got)
+        assert 0 < failing
+
+    @pytest.mark.parametrize(
+        "axiom, source, members",
+        [
+            # F1 = {b, c, d} and {a, d} are no members, so at them the pivot
+            # x is no neighbour of g = F1 Δ {x}
+            ("DF", (0b0000, 0b1110), {0b0000, 0b0011}),
+            ("MB", (0b0110, 0b1001), {0b0110, 0b1100}),
+        ],
+    )
+    def test_failures_equal_the_per_partner_loop_when_first_is_no_member(self, axiom, source, members):
+        got = kernel_failures(source, members, axiom)
+        assert got == expand(per_partner_failures(source, members, axiom))
+        assert any(f1 not in members for f1, _, _ in got)
+
+    def test_membership_tests_are_per_neighbour_set(self):
+        g = default_ground(11)
+        bases = CountingSet(uniform(4, g).bases.masks)
+        assert _exchange_witness(sorted(bases), bases, "MB") is None
+        assert bases.tests == 0
+        source = construct_sandwich(uniform(4, g), uniform(3, g)).masks
+        members = CountingSet(source)
+        neighbours = {f ^ 1 << i for f in source for i in range(11)} - set(source)
+        assert _exchange_witness(source, members, "DF") is None
+        assert 0 < members.tests <= 11 * (len(source) + len(neighbours))
 
     def test_k5_cone_less_a_basis_names_its_witness(self):
         # the witness the quadratic pair scan named for these 3,354 bases
