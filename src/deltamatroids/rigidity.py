@@ -91,8 +91,9 @@ class Multigraph:
         return self.is_connected_spanning(self.ground.full_mask)
 
 
-def _count_sparse(g: Multigraph, k: int, l: int) -> tuple[int, int]:
-    """2^m-bit indicators of the (k,l)-sparse edge sets of g and of their maximal members.
+def _count_sparse(ev: tuple[int, ...], k: int, l: int) -> tuple[int, int]:
+    """2^m-bit indicators of the (k,l)-sparse edge sets of a graph, given by
+    its edge vertex masks ev, and of their maximal members.
 
     F is (k,l)-sparse when every nonempty F' within F has |F'| <= k|V(F')| - l.
     One ascending pass builds V(X) from V(X - lowest edge) and marks each X
@@ -101,7 +102,6 @@ def _count_sparse(g: Multigraph, k: int, l: int) -> tuple[int, int]:
     are down-closed, so one is maximal iff no one-edge extension is sparse,
     one shift-AND per edge coordinate.
     """
-    ev = g._edge_vertex_masks
     size = 1 << len(ev)
     vmask = [0] * size
     broken = bytearray((size + 7) >> 3)
@@ -120,7 +120,7 @@ def _count_sparse(g: Multigraph, k: int, l: int) -> tuple[int, int]:
 def cycle_matroid(g: Multigraph) -> Matroid:
     """Connectivity matroid on the edge labels: independents are forests,
     the (1,1)-sparse edge sets."""
-    return Matroid._trusted(g.ground, _decode_family(_count_sparse(g, 1, 1)[1]))
+    return Matroid._trusted(g.ground, _decode_family(_count_sparse(g._edge_vertex_masks, 1, 1)[1]))
 
 
 def is_sparse_23(g: Multigraph, f: Subset) -> bool:
@@ -145,7 +145,7 @@ def is_sparse_23(g: Multigraph, f: Subset) -> bool:
 
 def rigidity_matroid(g: Multigraph) -> Matroid:
     """2D generic rigidity matroid: independents are the (2,3)-sparse sets."""
-    return Matroid.certify(SetFamily(g.ground, _decode_family(_count_sparse(g, 2, 3)[1])))
+    return Matroid.certify(SetFamily(g.ground, _decode_family(_count_sparse(g._edge_vertex_masks, 2, 3)[1])))
 
 
 def rigidity_feasible_family(g: Multigraph) -> SetFamily:

@@ -2,12 +2,12 @@
 pairs: theorem verification suites and the unpairable-pair hunt.
 
 Each (axiom, n) universe is built once per process, level by level (families on
-k elements from those on k - 1; one (DF) verdict per twist orbit): `_codes` and
-`_objects` cache its codes and its certified objects, which keep their derived
-sets, and a delta-matroid's upper and lower are (MB) universe objects.  At n = 4,
-5,959 delta-matroids share 68 matroids in 2.1 MB, 2.6 MB after every sweep
-(tracemalloc).  Per-matroid and per-pair work is shared within one sweep and
-redone by a repeated sweep.
+k elements from those on k - 1; one (DF) verdict per twist orbit): `_codes`
+caches its codes, and `_objects` its certified matroids, which keep their derived
+sets, or one row (code, upper, lower) per delta-matroid, upper and lower being
+(MB) universe objects.  At n = 4, 5,959 rows share 68 matroids in 0.7 MB, 1.2 MB
+after every sweep (tracemalloc).  Per-matroid and per-pair work is shared within
+one sweep and redone by a repeated sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .core import GroundSet, InputError, default_ground
 from .delta import (
@@ -29,8 +29,8 @@ from .delta import (
     fmax_upper_uniform,
     is_pairable,
 )
-from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness
-from .rigidity import Multigraph, cycle_matroid
+from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness, _indicator
+from .rigidity import Multigraph, _count_sparse, cycle_matroid
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
 
 
@@ -75,6 +75,28 @@ def _twists(code: int, n: int) -> set[int]:
     return orbit
 
 
+def _complement(code: int, n: int) -> int:
+    """Code of the complement dual {E - F : F in family}, the twist by every element."""
+    for i, has in enumerate(_coordinates(n)):
+        code = (code & has) >> (1 << i) | (code ^ code & has) << (1 << i)
+    return code
+
+
+@cache
+def _sizes(n: int) -> tuple[int, ...]:
+    """Per size k = 0..n, the 2^n-bit indicator of the k-element masks."""
+    out = [0] * (n + 1)
+    for m in range(1 << n):
+        out[m.bit_count()] |= 1 << m
+    return tuple(out)
+
+
+def _code_layers(code: int, n: int) -> tuple[int, int]:
+    """(minimum-size, maximum-size) members of a nonempty family, as codes."""
+    present = [layer for s in _sizes(n) if (layer := code & s)]
+    return present[0], present[-1]
+
+
 def _codes_level(axiom: str, k: int, prev: tuple[int, ...]) -> list[int]:
     """Passing codes a | b << 2^(k-1) for a, b in prev (0, then the codes on
     k - 1 elements), b outer; the axiom runs only if the deletion and contraction
@@ -115,20 +137,22 @@ def _codes(axiom: str, n: int) -> tuple[int, ...]:
 
 @cache  # as _codes: at most 10 entries
 def _objects(axiom: str, n: int) -> tuple:
-    """The universe's certified objects in code order; a (DF) object's upper
-    and lower are the (MB) universe's own objects."""
+    """(MB): the certified matroids in code order.  (DF): one row (code, upper,
+    lower) per code, upper and lower the (MB) universe's own objects whose
+    bases are the code's largest and smallest members."""
     codes, g = _codes(axiom, n), default_ground(n)
     if axiom == "MB":
         return tuple(Matroid._trusted(g, _decode_family(c)) for c in codes)
-    by_bases = {m.bases.masks: m for m in _objects("MB", n)}
-    out = []
-    for c in codes:  # filled as built: 1.3 MB less at n = 4 than filling afterwards
-        out.append(d := DeltaMatroid._trusted(g, masks := _decode_family(c)))
-        for name, layer in zip(("upper", "lower"), _layers(masks)[::-1]):
-            if (m := by_bases.get(layer)) is None:
+    by_code = dict(zip(_codes("MB", n), _objects("MB", n)))
+    rows = []
+    for c in codes:
+        lower, upper = _code_layers(c, n)
+        for name, layer in (("upper", upper), ("lower", lower)):
+            if layer not in by_code:
+                d = DeltaMatroid._trusted(g, _decode_family(c))
                 raise RuntimeError(f"{name} layer of {d!r} is missing from the (MB) universe")
-            setattr(d, name, m)  # fills the cached_property
-    return tuple(out)
+        rows.append((c, by_code[upper], by_code[lower]))
+    return tuple(rows)
 
 
 def matroid_codes(n: int) -> list[int]:
@@ -146,19 +170,30 @@ def enumerate_matroids(n: int) -> Iterator[Matroid]:
     yield from _objects("MB", n)
 
 
+def _delta(row: tuple[int, Matroid, Matroid]) -> DeltaMatroid:
+    """A (DF) row's delta-matroid, its upper and lower preset to the row's."""
+    code, upper, lower = row
+    d = DeltaMatroid._trusted(upper.ground, _decode_family(code))
+    d.upper, d.lower = upper, lower  # fills the cached_properties
+    return d
+
+
 def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
     """Every delta-matroid on n labeled elements, once, in canonical code order."""
-    yield from _objects("DF", n)
+    yield from map(_delta, _objects("DF", n))
 
 
 # -- property checks ----------------------------------------------------
 # Each property's cases(obj, universe, memo) yields one entry per case it
-# checks on obj: None when the case holds, else a JSON-ready witness.
-# `universe` holds every object of the property's universe, for properties
-# that pair; `memo` lives for one sweep, for results its objects share.
+# checks on obj: None when the case holds, else a JSON-ready witness.  An (MB)
+# obj is a matroid.  A (DF) obj is a row (code, upper, lower), checked by ANDs
+# on its code; only a witness, or fmax's family for a pair, builds a
+# delta-matroid.  `universe` holds every obj of the property's universe, for
+# properties that pair; `memo` lives for one sweep, for results its objects
+# share, keyed by the basis codes of a matroid or a pair.
 
 
-def _once(memo: dict, key: tuple, make: Callable):
+def _once(memo: dict, key: Hashable, make: Callable):
     if (value := memo.get(key)) is None:  # one lookup on a hit: no value is None
         value = memo[key] = make()
     return value
@@ -188,24 +223,28 @@ def _spanning_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Opti
     yield None if _realizes(m.spanning_sets().masks, full, m.bases.masks) else matroid_to_json(m)
 
 
-def _uplow_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
+def _uplow_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     # some lower basis inside F, and F inside some upper basis
-    sandwich = d.upper._indep & d.lower._spanning
-    yield None if all(sandwich >> f & 1 for f in d.feasibles.masks) else delta_to_json(d)
+    code, upper, lower = row
+    yield None if code & ~(upper._indep & lower._spanning) == 0 else delta_to_json(_delta(row))
 
 
-def _necessity_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    rep = is_pairable(d.upper, d.lower)
-    yield None if rep.pairable else {**delta_to_json(d), "offending_circuit": list(rep.offending_circuit.labels)}
+def _necessity_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
+    code, upper, lower = row
+    rep = _once(memo, (upper._bases, lower._bases), lambda: is_pairable(upper, lower))
+    yield None if rep.pairable else {**delta_to_json(_delta(row)), "offending_circuit": list(rep.offending_circuit.labels)}
 
 
-def _dual_exchange_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    ds = d.complement_dual()
-    dual_up, dual_low = (_once(memo, ("dual", m), m.dual) for m in (d.upper, d.lower))
-    families = _once(memo, ("families",), lambda: frozenset(o.feasibles.masks for o in universe))
-    ok = ds.feasibles.masks in families  # the twist by E is a delta-matroid
-    ok = ok and _layers(ds.feasibles.masks) == (dual_up.bases.masks, dual_low.bases.masks)
-    yield None if ok else delta_to_json(d)
+def _dual_exchange_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
+    code, upper, lower = row
+    n = upper.ground.size
+    duals = _once(memo, (upper._bases, lower._bases), lambda: tuple(
+        _once(memo, m._bases, lambda: m.dual()._bases) for m in (upper, lower)
+    ))
+    families = _once(memo, "families", lambda: frozenset(r[0] for r in universe))
+    twisted = _complement(code, n)
+    ok = twisted in families and _code_layers(twisted, n) == duals  # lower of the twist: upper's dual
+    yield None if ok else delta_to_json(_delta(row))
 
 
 def _augmentation_breaks(d: DeltaMatroid) -> bool:
@@ -221,23 +260,26 @@ def _augmentation_breaks(d: DeltaMatroid) -> bool:
     )
 
 
-def _fmax_pair(d: DeltaMatroid, build: Callable) -> tuple[frozenset[int], bool]:
-    """(fmax family of d's upper and lower, whether it is a maximal delta-matroid with those layers)."""
-    masks = build(d).masks
-    ok = _realizes(masks, d.upper.bases.masks, d.lower.bases.masks)
-    return frozenset(masks), ok and _augmentation_breaks(DeltaMatroid._trusted(d.ground, masks))
-
-
-def _fmax_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    for variant, applicable, build in (
-        ("upper-uniform", d.upper.is_uniform(), fmax_upper_uniform),
-        ("lower-uniform", d.lower.is_uniform(), fmax_lower_uniform),
+def _fmax_pair(row: tuple) -> list[tuple[str, int, bool]]:
+    """(variant, fmax family code, whether it is a maximal delta-matroid with
+    the row's upper and lower) for each variant whose side is uniform."""
+    d, out = _delta(row), []
+    for variant, side, build in (
+        ("upper-uniform", d.upper, fmax_upper_uniform),
+        ("lower-uniform", d.lower, fmax_lower_uniform),
     ):
-        if not applicable:
-            continue
-        fam, ok = _once(memo, (variant, d.upper, d.lower), lambda: _fmax_pair(d, build))
-        ok = ok and fam.issuperset(d.feasibles.masks)
-        yield None if ok else {**delta_to_json(d), "variant": variant}
+        if side.is_uniform():
+            masks = build(d).masks
+            ok = _realizes(masks, d.upper.bases.masks, d.lower.bases.masks)
+            ok = ok and _augmentation_breaks(DeltaMatroid._trusted(d.ground, masks))
+            out.append((variant, _indicator(masks, d.ground.size), ok))
+    return out
+
+
+def _fmax_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
+    code, upper, lower = row
+    for variant, fam, ok in _once(memo, (upper._bases, lower._bases), lambda: _fmax_pair(row)):
+        yield None if ok and code & ~fam == 0 else {**delta_to_json(_delta(row)), "variant": variant}
 
 
 def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[int, ...]], int]:
@@ -319,28 +361,25 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
     """Distinct cycle matroids of n-edge multigraphs on up to max_vertices
     vertices, each paired with the first graph realizing it, in canonical
     graph-enumeration order; isomorphic repeats, assignments that a vertex
-    relabelling makes lexicographically smaller, are skipped."""
+    relabelling makes lexicographically smaller, are skipped.  An assignment
+    is keyed by its bases' indicator, from its edge vertex masks, and only a
+    new key builds its graph and matroid."""
     edge_labels = default_ground(n).labels
-    seen: dict[tuple[int, ...], tuple[Matroid, Multigraph]] = {}
+    seen: dict[int, tuple[Matroid, Multigraph]] = {}
     for v in range(1, max_vertices + 1):
         vertices = tuple(f"v{i + 1}" for i in range(v))
         pairs = [(i, j) for i in range(v) for j in range(i, v)]
+        ends = {(i, j): 1 << i | 1 << j for i, j in pairs}
         perms = list(itertools.permutations(range(v)))[1:]
         relabel = [{(i, j): tuple(sorted((p[i], p[j]))) for i, j in pairs} for p in perms]
         for assignment in itertools.product(pairs, repeat=n):
             if any(tuple(map(r.__getitem__, assignment)) < assignment for r in relabel):
                 continue
-            g = Multigraph(
-                vertices,
-                tuple(
-                    (edge_labels[k], (vertices[i], vertices[j]))
-                    for k, (i, j) in enumerate(assignment)
-                ),
-            )
-            m = cycle_matroid(g)
-            key = m.bases.masks
+            key = _count_sparse(tuple(map(ends.__getitem__, assignment)), 1, 1)[1]
             if key not in seen:
-                seen[key] = (m, g)
+                edges = tuple((edge_labels[k], (vertices[i], vertices[j])) for k, (i, j) in enumerate(assignment))
+                g = Multigraph(vertices, edges)
+                seen[key] = (cycle_matroid(g), g)
     return list(seen.values())
 
 

@@ -77,7 +77,7 @@ def state_machine_sparse(g, k, l):
 
 
 def decoded_count_sparse(g, k, l):
-    sparse, maximal = _count_sparse(g, k, l)
+    sparse, maximal = _count_sparse(g._edge_vertex_masks, k, l)
     return list(_decode_family(sparse)), list(_decode_family(maximal))
 
 

@@ -12,11 +12,13 @@ from deltamatroids import (
     find_unpairable_pair,
     verify_property,
 )
+from deltamatroids import search
 from deltamatroids.core import Subset
 from deltamatroids.delta import (
     DeltaMatroid,
     PairabilityReport,
     _delta_ok,
+    _layers,
     construct_sandwich,
     fmax_lower_uniform,
     fmax_upper_uniform,
@@ -27,6 +29,8 @@ from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import (
     PROPERTY_IDS,
     _augmentation_breaks,
+    _code_layers,
+    _complement,
     _uplow_cases,
     _codes,
     _objects,
@@ -232,7 +236,7 @@ class TestSharedLayers:
         seen = 0
         for n in range(5):
             mats = {id(m) for m in _objects("MB", n)}
-            for d in _objects("DF", n):
+            for d in enumerate_delta_matroids(n):
                 fresh = DeltaMatroid._trusted(d.ground, d.feasibles.masks)
                 assert id(d.upper) in mats and id(d.lower) in mats
                 assert d.upper == fresh.upper and d.lower == fresh.lower
@@ -255,9 +259,59 @@ class TestSharedLayers:
             g = default_ground(n)
             for code in range(1, 1 << (1 << n)):
                 d = DeltaMatroid._trusted(g, _decode_family(code))
-                assert list(_uplow_cases(d, (), {})) == list(_uplow_reference(d)), d
+                assert list(_uplow_cases((code, d.upper, d.lower), (), {})) == list(_uplow_reference(d)), d
         ref = [w for d in enumerate_delta_matroids(4) for w in _uplow_reference(d)]
         assert verify_property("uplow", 4).to_json() == _report_json("uplow", ref)
+
+    def test_code_helpers_match_the_object_operations(self):
+        # every nonempty family up to n = 3, delta-matroid or not, then (DF) at n = 4
+        cases = [(n, code) for n in range(4) for code in range(1, 1 << (1 << n))]
+        cases += [(4, code) for code in _codes("DF", 4)]
+        for n, code in cases:
+            d = DeltaMatroid._trusted(default_ground(n), _decode_family(code))
+            assert _complement(code, n) == _code_of(d.complement_dual().feasibles.masks), (n, code)
+            assert _code_layers(code, n) == tuple(map(_code_of, _layers(d.feasibles.masks))), (n, code)
+        assert len(cases) == 274 + 5959
+
+    def test_per_pair_work_runs_once_per_pair(self, monkeypatch, fresh_universes):
+        calls = {"is_pairable": [], "_fmax_pair": []}
+
+        def count(name):
+            real = getattr(search, name)
+
+            def counting(*args):
+                calls[name].append(args)
+                return real(*args)
+
+            monkeypatch.setattr(search, name, counting)
+
+        count("is_pairable")
+        count("_fmax_pair")
+        assert verify_property("necessity-circuit-union", 4).universe_size == 5959
+        pairs = [(mu.bases.masks, ml.bases.masks) for mu, ml in calls["is_pairable"]]
+        assert len(pairs) == len(set(pairs)) == 558
+        assert verify_property("fmax-maximal", 4).holds
+        assert [(up.bases.masks, low.bases.masks) for ((_, up, low),) in calls["_fmax_pair"]] == pairs
+
+    def test_df_universe_builds_no_delta_matroid_or_family(self, monkeypatch, fresh_universes):
+        _objects("MB", 4)
+        made = []
+
+        def count(cls, name):
+            real = getattr(cls, name)
+
+            def counting(self, *args, **kwargs):
+                made.append(cls.__name__)
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counting)
+
+        count(DeltaMatroid, "__init__")
+        count(SetFamily, "__post_init__")
+        assert len(_objects("DF", 4)) == 5959
+        assert made == []
+        next(enumerate_delta_matroids(4))  # the counters do see a build
+        assert made == ["SetFamily", "DeltaMatroid"]
 
     def test_fmax_matches_reference_when_perturbed(self, monkeypatch, fresh_universes):
         # a verdict that splits pairs, and a family that misses a set strictly
@@ -359,15 +413,24 @@ class TestSharedLayers:
 
     def test_dual_exchange_sees_a_complement_that_loses_a_member(self, monkeypatch):
         # one member strictly between the layers dropped, so the layers still
-        # match the duals: only the complement's own (DF) verdict can fail
+        # match the duals: only the complement's own (DF) verdict can fail;
+        # the sweep twists codes and the reference complements objects, so
+        # both lose the member by one rule
         real_complement_dual = DeltaMatroid.complement_dual
 
+        def lossy_masks(masks):
+            sizes = [m.bit_count() for m in masks]
+            mid = [m for m in masks if min(sizes) < m.bit_count() < max(sizes)]
+            return [m for m in masks if m not in mid[:1]]
+
         def lossy(d):
-            ds = real_complement_dual(d)
-            mid = [m for m in ds.feasibles.masks if ds.lower.rank < m.bit_count() < ds.upper.rank]
-            return DeltaMatroid._trusted(d.ground, [m for m in ds.feasibles.masks if m not in mid[:1]])
+            return DeltaMatroid._trusted(d.ground, lossy_masks(real_complement_dual(d).feasibles.masks))
+
+        def lossy_code(code, n):
+            return sum(1 << m for m in lossy_masks(_decode_family(_complement(code, n))))
 
         monkeypatch.setattr(DeltaMatroid, "complement_dual", lossy)
+        monkeypatch.setattr("deltamatroids.search._complement", lossy_code)
         for n in (3, 4):
             ref = [w for d in enumerate_delta_matroids(n) for w in _dual_exchange_reference(d)]
             report = verify_property("dual-exchange", n)
@@ -409,6 +472,10 @@ class TestSharedLayers:
         monkeypatch.undo()
         for pid in PROPERTY_IDS:
             assert verify_property(pid, 3).canonical_bytes() == cold[pid], pid
+
+
+def _code_of(masks):
+    return sum(1 << m for m in masks)
 
 
 def _report_json(pid, cases):
@@ -541,6 +608,48 @@ def _graphic_pool_every_assignment(n, max_vertices):
 def test_graphic_pool_skips_only_isomorphic_repeats(n):
     max_v = 3 if n >= 4 else n + 1  # as find_unpairable_pair
     assert _graphic_pool(n, max_v) == _graphic_pool_every_assignment(n, max_v)
+
+
+def _graphic_pool_graph_first(n, max_vertices):
+    """The pool as built graph first: a graph and its cycle matroid for every
+    assignment that no vertex relabelling makes smaller, keyed by bases."""
+    edge_labels = default_ground(n).labels
+    seen = {}
+    for v in range(1, max_vertices + 1):
+        vertices = tuple(f"v{i + 1}" for i in range(v))
+        pairs = [(i, j) for i in range(v) for j in range(i, v)]
+        perms = list(itertools.permutations(range(v)))[1:]
+        relabel = [{(i, j): tuple(sorted((p[i], p[j]))) for i, j in pairs} for p in perms]
+        for assignment in itertools.product(pairs, repeat=n):
+            if any(tuple(map(r.__getitem__, assignment)) < assignment for r in relabel):
+                continue
+            g = Multigraph(
+                vertices,
+                tuple(
+                    (edge_labels[k], (vertices[i], vertices[j]))
+                    for k, (i, j) in enumerate(assignment)
+                ),
+            )
+            m = cycle_matroid(g)
+            seen.setdefault(m.bases.masks, (m, g))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_graphic_pool_equals_the_graph_first_build(n, monkeypatch):
+    max_v = 3 if n >= 4 else n + 1  # as find_unpairable_pair
+    ref = _graphic_pool_graph_first(n, max_v)
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return cycle_matroid(g)
+
+    monkeypatch.setattr(search, "cycle_matroid", counting)
+    pool = _graphic_pool(n, max_v)
+    assert [(m.bases.masks, g) for m, g in pool] == [(m.bases.masks, g) for m, g in ref]
+    assert built == [g for _, g in pool]  # one graph and matroid per new key
+    assert n < 5 or len(pool) == 187
 
 
 class TestConstrainedRealization:

@@ -82,3 +82,9 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_src_line_budget():
+    # the package's size budget: features come out of its line count
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.rglob("*.py"))
+    assert lines <= 1950, f"src/ holds {lines} lines, over the 1,950-line budget"
