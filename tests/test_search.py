@@ -24,17 +24,19 @@ from deltamatroids.delta import (
     fmax_upper_uniform,
     is_pairable,
 )
-from deltamatroids.matroids import _decode_family, _exchange_failures, _exchange_ok
+from deltamatroids.matroids import _decode_family, _exchange_failures, _exchange_ok, _exchange_witness
 from deltamatroids.rigidity import Multigraph, cycle_matroid
 from deltamatroids.search import (
     PROPERTY_IDS,
     _augmentation_breaks,
+    _canonical_assignments,
     _code_layers,
     _complement,
     _uplow_cases,
     _codes,
     _objects,
     _graphic_pool,
+    _pair_witness,
     _twists,
     constrained_realization,
     delta_codes,
@@ -42,7 +44,7 @@ from deltamatroids.search import (
     enumerate_matroids,
     matroid_codes,
 )
-from deltamatroids.serialize import delta_to_json, matroid_from_json, matroid_to_json
+from deltamatroids.serialize import delta_to_json, graph_to_json, matroid_from_json, matroid_to_json
 
 
 def _clear_universes():
@@ -652,6 +654,29 @@ def test_graphic_pool_equals_the_graph_first_build(n, monkeypatch):
     assert n < 5 or len(pool) == 187
 
 
+def _canonical_by_filter(n, v):
+    """Every assignment of n edges to vertex pairs on v vertices that no vertex
+    relabelling makes lexicographically smaller, by filtering the product."""
+    pairs = [(i, j) for i in range(v) for j in range(i, v)]
+    perms = list(itertools.permutations(range(v)))[1:]
+    relabel = [{(i, j): tuple(sorted((p[i], p[j]))) for i, j in pairs} for p in perms]
+    return [
+        a
+        for a in itertools.product(pairs, repeat=n)
+        if not any(tuple(map(r.__getitem__, a)) < a for r in relabel)
+    ]
+
+
+@pytest.mark.parametrize("v, max_n", [(1, 5), (2, 5), (3, 5), (4, 4)])
+def test_canonical_assignments_equal_the_filtered_product(v, max_n):
+    for n in range(max_n + 1):
+        assert list(_canonical_assignments(n, v)) == _canonical_by_filter(n, v), (n, v)
+
+
+def test_canonical_assignments_at_n5_on_three_vertices():
+    assert sum(len(list(_canonical_assignments(5, v))) for v in range(1, 4)) == 1435
+
+
 class TestConstrainedRealization:
     def test_matches_subfamily_exhaust_on_every_pair(self):
         outcomes = set()
@@ -722,3 +747,96 @@ class TestUnpairableSearch:
         assert find_unpairable_pair(n).universe_size == len(pool) * (len(pool) - 1)
         # no shared universe was built
         assert _codes.cache_info().currsize == _objects.cache_info().currsize == 0
+
+
+def _pair_witness_reference(upper, lower):
+    """The hunt's per-pair test without its two mask ANDs: the pairability
+    report first, then the exhaust of every pair it calls unpairable."""
+    (mu, gu), (ml, gl) = upper, lower
+    rep = is_pairable(mu, ml)
+    if rep.pairable:
+        return None
+    found, tried = constrained_realization(mu, ml)
+    if found is not None or not tried:  # realizable, or a basis condition fails
+        return None
+    wit = {
+        "upper": matroid_to_json(mu),
+        "lower": matroid_to_json(ml),
+        "offending_circuit": list(rep.offending_circuit.labels),
+        "candidates_exhausted": tried,
+    }
+    forced = _decode_family(mu._bases | ml._bases)
+    triple = _exchange_witness(forced, set(_decode_family(mu._indep & ml._spanning)), "DF")
+    if triple is not None:
+        f1, f2, xb = triple
+        g = mu.ground
+        wit["replay"] = {
+            "first": list(g.labels_of(f1)),
+            "second": list(g.labels_of(f2)),
+            "pivot": g.labels[xb.bit_length() - 1],
+        }
+    wit["upper_graph"] = graph_to_json(gu)
+    wit["lower_graph"] = graph_to_json(gl)
+    return wit
+
+
+class TestPairScans:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_pair_witness_matches_the_reference(self, n):
+        # every ordered pool pair up to n = 4; at n = 5 the pairs the hunt
+        # scans, up to and including its witness
+        pairs = itertools.permutations(_graphic_pool(n, 3 if n >= 4 else n + 1), 2)
+        if n == 5:
+            pairs = itertools.islice(pairs, 6328)
+        found = []
+        for k, (upper, lower) in enumerate(pairs):
+            wit = _pair_witness(upper, lower)
+            assert wit == _pair_witness_reference(upper, lower), (n, k)
+            if wit is not None:
+                found.append(k)
+        assert (found == [6327]) if n == 5 else (bool(found) == (n >= 3))
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"is_pairable": [], "constrained_realization": []}
+        for name in calls:
+            real = getattr(search, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name].append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(search, name, counting)
+        return calls
+
+    def test_sufficiency_sweep_exhausts_only_pairs_meeting_both_basis_conditions(
+        self, monkeypatch, fresh_universes
+    ):
+        ms = list(enumerate_matroids(4))
+        # the pairable pairs are those some delta-matroid realizes
+        realized = {(upper.bases.masks, lower.bases.masks) for _, upper, lower in _objects("DF", 4)}
+        pairable, failing, rest = [], [], []
+        for mu, ml in itertools.product(ms, repeat=2):
+            if (mu.bases.masks, ml.bases.masks) in realized:
+                pairable.append((mu, ml))
+            elif not (
+                all(mu.is_independent(b) for b in ml.bases) and all(ml.is_spanning(b) for b in mu.bases)
+            ):
+                failing.append((mu, ml))
+            else:
+                rest.append((mu, ml))
+        assert (len(pairable), len(failing), len(rest)) == (558, 3874, 192)
+        calls = self._count_calls(monkeypatch)
+        report = verify_property("sufficiency-sandwich", 4)
+        assert report.holds and report.universe_size == 4624
+        assert calls["is_pairable"] == []
+        assert calls["constrained_realization"] == rest
+
+    def test_hunt_builds_one_report_and_one_exhaust_at_n5(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        report = find_unpairable_pair(5)
+        assert report.holds
+        assert len(calls["is_pairable"]) == len(calls["constrained_realization"]) == 1
+        ((mu, ml),) = calls["constrained_realization"]
+        assert report.witnesses[0]["upper"] == matroid_to_json(mu)
+        assert report.witnesses[0]["lower"] == matroid_to_json(ml)
