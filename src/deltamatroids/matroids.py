@@ -3,10 +3,10 @@
 A `Matroid` value only exists after its basis family passed the basis
 exchange axiom, so downstream code never re-checks.  Its independent sets,
 spanning sets, circuits and unions of circuits are 2^n-bit indicators (bit m
-set iff subset mask m is in the family), derived from the indicator of the
-bases in O(rank * n) shift-and-mask steps over `_coordinates(n)`; a quotient
-test, and its least offending circuit, is then one AND of circuits against
-circuit unions.
+set iff subset mask m is in the family) over `_coordinates(n)`: shift-and-mask
+steps from the bases' indicator, and for the circuit unions one up-closure of
+the circuits through each element, O(n^2) steps.  A quotient test, and its
+least offending circuit, is then one AND of circuits against circuit unions.
 """
 
 from __future__ import annotations
@@ -180,20 +180,17 @@ def _exchange_witness(
     return f1, f2, xb
 
 
+def _violation(ground: GroundSet, triple: tuple[int, int, int], axiom: str) -> ExchangeViolation:
+    """The ExchangeViolation of a (first, second, pivot bit) triple over ground."""
+    f1, f2, xb = triple
+    return ExchangeViolation(Subset(ground, f1), Subset(ground, f2), ground.labels[xb.bit_length() - 1], axiom)
+
+
 def _certify_exchange(fam: SetFamily, axiom: str) -> None:
     """Raise AxiomError with the canonical witness unless fam passes the axiom."""
     bad = _exchange_witness(fam.masks, set(fam.masks), axiom)
-    if bad is None:
-        return
-    f1, f2, xb = bad
-    raise AxiomError(
-        ExchangeViolation(
-            first=Subset(fam.ground, f1),
-            second=Subset(fam.ground, f2),
-            pivot=fam.ground.labels[xb.bit_length() - 1],
-            axiom=axiom,
-        )
-    )
+    if bad is not None:
+        raise AxiomError(_violation(fam.ground, bad, axiom))
 
 
 class Matroid:
@@ -253,23 +250,11 @@ class Matroid:
 
     @cached_property
     def _unions(self) -> int:
-        """The unions of circuits: X of rank k is one iff X - e has rank k for every e in X.
-
-        For k = rank down to 0: the sets of rank >= k are the up-closure of
-        the independent k-sets, and those are the independent (k + 1)-sets
-        less one element (the bases, for k = rank).
-        """
+        """The unions of circuits: X is one iff each element of X lies in a circuit inside X."""
         n = self.ground.size
-        coords = _coordinates(n)
-        unions, above, layer = 0, 0, self._bases  # above: the sets of rank > k
-        for _ in range(self.rank + 1):
-            at_least = _up_closure(layer, n)
-            union, smaller = at_least & ~above, 0
-            for i, has in enumerate(coords):
-                union &= ~has | at_least << (1 << i)
-                smaller |= (layer & has) >> (1 << i)
-            unions |= union
-            above, layer = at_least, smaller
+        unions = (1 << (1 << n)) - 1
+        for has in _coordinates(n):
+            unions &= ~has | _up_closure(self._circuits & has, n)
         return unions
 
     def independents(self) -> SetFamily:

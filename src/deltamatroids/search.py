@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .core import GroundSet, InputError, default_ground
+from .core import InputError, SetFamily, default_ground
 from .delta import DeltaMatroid, _delta_ok, _layers, construct_sandwich, fmax_lower_uniform, fmax_upper_uniform, is_pairable
-from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness, _indicator, is_quotient
+from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness, _indicator, _violation, is_quotient
 from .rigidity import Multigraph, _count_sparse, cycle_matroid
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
 
@@ -189,13 +189,9 @@ def _once(memo: dict, key: Hashable, make: Callable):
     return value
 
 
-def _family_json(g: GroundSet, masks: Sequence[int]) -> dict:
-    return {"ground": list(g.labels), "members": [list(g.labels_of(m)) for m in sorted(masks)]}
-
-
 def _equicardinal_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    masks = m.bases.masks
-    yield _family_json(m.ground, masks) if len({b.bit_count() for b in masks}) > 1 else None
+    sizes = {b.bit_count() for b in m.bases.masks}
+    yield None if len(sizes) == 1 else {"ground": list(m.ground.labels), "members": m.bases.member_labels()}
 
 
 def _realizes(masks: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
@@ -305,7 +301,7 @@ def _sufficiency_cases(mu: Matroid, universe: Sequence, memo: dict) -> Iterator[
         else:
             found, _ = constrained_realization(mu, ml)
             ok, kind = found is None, "realization-despite-unpairable"
-            extra = {} if ok else {"feasibles": _family_json(mu.ground, found)["members"]}
+            extra = {} if ok else {"feasibles": SetFamily(mu.ground, found).member_labels()}
         yield None if ok else {"kind": kind, "upper": matroid_to_json(mu), "lower": matroid_to_json(ml), **extra}
 
 
@@ -405,13 +401,7 @@ def _pair_witness(upper: tuple[Matroid, Multigraph], lower: tuple[Matroid, Multi
     forced = _decode_family(mu._bases | ml._bases)
     triple = _exchange_witness(forced, set(_decode_family(mu._indep & ml._spanning)), "DF")
     if triple is not None:
-        f1, f2, xb = triple
-        g = mu.ground
-        wit["replay"] = {
-            "first": list(g.labels_of(f1)),
-            "second": list(g.labels_of(f2)),
-            "pivot": g.labels[xb.bit_length() - 1],
-        }
+        wit["replay"] = {k: v for k, v in _violation(mu.ground, triple, "DF").to_json().items() if k != "axiom"}
     wit["upper_graph"] = graph_to_json(gu)
     wit["lower_graph"] = graph_to_json(gl)
     return wit

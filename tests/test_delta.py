@@ -31,7 +31,7 @@ from deltamatroids import (
 )
 from deltamatroids.delta import _layers
 from deltamatroids.matroids import Matroid, _decode_family, _exchange_ok
-from deltamatroids.rigidity import Multigraph, cycle_matroid
+from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
 from deltamatroids.search import delta_codes, enumerate_matroids
 
 
@@ -426,6 +426,19 @@ class TestSandwichAndPairability:
             assert is_quotient(ml, mu) == (least is None), (mu, ml)
             verdicts.add(rep.pairable)
         assert verdicts == {True, False}
+
+    def test_agrees_with_circuit_union_reference_on_corpus_graphs(self):
+        # each corpus graph's and cone's (rigidity, cycle) pair, in both orders
+        verdicts = []
+        for g in CORPUS.values():
+            for h in (g, cone(g).cone_graph):
+                mr, mc = rigidity_matroid(h), cycle_matroid(h)
+                for mu, ml in ((mr, mc), (mc, mr)):
+                    least = reference_offending_circuit(reference_circuits(mu), reference_circuits(ml))
+                    rep = is_pairable(mu, ml)
+                    assert (None if rep.pairable else rep.offending_circuit.mask) == least, (mu, ml)
+                    verdicts.append(rep.pairable)
+        assert len(verdicts) == 4 * len(CORPUS) and set(verdicts) == {True, False}
 
     def test_u56_pair_is_pairable(self):
         ml = direct_sum(uniform(2, GroundSet.of("1", "2", "3")), uniform(2, GroundSet.of("a", "b", "c")))

@@ -30,7 +30,7 @@ from deltamatroids.matroids import (
     _exchange_ok,
     _exchange_witness,
 )
-from deltamatroids.rigidity import Multigraph, cone, cycle_matroid, rigidity_matroid
+from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
 from deltamatroids.search import enumerate_matroids
 
 
@@ -431,6 +431,30 @@ class TestIndicators:
 
     def test_u8_16(self):
         self.check(uniform(8, default_ground(16)))
+
+    def test_corpus_graphs_and_cones(self):
+        # the rigidity and cycle matroids of each corpus graph (2-6 edges) and
+        # of its cone (5-11 edges)
+        checked = 0
+        for g in CORPUS.values():
+            for h in (g, cone(g).cone_graph):
+                assert len(h.edges) <= 11
+                for m in (rigidity_matroid(h), cycle_matroid(h)):
+                    self.check(m)
+                    checked += 1
+        assert checked == 4 * len(CORPUS)
+
+    @pytest.mark.parametrize(
+        "loops, k, middle, coloops", [(9, 0, 0, 0), (0, 0, 0, 12), (1, 3, 6, 2), (2, 2, 6, 2), (3, 2, 5, 3), (2, 4, 8, 2)]
+    )
+    def test_loops_and_coloops(self, loops, k, middle, coloops):
+        # a direct sum whose rank-0 part gives loops and whose full-rank part coloops
+        def part(prefix, rank, size):
+            return uniform(rank, GroundSet(tuple(f"{prefix}{i}" for i in range(size))))
+
+        m = direct_sum(direct_sum(part("l", 0, loops), part("m", k, middle)), part("c", coloops, coloops))
+        assert 9 <= m.ground.size <= 12
+        self.check(m)
 
 
 def exchange_violation(source, members, axiom):

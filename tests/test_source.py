@@ -90,3 +90,31 @@ def test_src_line_budget():
     lines = sum(counts.values())
     per_module = ", ".join(f"{name} {count}" for name, count in counts.items())
     assert lines <= 1950, f"src/ holds {lines} lines, over the 1,950-line budget: {per_module}"
+
+
+def test_private_helpers_are_called_in_src():
+    # every private module-level function or class, and every private method,
+    # is named in src/ outside its own definition: a helper kept only for the
+    # tests belongs in the tests
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defs = []  # (path, qualified name, node)
+    for path, tree in trees.items():
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for d, owner in [(node, ""), *((m, f"{node.name}.") for m in methods)]:
+                if isinstance(d, kinds) and d.name.startswith("_") and not d.name.endswith("__"):
+                    defs.append((path, owner + d.name, d))
+    assert defs
+    refs = [
+        (path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+    def named_elsewhere(path, d):
+        return any(name == d.name and not (p == path and d.lineno <= line <= d.end_lineno) for p, line, name in refs)
+
+    dead = [f"{path.relative_to(SRC)}:{d.lineno} {qualname}" for path, qualname, d in defs if not named_elsewhere(path, d)]
+    assert dead == []
