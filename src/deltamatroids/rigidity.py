@@ -144,8 +144,8 @@ def is_sparse_23(g: Multigraph, f: Subset) -> bool:
 
 
 def rigidity_matroid(g: Multigraph) -> Matroid:
-    """2D generic rigidity matroid: independents are the (2,3)-sparse sets."""
-    return Matroid.certify(SetFamily(g.ground, _decode_family(_count_sparse(g._edge_vertex_masks, 2, 3)[1])))
+    """2D generic rigidity matroid, the (2,3)-count matroid: independents are the (2,3)-sparse sets."""
+    return Matroid._trusted(g.ground, _decode_family(_count_sparse(g._edge_vertex_masks, 2, 3)[1]))
 
 
 def rigidity_feasible_family(g: Multigraph) -> SetFamily:

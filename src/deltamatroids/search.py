@@ -6,8 +6,9 @@ k elements from those on k - 1; one (DF) verdict per twist orbit): `_codes`
 caches its codes, and `_objects` its certified matroids, which keep their derived
 sets, or one row (code, upper, lower) per delta-matroid, upper and lower being
 (MB) universe objects.  At n = 4, 5,959 rows share 68 matroids in 0.7 MB, 1.2 MB
-after every sweep (tracemalloc).  Per-matroid and per-pair work is shared within
-one sweep and redone by a repeated sweep.
+after every sweep (tracemalloc).  Sweeps read these codes and the matroids'
+indicators, building no family objects.  Per-matroid and per-pair work is shared
+within one sweep and redone by a repeated sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cache
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .core import InputError, SetFamily, default_ground
-from .delta import DeltaMatroid, _delta_ok, _layers, construct_sandwich, fmax_lower_uniform, fmax_upper_uniform, is_pairable
+from .delta import DeltaMatroid, _delta_ok, fmax_lower_uniform, fmax_upper_uniform, is_pairable
 from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness, _indicator, _violation, is_quotient
 from .rigidity import Multigraph, _count_sparse, cycle_matroid
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
@@ -176,11 +177,12 @@ def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
 # -- property checks ----------------------------------------------------
 # Each property's cases(obj, universe, memo) yields one entry per case it
 # checks on obj: None when the case holds, else a JSON-ready witness.  An (MB)
-# obj is a matroid.  A (DF) obj is a row (code, upper, lower), checked by ANDs
-# on its code; only a witness, or fmax's family for a pair, builds a
-# delta-matroid.  `universe` holds every obj of the property's universe, for
-# properties that pair; `memo` lives for one sweep, for results its objects
-# share, keyed by the basis codes of a matroid or a pair.
+# obj is a matroid, a (DF) obj a row (code, upper, lower); both are checked on
+# codes, a realization by the exchange verdict on a code's members and its
+# least and greatest size layers against two basis codes.  Only a witness, or
+# fmax's builders' input, builds a delta-matroid.  `universe` holds every obj of
+# the property's universe, for properties that pair; `memo` lives for one sweep,
+# for results its objects share, keyed by the basis codes of a matroid or pair.
 
 
 def _once(memo: dict, key: Hashable, make: Callable):
@@ -194,19 +196,18 @@ def _equicardinal_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[
     yield None if len(sizes) == 1 else {"ground": list(m.ground.labels), "members": m.bases.member_labels()}
 
 
-def _realizes(masks: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
-    """Whether masks, a SetFamily's (ascending, no repeats), is a delta-matroid
-    whose upper and lower matroids have the given bases."""
-    return _delta_ok(masks) and _layers(masks) == (lower, upper)
+def _realizes(code: int, upper: int, lower: int, n: int) -> bool:
+    """Whether the family with 2^n-bit code is a delta-matroid whose upper and
+    lower matroids have the basis codes upper and lower."""
+    return _delta_ok(_decode_family(code)) and _code_layers(code, n) == (lower, upper)
 
 
 def _independents_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    yield None if _realizes(m.independents().masks, m.bases.masks, (0,)) else matroid_to_json(m)
+    yield None if _realizes(m._indep, m._bases, 1, m.ground.size) else matroid_to_json(m)
 
 
 def _spanning_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    full = (m.ground.full_mask,)
-    yield None if _realizes(m.spanning_sets().masks, full, m.bases.masks) else matroid_to_json(m)
+    yield None if _realizes(m._spanning, 1 << m.ground.full_mask, m._bases, m.ground.size) else matroid_to_json(m)
 
 
 def _uplow_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
@@ -233,32 +234,28 @@ def _dual_exchange_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator
     yield None if ok else delta_to_json(_delta(row))
 
 
-def _augmentation_breaks(d: DeltaMatroid) -> bool:
-    """True iff adding any single further subset breaks symmetric exchange
-    or changes the upper or lower matroid.  An extra of at most the lower
-    rank changes the lower matroid, one of at least the upper rank the upper;
-    one strictly between leaves both unchanged."""
-    have = set(d.feasibles.masks)
-    lo, hi = d.lower.rank, d.upper.rank
-    return not any(
-        lo < x.bit_count() < hi and x not in have and _delta_ok(tuple(sorted(have | {x})))
-        for x in d.ground.all_masks()
-    )
+def _augmentation_breaks(code: int, lo: int, hi: int, n: int) -> bool:
+    """True iff adding any one further subset to the family with 2^n-bit code
+    breaks symmetric exchange or changes its upper (rank hi) or lower (rank lo)
+    matroid.  An extra of at most rank lo changes the lower matroid, one of at
+    least rank hi the upper; one strictly between leaves both unchanged."""
+    extras = sum(_sizes(n)[lo + 1:hi]) & ~code
+    return not any(_delta_ok(_decode_family(code | 1 << x)) for x in _decode_family(extras))
 
 
 def _fmax_pair(row: tuple) -> list[tuple[str, int, bool]]:
     """(variant, fmax family code, whether it is a maximal delta-matroid with
     the row's upper and lower) for each variant whose side is uniform."""
-    d, out = _delta(row), []
+    _, upper, lower = row
+    d, n, out = _delta(row), upper.ground.size, []
     for variant, side, build in (
-        ("upper-uniform", d.upper, fmax_upper_uniform),
-        ("lower-uniform", d.lower, fmax_lower_uniform),
+        ("upper-uniform", upper, fmax_upper_uniform),
+        ("lower-uniform", lower, fmax_lower_uniform),
     ):
         if side.is_uniform():
-            masks = build(d).masks
-            ok = _realizes(masks, d.upper.bases.masks, d.lower.bases.masks)
-            ok = ok and _augmentation_breaks(DeltaMatroid._trusted(d.ground, masks))
-            out.append((variant, _indicator(masks, d.ground.size), ok))
+            fam = _indicator(build(d).masks, n)
+            ok = _realizes(fam, upper._bases, lower._bases, n) and _augmentation_breaks(fam, lower.rank, upper.rank, n)
+            out.append((variant, fam, ok))
     return out
 
 
@@ -293,10 +290,11 @@ def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[in
 
 def _sufficiency_cases(mu: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     for ml in universe:
+        sandwich = mu._indep & ml._spanning
         if is_quotient(ml, mu):
-            ok = _realizes(construct_sandwich(mu, ml).masks, mu.bases.masks, ml.bases.masks)
+            ok = _realizes(sandwich, mu._bases, ml._bases, mu.ground.size)
             kind, extra = "sandwich-failed", {}
-        elif (mu._bases | ml._bases) & ~(mu._indep & ml._spanning):  # a basis condition fails
+        elif (mu._bases | ml._bases) & ~sandwich:  # a basis condition fails
             ok = True
         else:
             found, _ = constrained_realization(mu, ml)
@@ -385,7 +383,8 @@ def _pair_witness(upper: tuple[Matroid, Multigraph], lower: tuple[Matroid, Multi
     """Full witness for one candidate pair of (cycle matroid, graph) pool
     entries, or None if it does not qualify."""
     (mu, gu), (ml, gl) = upper, lower
-    if is_quotient(ml, mu) or (mu._bases | ml._bases) & ~(mu._indep & ml._spanning):
+    forced, sandwich = mu._bases | ml._bases, mu._indep & ml._spanning
+    if is_quotient(ml, mu) or forced & ~sandwich:
         return None  # pairable, or a basis condition fails
     found, tried = constrained_realization(mu, ml)
     if found is not None:
@@ -398,8 +397,7 @@ def _pair_witness(upper: tuple[Matroid, Multigraph], lower: tuple[Matroid, Multi
     }
     # a forced-feasible pair and pivot with no exchange partner inside the
     # sandwich; its existence alone rules out any realizing delta-matroid
-    forced = _decode_family(mu._bases | ml._bases)
-    triple = _exchange_witness(forced, set(_decode_family(mu._indep & ml._spanning)), "DF")
+    triple = _exchange_witness(_decode_family(forced), set(_decode_family(sandwich)), "DF")
     if triple is not None:
         wit["replay"] = {k: v for k, v in _violation(mu.ground, triple, "DF").to_json().items() if k != "axiom"}
     wit["upper_graph"] = graph_to_json(gu)

@@ -8,6 +8,7 @@ from deltamatroids import (
     ConeResult,
     DeltaMatroid,
     InputError,
+    Matroid,
     Multigraph,
     SetFamily,
     Subset,
@@ -87,6 +88,17 @@ def assert_kernel_matches_brute_force(g):
         sparse, maximal = decoded_count_sparse(g, k, l)
         assert sparse == want, (g, k, l)
         assert maximal == list(maximal_members(SetFamily(g.ground, tuple(want))).masks), (g, k, l)
+
+
+def seeded_multigraphs():
+    """240 seeded multigraphs on 1 to 6 vertices with 0 to 10 edges, loops and parallels allowed."""
+    rng = random.Random(2111)
+    graphs = []
+    for _ in range(240):
+        vs = [f"v{i}" for i in range(rng.randint(1, 6))]
+        edges = [(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(rng.randint(0, 10))]
+        graphs.append(Multigraph.build(vs, edges))
+    return graphs
 
 
 def bfs_component_count(g, edge_mask):
@@ -297,12 +309,7 @@ class TestCountSparseKernel:
             assert_kernel_matches_brute_force(Multigraph(k4.vertices, edges))
 
     def test_seeded_multigraphs_with_loops_and_parallels(self):
-        rng = random.Random(2111)
-        graphs = []
-        for _ in range(240):
-            vs = [f"v{i}" for i in range(rng.randint(1, 6))]
-            edges = [(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(rng.randint(0, 10))]
-            graphs.append(Multigraph.build(vs, edges))
+        graphs = seeded_multigraphs()
         assert sum(g.has_loop() for g in graphs) >= 50
         assert sum(g.has_parallel() for g in graphs) >= 50
         for g in graphs:
@@ -321,6 +328,17 @@ class TestCountSparseKernel:
 
 
 class TestRigidityMatroid:
+    def test_maximal_sparse_sets_pass_the_basis_exchange_axiom(self):
+        # rigidity_matroid builds its bases without (MB), on count-matroid
+        # theory; the full kernel is the reference: every corpus graph and its
+        # cone, K5 and its 15-edge cone, and multigraphs with loops and parallels
+        graphs = [*CORPUS.values(), *(cone(g).cone_graph for g in CORPUS.values()), k5(), cone(k5()).cone_graph]
+        graphs += seeded_multigraphs()
+        assert max(len(g.edges) for g in graphs) == 15
+        for g in graphs:
+            m = rigidity_matroid(g)
+            assert Matroid.certify(m.bases) == m, g
+
     def test_k4_rigidity_circuit_is_everything(self):
         m = rigidity_matroid(CORPUS["k4"])
         assert [c.mask for c in m.circuits()] == [m.ground.full_mask]

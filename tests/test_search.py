@@ -315,6 +315,43 @@ class TestSharedLayers:
         next(enumerate_delta_matroids(4))  # the counters do see a build
         assert made == ["SetFamily", "DeltaMatroid"]
 
+    def test_sweep_work_is_pinned_at_n4(self, monkeypatch, fresh_universes):
+        # on built universes: the realization and maximality checks read the
+        # matroids' indicators, so the first three sweeps build no family
+        # objects, and each sweep runs the exchange verdict as often as before
+        _objects("MB", 4)
+        _objects("DF", 4)
+        verdicts, built = [], []
+
+        def counting_delta_ok(masks):
+            verdicts.append(masks)
+            return _delta_ok(masks)
+
+        def count(cls, name):
+            real = getattr(cls, name)
+
+            def counting(self, *args, **kwargs):
+                built.append(cls.__name__)
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counting)
+
+        monkeypatch.setattr("deltamatroids.search._delta_ok", counting_delta_ok)
+        count(SetFamily, "__post_init__")
+        count(DeltaMatroid, "__init__")
+        calls, builds = [], []
+        for pid in ("independents-are-delta", "spanning-are-delta", "sufficiency-sandwich", "fmax-maximal"):
+            verdicts.clear()
+            built.clear()
+            assert verify_property(pid, 4).holds
+            calls.append(len(verdicts))
+            builds.append(len(built))
+        assert calls == [68, 68, 1854, 322]
+        assert builds[:3] == [0, 0, 0]
+        verdicts.clear()
+        assert find_unpairable_pair(5).holds
+        assert len(verdicts) == 1
+
     def test_fmax_matches_reference_when_perturbed(self, monkeypatch, fresh_universes):
         # a verdict that splits pairs, and a family that misses a set strictly
         # between the ranks, which only some objects of a pair have: the
@@ -322,7 +359,7 @@ class TestSharedLayers:
         def delta_ok(masks):
             return _delta_ok(masks) and len(masks) % 5 != 0
 
-        def breaks(dm):  # the family above is never maximal; judge the rest
+        def breaks(*args):  # the family above is never maximal; judge the rest
             return True
 
         def upper_family(d):
@@ -344,39 +381,41 @@ class TestSharedLayers:
 
     def test_realization_sweeps_match_references_when_perturbed(self, monkeypatch, fresh_universes):
         # a verdict flipped on some families, and families that lose their
-        # least or greatest member for some matroids or pairs, so that both
-        # the verdict and the layer comparison decide some cases
+        # least (independents) or greatest member (spanning sets, sandwich)
+        # for some matroids or pairs before the real _realizes reads them, so
+        # that both the verdict and the layer comparison decide some cases
         def delta_ok(masks):
             return _delta_ok(masks) != (len(masks) % 5 == 0)
 
-        def independents(m):
-            fam = real_independents(m).masks
-            return SetFamily(m.ground, fam[1:] if len(fam) % 3 == 0 else fam)
+        def lossy(masks, end):
+            if len(masks) % 3:
+                return masks
+            return masks[1:] if end == 0 else masks[:-1]
 
-        def spanning_sets(m):
-            fam = real_spanning_sets(m).masks
-            return SetFamily(m.ground, fam[:-1] if len(fam) % 3 == 0 else fam)
+        def lossy_realizes(end):
+            def realizes(code, upper, lower, n):
+                return real_realizes(_code_of(lossy(_decode_family(code), end)), upper, lower, n)
+
+            return realizes
 
         def sandwich(mu, ml):
-            fam = construct_sandwich(mu, ml).masks
-            return SetFamily(mu.ground, fam[:-1] if len(fam) % 3 == 0 else fam)
+            return SetFamily(mu.ground, lossy(construct_sandwich(mu, ml).masks, -1))
 
-        real_independents, real_spanning_sets = Matroid.independents, Matroid.spanning_sets
+        real_realizes = search._realizes
+        ends = {"independents-are-delta": 0, "spanning-are-delta": -1, "sufficiency-sandwich": -1}
         monkeypatch.setattr("deltamatroids.search._delta_ok", delta_ok)
-        monkeypatch.setattr(Matroid, "independents", independents)
-        monkeypatch.setattr(Matroid, "spanning_sets", spanning_sets)
-        monkeypatch.setattr("deltamatroids.search.construct_sandwich", sandwich)
         refs = {}
         for n in range(5):
             ms = list(enumerate_matroids(n))
             refs = {
-                "independents-are-delta": [_independents_reference(m, delta_ok) for m in ms],
-                "spanning-are-delta": [_spanning_reference(m, delta_ok) for m in ms],
+                "independents-are-delta": [_independents_reference(m, delta_ok, lambda f: lossy(f, 0)) for m in ms],
+                "spanning-are-delta": [_spanning_reference(m, delta_ok, lambda f: lossy(f, -1)) for m in ms],
                 "sufficiency-sandwich": [
                     _sufficiency_reference(mu, ml, delta_ok, sandwich) for mu in ms for ml in ms
                 ],
             }
             for pid, ref in refs.items():
+                monkeypatch.setattr(search, "_realizes", lossy_realizes(ends[pid]))
                 assert verify_property(pid, n).to_json() == _report_json(pid, ref), (pid, n)
         for pid, ref in refs.items():
             assert any(w is None for w in ref) and any(w is not None for w in ref), pid
@@ -496,15 +535,15 @@ def _necessity_reference(d, pairable):
     yield None if rep.pairable else {**delta_to_json(d), "offending_circuit": list(rep.offending_circuit.labels)}
 
 
-def _independents_reference(m, delta_ok):
-    fam = m.independents().masks
+def _independents_reference(m, delta_ok, perturb):
+    fam = perturb(m.independents().masks)
     d = DeltaMatroid._trusted(m.ground, fam)
     ok = delta_ok(fam) and d.upper == m and d.lower.rank == 0
     return None if ok else matroid_to_json(m)
 
 
-def _spanning_reference(m, delta_ok):
-    fam = m.spanning_sets().masks
+def _spanning_reference(m, delta_ok, perturb):
+    fam = perturb(m.spanning_sets().masks)
     d = DeltaMatroid._trusted(m.ground, fam)
     ok = delta_ok(fam) and d.lower == m and d.upper.rank == m.ground.size
     return None if ok else matroid_to_json(m)
@@ -565,6 +604,36 @@ def _fmax_reference(d, delta_ok, breaks, upper_family, lower_family):
         yield None if ok else {**delta_to_json(d), "variant": variant}
 
 
+def _size_layers(masks):
+    """The least-size and greatest-size members of a nonempty mask tuple, in its order."""
+    least, most = min(m.bit_count() for m in masks), max(m.bit_count() for m in masks)
+    return tuple(m for m in masks if m.bit_count() == least), tuple(m for m in masks if m.bit_count() == most)
+
+
+def _realizes_by_masks(masks, upper, lower):
+    """The definition on ascending mask tuples: a delta-matroid whose least-size
+    and greatest-size members are exactly lower and upper."""
+    return _delta_ok(masks) and _size_layers(masks) == (lower, upper)
+
+
+def test_realizes_on_codes_matches_the_mask_definition():
+    # every nonempty family up to n = 3, delta-matroid or not, then (DF) at
+    # n = 4; each with its own layers, then with the empty set's membership
+    # in the lower layer flipped, which makes that layer wrong
+    cases = [(n, code) for n in range(4) for code in range(1, 1 << (1 << n))]
+    cases += [(4, code) for code in _codes("DF", 4)]
+    outcomes = set()
+    for n, code in cases:
+        masks = _decode_family(code)
+        lower, upper = map(_code_of, _size_layers(masks))
+        for lo in (lower, lower ^ 1):
+            got = search._realizes(code, upper, lo, n)
+            assert got == _realizes_by_masks(masks, _decode_family(upper), _decode_family(lo)), (n, code, lo)
+            outcomes.add((lo == lower, got))
+    assert len(cases) == 274 + 5959
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
 def _augmentation_breaks_by_definition(d):
     have = set(d.feasibles.masks)
     for extra in d.ground.all_masks():
@@ -582,7 +651,8 @@ def test_augmentation_window_matches_definition():
     seen = 0
     for n in range(5):
         for d in enumerate_delta_matroids(n):
-            assert _augmentation_breaks(d) == _augmentation_breaks_by_definition(d), d
+            code, lo, hi = _code_of(d.feasibles.masks), d.lower.rank, d.upper.rank
+            assert _augmentation_breaks(code, lo, hi, d.ground.size) == _augmentation_breaks_by_definition(d), d
             seen += 1
     assert seen == 6133
 
