@@ -16,7 +16,7 @@ from .matroids import Matroid, _certify_exchange, _decode_family, _exchange_ok
 @lru_cache(maxsize=1 << 18)
 def _delta_ok(masks: tuple[int, ...]) -> bool:
     """Memoized pass/fail view of the exchange check.  Few calls repeat a
-    family (346 hits in 2,313 calls over a traced cli-sweep round); the memo
+    family (331 hits in 2,298 calls over a traced cli-sweep round); the memo
     stays because bench/one_round.py reports its cache_info()."""
     return _exchange_ok(masks, "DF")
 

@@ -21,9 +21,9 @@ from functools import cache
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .core import InputError, SetFamily, default_ground
-from .delta import DeltaMatroid, _delta_ok, fmax_lower_uniform, fmax_upper_uniform, is_pairable
-from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness, _indicator, _violation, is_quotient
-from .rigidity import Multigraph, _count_sparse, cycle_matroid
+from .delta import DeltaMatroid, _delta_ok, is_pairable
+from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness, _violation, is_quotient
+from .rigidity import Multigraph, _count_sparse
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
 
 
@@ -179,10 +179,10 @@ def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
 # checks on obj: None when the case holds, else a JSON-ready witness.  An (MB)
 # obj is a matroid, a (DF) obj a row (code, upper, lower); both are checked on
 # codes, a realization by the exchange verdict on a code's members and its
-# least and greatest size layers against two basis codes.  Only a witness, or
-# fmax's builders' input, builds a delta-matroid.  `universe` holds every obj of
-# the property's universe, for properties that pair; `memo` lives for one sweep,
-# for results its objects share, keyed by the basis codes of a matroid or pair.
+# least and greatest size layers against two basis codes.  Only a witness
+# builds a delta-matroid.  `universe` holds every obj of the property's
+# universe, for properties that pair; `memo` lives for one sweep, for results
+# its objects share, keyed by the basis codes of a matroid or pair.
 
 
 def _once(memo: dict, key: Hashable, make: Callable):
@@ -245,18 +245,15 @@ def _augmentation_breaks(code: int, lo: int, hi: int, n: int) -> bool:
 
 def _fmax_pair(row: tuple) -> list[tuple[str, int, bool]]:
     """(variant, fmax family code, whether it is a maximal delta-matroid with
-    the row's upper and lower) for each variant whose side is uniform."""
+    the row's upper and lower) for each variant whose side is uniform; both
+    variants' family is the sandwich, so one verdict serves both."""
     _, upper, lower = row
-    d, n, out = _delta(row), upper.ground.size, []
-    for variant, side, build in (
-        ("upper-uniform", upper, fmax_upper_uniform),
-        ("lower-uniform", lower, fmax_lower_uniform),
-    ):
-        if side.is_uniform():
-            fam = _indicator(build(d).masks, n)
-            ok = _realizes(fam, upper._bases, lower._bases, n) and _augmentation_breaks(fam, lower.rank, upper.rank, n)
-            out.append((variant, fam, ok))
-    return out
+    variants = [v for v, side in (("upper-uniform", upper), ("lower-uniform", lower)) if side.is_uniform()]
+    if not variants:
+        return []
+    n, fam = upper.ground.size, upper._indep & lower._spanning
+    ok = _realizes(fam, upper._bases, lower._bases, n) and _augmentation_breaks(fam, lower.rank, upper.rank, n)
+    return [(variant, fam, ok) for variant in variants]
 
 
 def _fmax_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
@@ -365,7 +362,7 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
     graph-enumeration order, from `_canonical_assignments` on v = 1, 2, ...
     vertices (1,435 of 8,020 at n = 5, v <= 3).  An assignment is keyed by its
     bases' indicator, from its edge vertex masks, and only a new key builds
-    its graph and matroid."""
+    its graph and matroid, whose bases that key already lists."""
     edge_labels = default_ground(n).labels
     seen: dict[int, tuple[Matroid, Multigraph]] = {}
     for v in range(1, max_vertices + 1):
@@ -375,7 +372,7 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
             if key not in seen:
                 edges = tuple((edge_labels[k], (vertices[i], vertices[j])) for k, (i, j) in enumerate(assignment))
                 g = Multigraph(vertices, edges)
-                seen[key] = (cycle_matroid(g), g)
+                seen[key] = (Matroid._trusted(g.ground, _decode_family(key)), g)
     return list(seen.values())
 
 
@@ -417,8 +414,8 @@ def find_unpairable_pair(n: int) -> SearchReport:
     if not 1 <= n <= 5:
         raise InputError(f"unpairable-pair search supports 1 <= n <= 5, got {n}")
     t0 = time.monotonic()
-    # Vertex cap: 3 keeps the 5-edge scan at 6^5 graphs while still covering
-    # the bridge-plus-parallel-edges shape the counterexample needs.
+    # Vertex cap: 3 keeps the 5-edge scan at 1,435 canonical assignments of 8,020
+    # while still covering the bridge-plus-parallel-edges shape the counterexample needs.
     pool = _graphic_pool(n, 3 if n >= 4 else n + 1)
     pairs = itertools.permutations(pool, 2)
     wit = next((w for w in itertools.starmap(_pair_witness, pairs) if w is not None), None)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -24,8 +25,8 @@ from deltamatroids.delta import (
     fmax_upper_uniform,
     is_pairable,
 )
-from deltamatroids.matroids import _decode_family, _exchange_failures, _exchange_ok, _exchange_witness
-from deltamatroids.rigidity import Multigraph, cycle_matroid
+from deltamatroids.matroids import _decode_family, _exchange_failures, _exchange_ok, _exchange_witness, _indicator
+from deltamatroids.rigidity import Multigraph, _count_sparse, cycle_matroid
 from deltamatroids.search import (
     PROPERTY_IDS,
     _augmentation_breaks,
@@ -37,6 +38,7 @@ from deltamatroids.search import (
     _objects,
     _graphic_pool,
     _pair_witness,
+    _sizes,
     _twists,
     constrained_realization,
     delta_codes,
@@ -316,16 +318,21 @@ class TestSharedLayers:
         assert made == ["SetFamily", "DeltaMatroid"]
 
     def test_sweep_work_is_pinned_at_n4(self, monkeypatch, fresh_universes):
-        # on built universes: the realization and maximality checks read the
-        # matroids' indicators, so the first three sweeps build no family
-        # objects, and each sweep runs the exchange verdict as often as before
+        # on built universes every sweep reads codes and the matroids'
+        # indicators: only dual-exchange builds objects, one dual per matroid,
+        # and fmax-maximal runs one exchange verdict per pair with a uniform
+        # side, as both its variants read the pair's sandwich
         _objects("MB", 4)
         _objects("DF", 4)
-        verdicts, built = [], []
+        verdicts, built, passes = [], [], []
 
         def counting_delta_ok(masks):
             verdicts.append(masks)
             return _delta_ok(masks)
+
+        def counting_count_sparse(*args):
+            passes.append(args)
+            return _count_sparse(*args)
 
         def count(cls, name):
             real = getattr(cls, name)
@@ -337,47 +344,69 @@ class TestSharedLayers:
             monkeypatch.setattr(cls, name, counting)
 
         monkeypatch.setattr("deltamatroids.search._delta_ok", counting_delta_ok)
+        monkeypatch.setattr("deltamatroids.search._count_sparse", counting_count_sparse)
+        monkeypatch.setattr("deltamatroids.rigidity._count_sparse", counting_count_sparse)
         count(SetFamily, "__post_init__")
         count(DeltaMatroid, "__init__")
+        count(Matroid, "__init__")
         calls, builds = [], []
-        for pid in ("independents-are-delta", "spanning-are-delta", "sufficiency-sandwich", "fmax-maximal"):
+        for pid in PROPERTY_IDS:
             verdicts.clear()
             built.clear()
             assert verify_property(pid, 4).holds
             calls.append(len(verdicts))
-            builds.append(len(built))
-        assert calls == [68, 68, 1854, 322]
-        assert builds[:3] == [0, 0, 0]
+            builds.append(sorted(built))
+        assert calls == [0, 68, 68, 0, 0, 1854, 0, 307]
+        dual_exchange = PROPERTY_IDS.index("dual-exchange")
+        assert builds[dual_exchange] == ["Matroid"] * 68 + ["SetFamily"] * 68  # Matroid.dual, on purpose
+        assert builds[:dual_exchange] + builds[dual_exchange + 1 :] == [[]] * 7
         verdicts.clear()
         assert find_unpairable_pair(5).holds
         assert len(verdicts) == 1
+        assert len(passes) == 1435  # one count pass per canonical assignment, none per new key
 
     def test_fmax_matches_reference_when_perturbed(self, monkeypatch, fresh_universes):
-        # a verdict that splits pairs, and a family that misses a set strictly
-        # between the ranks, which only some objects of a pair have: the
-        # per-pair memo must still give per-object answers
+        # a verdict that splits pairs, and a pair family that misses its
+        # greatest set strictly between the ranks, which only some objects of
+        # a pair have: the per-pair memo must still give per-object answers
         def delta_ok(masks):
             return _delta_ok(masks) and len(masks) % 5 != 0
 
         def breaks(*args):  # the family above is never maximal; judge the rest
             return True
 
-        def upper_family(d):
-            fam = fmax_upper_uniform(d).masks
+        def lossy_family(d):
+            fam = construct_sandwich(d.upper, d.lower).masks
             mid = [m for m in fam if d.lower.rank < m.bit_count() < d.upper.rank]
             return SetFamily(d.ground, tuple(m for m in fam if mid[-1:] != [m]))
 
+        def lossy_pair(row):
+            # the same pair with the upper matroid's independents losing that
+            # set, so that its sandwich, read by the real _fmax_pair, does too
+            code, upper, lower = row
+            n, lo, hi = upper.ground.size, lower.rank, upper.rank
+            mid = upper._indep & lower._spanning & sum(_sizes(n)[lo + 1 : hi])
+            lossy = copy.copy(upper)
+            lossy._indep = upper._indep & ~((1 << mid.bit_length()) >> 1)  # mid's top bit, if any
+            out = real_fmax_pair((code, lossy, lower))
+            families[upper._bases, lower._bases] = {fam for _, fam, _ in out}
+            return out
+
+        real_fmax_pair, families = search._fmax_pair, {}
         monkeypatch.setattr("deltamatroids.search._delta_ok", delta_ok)
         monkeypatch.setattr("deltamatroids.search._augmentation_breaks", breaks)
-        monkeypatch.setattr("deltamatroids.search.fmax_upper_uniform", upper_family)
+        monkeypatch.setattr(search, "_fmax_pair", lossy_pair)
         for n in range(1, 5):
             ref = [
                 w
                 for d in enumerate_delta_matroids(n)
-                for w in _fmax_reference(d, delta_ok, breaks, upper_family, fmax_lower_uniform)
+                for w in _fmax_reference(d, delta_ok, breaks, lossy_family, lossy_family)
             ]
             assert verify_property("fmax-maximal", n).to_json() == _report_json("fmax-maximal", ref)
         assert any(w is None for w in ref) and any(w is not None for w in ref)
+        assert any(
+            code & ~fam for code, upper, lower in _objects("DF", 4) for fam in families[upper._bases, lower._bases]
+        )
 
     def test_realization_sweeps_match_references_when_perturbed(self, monkeypatch, fresh_universes):
         # a verdict flipped on some families, and families that lose their
@@ -604,6 +633,20 @@ def _fmax_reference(d, delta_ok, breaks, upper_family, lower_family):
         yield None if ok else {**delta_to_json(d), "variant": variant}
 
 
+def test_fmax_builders_return_the_sweeps_pair_family():
+    # fmax-maximal reads the sandwich upper._indep & lower._spanning for both
+    # variants; the public builders return it on every row their side allows
+    checked = {fmax_upper_uniform: 0, fmax_lower_uniform: 0}
+    for n in range(5):
+        for d in enumerate_delta_matroids(n):
+            fam = d.upper._indep & d.lower._spanning
+            for build, side in ((fmax_upper_uniform, d.upper), (fmax_lower_uniform, d.lower)):
+                if side.is_uniform():
+                    assert _indicator(build(d).masks, n) == fam, (build.__name__, d)
+                    checked[build] += 1
+    assert list(checked.values()) == [4157, 4157]  # of the 6,133 rows at n <= 4
+
+
 def _size_layers(masks):
     """The least-size and greatest-size members of a nonempty mask tuple, in its order."""
     least, most = min(m.bit_count() for m in masks), max(m.bit_count() for m in masks)
@@ -713,14 +756,15 @@ def test_graphic_pool_equals_the_graph_first_build(n, monkeypatch):
     ref = _graphic_pool_graph_first(n, max_v)
     built = []
 
-    def counting(g):
-        built.append(g)
-        return cycle_matroid(g)
+    def counting(*args):
+        built.append(Multigraph(*args))
+        return built[-1]
 
-    monkeypatch.setattr(search, "cycle_matroid", counting)
+    monkeypatch.setattr(search, "Multigraph", counting)
     pool = _graphic_pool(n, max_v)
     assert [(m.bases.masks, g) for m, g in pool] == [(m.bases.masks, g) for m, g in ref]
-    assert built == [g for _, g in pool]  # one graph and matroid per new key
+    assert built == [g for _, g in pool]  # one graph per new key
+    assert all(cycle_matroid(g) == m for m, g in pool)  # the key's matroid is the graph's
     assert n < 5 or len(pool) == 187
 
 
