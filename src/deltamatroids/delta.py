@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
-from .core import MAX_GROUND_SIZE, GroundSet, InputError, SetFamily, Subset, _project
-from .matroids import Matroid, _certify_exchange, _decode_family, _exchange_ok
+from .core import GroundSet, InputError, SetFamily, Subset, _project
+from .matroids import Matroid, _certify_exchange, _code_layers, _decode_family, _exchange_ok, _indicator
 
 
 @lru_cache(maxsize=1 << 18)
@@ -19,22 +19,6 @@ def _delta_ok(masks: tuple[int, ...]) -> bool:
     family (331 hits in 2,298 calls over a traced cli-sweep round); the memo
     stays because bench/one_round.py reports its cache_info()."""
     return _exchange_ok(masks, "DF")
-
-
-def _layers(masks: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(minimum-size, maximum-size) masks, each in the given order, in one pass."""
-    lo, hi, lo_size, hi_size = [], [], MAX_GROUND_SIZE + 1, -1
-    for m in masks:
-        k = m.bit_count()
-        if k <= lo_size:
-            if k < lo_size:
-                lo, lo_size = [], k
-            lo.append(m)
-        if k >= hi_size:
-            if k > hi_size:
-                hi, hi_size = [], k
-            hi.append(m)
-    return tuple(lo), tuple(hi)
 
 
 class DeltaMatroid:
@@ -60,18 +44,23 @@ class DeltaMatroid:
     # -- upper and lower matroids ----------------------------------------
 
     @cached_property
+    def _layer_codes(self) -> tuple[int, int]:
+        """Indicators of the minimum- and maximum-cardinality feasible sets."""
+        return _code_layers(_indicator(self.feasibles.masks, self.ground.size), self.ground.size)
+
+    @cached_property
     def upper(self) -> Matroid:
         """Matroid of the maximum-cardinality feasible sets.
 
         No re-certification: the extremal layers of a delta-matroid are
         matroids (Bouchet 1987, Greedy algorithm and symmetric matroids).
         """
-        return Matroid._trusted(self.ground, _layers(self.feasibles.masks)[1])
+        return Matroid._trusted(self.ground, self._layer_codes[1])
 
     @cached_property
     def lower(self) -> Matroid:
         """Matroid of the minimum-cardinality feasible sets."""
-        return Matroid._trusted(self.ground, _layers(self.feasibles.masks)[0])
+        return Matroid._trusted(self.ground, self._layer_codes[0])
 
     # -- operations -------------------------------------------------------
 

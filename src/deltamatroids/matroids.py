@@ -1,21 +1,24 @@
 """Matroids given by their basis families: axiom checking and derived structure.
 
 A `Matroid` value only exists after its basis family passed the basis
-exchange axiom, so downstream code never re-checks.  Its independent sets,
-spanning sets, circuits and unions of circuits are 2^n-bit indicators (bit m
-set iff subset mask m is in the family) over `_coordinates(n)`: shift-and-mask
-steps from the bases' indicator, and for the circuit unions one up-closure of
-the circuits through each element, O(n^2) steps.  A quotient test, and its
-least offending circuit, is then one AND of circuits against circuit unions.
+exchange axiom, so downstream code never re-checks.  It is stored as its
+bases' 2^n-bit indicator (bit m set iff subset mask m is a basis), and
+`bases` decodes that on first read.  Its independent sets, spanning sets,
+circuits and unions of circuits are indicators of the same kind over
+`_coordinates(n)`: shift-and-mask steps from the bases' indicator, and for the
+circuit unions one up-closure of the circuits through each element, O(n^2)
+steps.  A quotient test, and its least offending circuit, is then one AND of
+circuits against circuit unions.  The dual complements the indicator, and a
+minor by X keeps B - X over the bases B that meet X least (deletion) or most
+(contraction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from math import comb
+from functools import cache, cached_property, lru_cache, reduce
 from operator import and_
-from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     GroundSet,
@@ -89,6 +92,27 @@ def _decode_family(code: int) -> tuple[int, ...]:
             masks.append(i << 3 | low.bit_length() - 1)
             byte ^= low
     return tuple(masks)
+
+
+@cache
+def _sizes(n: int) -> tuple[int, ...]:
+    """Per size k = 0..n, the 2^n-bit indicator of the k-element masks: the
+    k-sets on n - 1 elements, and the (k - 1)-sets on them with element n - 1 added."""
+    if n == 0:
+        return (1,)
+    prev = _sizes(n - 1)
+    return tuple(a | b << (1 << (n - 1)) for a, b in zip((*prev, 0), (0, *prev)))
+
+
+def _code_layers(code: int, n: int) -> tuple[int, int]:
+    """(minimum-size, maximum-size) members of a nonempty family, as codes."""
+    present = [layer for s in _sizes(n) if (layer := code & s)]
+    return present[0], present[-1]
+
+
+def _complement(code: int, n: int) -> int:
+    """Code of the complement family {E - F : F in family}: mask m goes to 2^n - 1 - m, so the bits reverse."""
+    return int(format(code, f"0{1 << n}b")[::-1], 2)
 
 
 def _up_closure(indicator: int, n: int) -> int:
@@ -194,36 +218,37 @@ def _certify_exchange(fam: SetFamily, axiom: str) -> None:
 
 
 class Matroid:
-    """A basis family certified against the basis exchange axiom."""
+    """A basis family certified against the basis exchange axiom, stored as its bases' indicator."""
 
-    def __init__(self, ground: GroundSet, bases: SetFamily, _certified: bool = False):
+    def __init__(self, ground: GroundSet, code: int, _certified: bool = False):
         if not _certified:
             raise TypeError("use Matroid.certify to build matroids")
         self.ground = ground
-        self.bases = bases
-        self.rank = bases.masks[0].bit_count()
+        self._bases = code
+        self.rank = ((code & -code).bit_length() - 1).bit_count()  # the lowest basis's size
 
     @classmethod
     def certify(cls, fam: SetFamily) -> "Matroid":
         if len(fam) == 0:
             raise InputError("a matroid needs at least one basis")
         _certify_exchange(fam, "MB")
-        m = cls(fam.ground, fam, _certified=True)
+        m = cls(fam.ground, _indicator(fam.masks, fam.ground.size), _certified=True)
+        m.bases = fam  # fills the cached_property
         # (MB) forces equicardinality; a failure here would be an engine bug.
         if any(b.bit_count() != m.rank for b in fam.masks):
             raise RuntimeError("(MB) passed on a basis family of unequal sizes")
         return m
 
     @classmethod
-    def _trusted(cls, ground: GroundSet, masks: Iterable[int]) -> "Matroid":
-        """Build without re-running (MB); for constructions correct by theory."""
-        return cls(ground, SetFamily(ground, tuple(masks)), _certified=True)
-
-    # -- derived structure: 2^n-bit indicators ----------------------------
+    def _trusted(cls, ground: GroundSet, code: int) -> "Matroid":
+        """Build from a basis indicator without running (MB); for constructions correct by theory."""
+        return cls(ground, code, _certified=True)
 
     @cached_property
-    def _bases(self) -> int:
-        return _indicator(self.bases.masks, self.ground.size)
+    def bases(self) -> SetFamily:
+        return SetFamily(self.ground, _decode_family(self._bases))
+
+    # -- derived structure: 2^n-bit indicators ----------------------------
 
     @cached_property
     def _indep(self) -> int:
@@ -282,38 +307,36 @@ class Matroid:
     # -- operations -------------------------------------------------------
 
     def dual(self) -> "Matroid":
-        full = self.ground.full_mask
-        return Matroid._trusted(self.ground, (full ^ b for b in self.bases.masks))
+        return Matroid._trusted(self.ground, _complement(self._bases, self.ground.size))
 
     def delete(self, x_set: Subset) -> "Matroid":
-        """Restrict to the complement of x_set: the bases are the largest B - x_set."""
+        """Restrict to the complement of x_set: B - x_set over the bases B meeting it least."""
         if x_set.ground != self.ground:
             raise InputError("deletion set over a different ground set")
-        keep = [i for i in range(self.ground.size) if not x_set.mask >> i & 1]
-        rest = [b & ~x_set.mask for b in self.bases.masks]
-        top = max(m.bit_count() for m in rest)
-        return Matroid._trusted(
-            GroundSet(tuple(self.ground.labels[i] for i in keep)),
-            (_project(m, keep) for m in rest if m.bit_count() == top),
-        )
+        return self._minor(x_set.mask, min)
 
     def contract(self, x_set: Subset) -> "Matroid":
-        """Contraction, computed as the dual of deletion on the dual."""
-        return self.dual().delete(x_set).dual()
+        """Contract x_set: B - x_set over the bases B meeting it most (Oxley, Matroid Theory, section 3.1)."""
+        if x_set.ground != self.ground:
+            raise InputError("contraction set over a different ground set")
+        return self._minor(x_set.mask, max)
+
+    def _minor(self, x: int, pick: Callable) -> "Matroid":
+        """B - x over the bases B whose meet with x has the size pick chooses, on the ground less x."""
+        best = pick((b & x).bit_count() for b in self.bases.masks)
+        keep = [i for i in range(self.ground.size) if not x >> i & 1]
+        kept = (_project(b, keep) for b in self.bases.masks if (b & x).bit_count() == best)
+        return Matroid._trusted(GroundSet(tuple(self.ground.labels[i] for i in keep)), _indicator(kept, len(keep)))
 
     def is_uniform(self) -> bool:
         """True iff the bases are exactly all rank-sized subsets of the ground."""
-        return len(self.bases) == comb(self.ground.size, self.rank)
+        return self._bases == _sizes(self.ground.size)[self.rank]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Matroid)
-            and self.ground == other.ground
-            and self.bases.masks == other.bases.masks
-        )
+        return isinstance(other, Matroid) and self.ground == other.ground and self._bases == other._bases
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.bases.masks))
+        return hash((self.ground, self._bases))
 
     def __repr__(self) -> str:
         return f"Matroid(rank={self.rank}, bases={self.bases!r})"
@@ -323,18 +346,17 @@ def uniform(k: int, ground: GroundSet) -> Matroid:
     """The uniform matroid whose bases are all k-subsets of the ground set."""
     if not 0 <= k <= ground.size:
         raise InputError(f"uniform rank {k} out of range for ground of size {ground.size}")
-    bases = [m for m in ground.all_masks() if m.bit_count() == k]
-    return Matroid._trusted(ground, bases)
+    return Matroid._trusted(ground, _sizes(ground.size)[k])
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
-    """Direct sum on disjoint grounds: bases are unions of one basis from each."""
+    """Direct sum on disjoint grounds: bases are unions of one basis from each,
+    so the code holds one copy of m1's per basis b2 of m2, shifted to b2's place."""
     if set(m1.ground.labels) & set(m2.ground.labels):
         raise InputError("direct sum requires disjoint ground sets")
-    ground = GroundSet(m1.ground.labels + m2.ground.labels)
     shift = m1.ground.size
-    bases = [b1 | (b2 << shift) for b1 in m1.bases.masks for b2 in m2.bases.masks]
-    return Matroid._trusted(ground, bases)
+    code = sum(m1._bases << (b2 << shift) for b2 in _decode_family(m2._bases))
+    return Matroid._trusted(GroundSet(m1.ground.labels + m2.ground.labels), code)
 
 
 def is_union_of_circuits(s: Subset, m: Matroid) -> bool:

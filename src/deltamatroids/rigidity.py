@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .core import MAX_GROUND_SIZE, GroundSet, InputError, SetFamily, Subset
 from .delta import construct_sandwich
-from .matroids import Matroid, _coordinates, _decode_family, _up_closure
+from .matroids import Matroid, _coordinates, _up_closure
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _count_sparse(ev: tuple[int, ...], k: int, l: int) -> tuple[int, int]:
 def cycle_matroid(g: Multigraph) -> Matroid:
     """Connectivity matroid on the edge labels: independents are forests,
     the (1,1)-sparse edge sets."""
-    return Matroid._trusted(g.ground, _decode_family(_count_sparse(g._edge_vertex_masks, 1, 1)[1]))
+    return Matroid._trusted(g.ground, _count_sparse(g._edge_vertex_masks, 1, 1)[1])
 
 
 def is_sparse_23(g: Multigraph, f: Subset) -> bool:
@@ -145,7 +145,7 @@ def is_sparse_23(g: Multigraph, f: Subset) -> bool:
 
 def rigidity_matroid(g: Multigraph) -> Matroid:
     """2D generic rigidity matroid, the (2,3)-count matroid: independents are the (2,3)-sparse sets."""
-    return Matroid._trusted(g.ground, _decode_family(_count_sparse(g._edge_vertex_masks, 2, 3)[1]))
+    return Matroid._trusted(g.ground, _count_sparse(g._edge_vertex_masks, 2, 3)[1])
 
 
 def rigidity_feasible_family(g: Multigraph) -> SetFamily:
@@ -233,8 +233,8 @@ def verify_cone_quotient(g: Multigraph) -> ConeQuotientReport:
     if deleted.ground != g.ground or contracted.ground != g.ground:
         raise RuntimeError("cone minors are not over the graph's edge ground set")
     return ConeQuotientReport(
-        deletion_identity=deleted.bases.masks == mr.bases.masks,
-        contraction_identity=contracted.bases.masks == mc.bases.masks,
+        deletion_identity=deleted == mr,
+        contraction_identity=contracted == mc,
     )
 
 

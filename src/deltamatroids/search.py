@@ -3,12 +3,12 @@ pairs: theorem verification suites and the unpairable-pair hunt.
 
 Each (axiom, n) universe is built once per process, level by level (families on
 k elements from those on k - 1; one (DF) verdict per twist orbit): `_codes`
-caches its codes, and `_objects` its certified matroids, which keep their derived
-sets, or one row (code, upper, lower) per delta-matroid, upper and lower being
-(MB) universe objects.  At n = 4, 5,959 rows share 68 matroids in 0.7 MB, 1.2 MB
-after every sweep (tracemalloc).  Sweeps read these codes and the matroids'
-indicators, building no family objects.  Per-matroid and per-pair work is shared
-within one sweep and redone by a repeated sweep.
+caches its codes, and `_objects` its matroids, each stored as its code and keeping
+its derived sets, or one row (code, upper, lower) per delta-matroid, upper and
+lower being (MB) universe objects.  At n = 4, 5,959 rows share 68 matroids in
+0.7 MB, 1.2 MB after every sweep (tracemalloc).  Sweeps read these codes and the
+matroids' indicators, building no family objects.  Per-matroid and per-pair work
+is shared within one sweep and redone by a repeated sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .core import InputError, SetFamily, default_ground
 from .delta import DeltaMatroid, _delta_ok, is_pairable
-from .matroids import Matroid, _coordinates, _decode_family, _exchange_ok, _exchange_witness, _violation, is_quotient
+from .matroids import Matroid, _code_layers, _complement, _coordinates, _decode_family, _exchange_ok, _exchange_witness
+from .matroids import _sizes, _violation, is_quotient
 from .rigidity import Multigraph, _count_sparse
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
 
@@ -66,26 +67,6 @@ def _twists(code: int, n: int) -> set[int]:
         s = 1 << i
         orbit |= {(c & has) >> s | (c ^ c & has) << s for c in orbit}
     return orbit
-
-
-def _complement(code: int, n: int) -> int:
-    """Code of the complement dual {E - F : F in family}: mask m goes to 2^n - 1 - m, so the bits reverse."""
-    return int(format(code, f"0{1 << n}b")[::-1], 2)
-
-
-@cache
-def _sizes(n: int) -> tuple[int, ...]:
-    """Per size k = 0..n, the 2^n-bit indicator of the k-element masks."""
-    out = [0] * (n + 1)
-    for m in range(1 << n):
-        out[m.bit_count()] |= 1 << m
-    return tuple(out)
-
-
-def _code_layers(code: int, n: int) -> tuple[int, int]:
-    """(minimum-size, maximum-size) members of a nonempty family, as codes."""
-    present = [layer for s in _sizes(n) if (layer := code & s)]
-    return present[0], present[-1]
 
 
 def _codes_level(axiom: str, k: int, prev: tuple[int, ...]) -> list[int]:
@@ -133,7 +114,7 @@ def _objects(axiom: str, n: int) -> tuple:
     bases are the code's largest and smallest members."""
     codes, g = _codes(axiom, n), default_ground(n)
     if axiom == "MB":
-        return tuple(Matroid._trusted(g, _decode_family(c)) for c in codes)
+        return tuple(Matroid._trusted(g, c) for c in codes)
     by_code = dict(zip(_codes("MB", n), _objects("MB", n)))
     rows = []
     for c in codes:
@@ -192,8 +173,8 @@ def _once(memo: dict, key: Hashable, make: Callable):
 
 
 def _equicardinal_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    sizes = {b.bit_count() for b in m.bases.masks}
-    yield None if len(sizes) == 1 else {"ground": list(m.ground.labels), "members": m.bases.member_labels()}
+    lower, upper = _code_layers(m._bases, m.ground.size)
+    yield None if lower == upper else {"ground": list(m.ground.labels), "members": m.bases.member_labels()}
 
 
 def _realizes(code: int, upper: int, lower: int, n: int) -> bool:
@@ -372,7 +353,7 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
             if key not in seen:
                 edges = tuple((edge_labels[k], (vertices[i], vertices[j])) for k, (i, j) in enumerate(assignment))
                 g = Multigraph(vertices, edges)
-                seen[key] = (Matroid._trusted(g.ground, _decode_family(key)), g)
+                seen[key] = (Matroid._trusted(g.ground, key), g)
     return list(seen.values())
 
 

@@ -29,8 +29,7 @@ from deltamatroids import (
     restrict_to_contained,
     uniform,
 )
-from deltamatroids.delta import _layers
-from deltamatroids.matroids import Matroid, _decode_family, _exchange_ok
+from deltamatroids.matroids import Matroid, _code_layers, _decode_family, _exchange_ok, _indicator
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
 from deltamatroids.search import delta_codes, enumerate_matroids
 
@@ -228,8 +227,8 @@ class TestLayers:
         for g, masks in fams:
             sizes = [m.bit_count() for m in masks]
             want = tuple(tuple(m for m in masks if m.bit_count() == k) for k in (min(sizes), max(sizes)))
-            assert _layers(masks) == want, masks
-            assert _layers(masks[::-1]) == tuple(layer[::-1] for layer in want), masks
+            n = g.size
+            assert _code_layers(_indicator(masks, n), n) == tuple(_indicator(layer, n) for layer in want), masks
             d = DeltaMatroid._trusted(g, masks)
             assert (d.lower.bases.masks, d.upper.bases.masks) == want, masks
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import chain, combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from deltamatroids import (
     is_union_of_circuits,
     uniform,
 )
-from deltamatroids.core import _minimal_masks
+from deltamatroids.core import _minimal_masks, _project
 from deltamatroids.delta import DeltaMatroid, construct_sandwich
 from deltamatroids.matroids import (
     _coordinates,
@@ -29,9 +30,10 @@ from deltamatroids.matroids import (
     _exchange_failures,
     _exchange_ok,
     _exchange_witness,
+    _sizes,
 )
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
-from deltamatroids.search import enumerate_matroids
+from deltamatroids.search import enumerate_matroids, matroid_codes
 
 
 def powerset(iterable):
@@ -261,6 +263,73 @@ class TestDualsAndMinors:
         m = uniform(1, default_ground(2))
         with pytest.raises(InputError):
             m.delete(GroundSet.of("x").subset("x"))
+
+    def test_minor_set_over_other_ground_names_its_operation(self):
+        m = uniform(1, default_ground(2))
+        other = GroundSet.of("x").subset("x")
+        for obj in (m, DeltaMatroid.certify(m.bases)):
+            for op, word in ((obj.delete, "deletion"), (obj.contract, "contraction")):
+                with pytest.raises(InputError, match=f"^{word} set over a different ground set$"):
+                    op(other)
+
+    def test_minors_match_their_references(self):
+        # deletion against the largest B - X, contraction against the dual of
+        # the dual's deletion: every matroid and X up to n = 4, then the
+        # rigidity matroid of each corpus cone and of K5's cone by its cone edges
+        cases = [(m, x) for n in range(5) for m in enumerate_matroids(n) for x in m.ground.all_masks()]
+        k5 = Multigraph.build("abcde", [(u + v, u, v) for u, v in combinations("abcde", 2)])
+        for g in (*CORPUS.values(), k5):
+            result = cone(g)
+            cases.append((rigidity_matroid(result.cone_graph), result.cone_edges.mask))
+        for m, x in cases:
+            xs = Subset(m.ground, x)
+            keep = [i for i in range(m.ground.size) if not x >> i & 1]
+            rest = [b & ~x for b in m.bases.masks]
+            top = max(r.bit_count() for r in rest)
+            deleted = m.delete(xs)
+            assert deleted.ground.labels == tuple(m.ground.labels[i] for i in keep), (m, x)
+            assert set(deleted.bases.masks) == {_project(r, keep) for r in rest if r.bit_count() == top}, (m, x)
+            assert m.contract(xs) == m.dual().delete(xs).dual(), (m, x)
+        assert len(cases) == 1 + 2 * 2 + 5 * 4 + 16 * 8 + 68 * 16 + len(CORPUS) + 1
+
+
+class TestBasisCode:
+    """A matroid is stored as its bases' indicator and decodes it on demand."""
+
+    def test_code_built_matroids_agree_with_certified_ones(self):
+        for n in range(5):
+            g = default_ground(n)
+            for code in matroid_codes(n):
+                built, certified = Matroid._trusted(g, code), Matroid.certify(SetFamily(g, _decode_family(code)))
+                assert built == certified and hash(built) == hash(certified), code
+                assert built.rank == certified.rank and built.bases.masks == certified.bases.masks, code
+
+    def test_uniform_has_every_k_subset(self):
+        for n in (0, 1, 4, 11, 16):
+            for k in range(n + 1):
+                masks = uniform(k, default_ground(n)).bases.masks
+                assert len(masks) == comb(n, k) and {b.bit_count() for b in masks} == {k}, (n, k)
+
+    def test_is_uniform_counts_bases(self):
+        ms = [m for n in range(5) for m in enumerate_matroids(n)]
+        assert [m.is_uniform() for m in ms] == [len(m.bases) == comb(m.ground.size, m.rank) for m in ms]
+        assert 0 < sum(m.is_uniform() for m in ms) < len(ms)
+
+    def test_sizes_match_a_popcount_table(self):
+        for n in range(13):
+            want = [0] * (n + 1)
+            for mask in range(1 << n):
+                want[mask.bit_count()] |= 1 << mask
+            assert _sizes(n) == tuple(want), n
+
+    def test_direct_sum_bases_are_the_unions(self):
+        # every pair of matroids on at most 2 elements, the second relabelled apart
+        ms = [m for n in range(3) for m in enumerate_matroids(n)]
+        for m1 in ms:
+            for m in ms:
+                m2 = Matroid.certify(SetFamily(GroundSet(tuple(map(str.upper, m.ground.labels))), m.bases.masks))
+                want = {b1 | b2 << m1.ground.size for b1 in m1.bases.masks for b2 in m2.bases.masks}
+                assert set(direct_sum(m1, m2).bases.masks) == want, (m1, m2)
 
 
 class TestCircuitUnionAndQuotients:

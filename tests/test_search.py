@@ -19,26 +19,31 @@ from deltamatroids.delta import (
     DeltaMatroid,
     PairabilityReport,
     _delta_ok,
-    _layers,
     construct_sandwich,
     fmax_lower_uniform,
     fmax_upper_uniform,
     is_pairable,
 )
-from deltamatroids.matroids import _decode_family, _exchange_failures, _exchange_ok, _exchange_witness, _indicator
+from deltamatroids.matroids import (
+    _code_layers,
+    _complement,
+    _decode_family,
+    _exchange_failures,
+    _exchange_ok,
+    _exchange_witness,
+    _indicator,
+    _sizes,
+)
 from deltamatroids.rigidity import Multigraph, _count_sparse, cycle_matroid
 from deltamatroids.search import (
     PROPERTY_IDS,
     _augmentation_breaks,
     _canonical_assignments,
-    _code_layers,
-    _complement,
     _uplow_cases,
     _codes,
     _objects,
     _graphic_pool,
     _pair_witness,
-    _sizes,
     _twists,
     constrained_realization,
     delta_codes,
@@ -274,7 +279,7 @@ class TestSharedLayers:
         for n, code in cases:
             d = DeltaMatroid._trusted(default_ground(n), _decode_family(code))
             assert _complement(code, n) == _code_of(d.complement_dual().feasibles.masks), (n, code)
-            assert _code_layers(code, n) == tuple(map(_code_of, _layers(d.feasibles.masks))), (n, code)
+            assert _code_layers(code, n) == tuple(map(_code_of, _size_layers(d.feasibles.masks))), (n, code)
         assert len(cases) == 274 + 5959
 
     def test_per_pair_work_runs_once_per_pair(self, monkeypatch, fresh_universes):
@@ -319,9 +324,10 @@ class TestSharedLayers:
 
     def test_sweep_work_is_pinned_at_n4(self, monkeypatch, fresh_universes):
         # on built universes every sweep reads codes and the matroids'
-        # indicators: only dual-exchange builds objects, one dual per matroid,
-        # and fmax-maximal runs one exchange verdict per pair with a uniform
-        # side, as both its variants read the pair's sandwich
+        # indicators, mb-equicardinal included: only dual-exchange builds
+        # objects, one dual per matroid from its complemented basis code, and
+        # fmax-maximal runs one exchange verdict per pair with a uniform side,
+        # as both its variants read the pair's sandwich
         _objects("MB", 4)
         _objects("DF", 4)
         verdicts, built, passes = [], [], []
@@ -358,7 +364,7 @@ class TestSharedLayers:
             builds.append(sorted(built))
         assert calls == [0, 68, 68, 0, 0, 1854, 0, 307]
         dual_exchange = PROPERTY_IDS.index("dual-exchange")
-        assert builds[dual_exchange] == ["Matroid"] * 68 + ["SetFamily"] * 68  # Matroid.dual, on purpose
+        assert builds[dual_exchange] == ["Matroid"] * 68  # Matroid.dual, on purpose
         assert builds[:dual_exchange] + builds[dual_exchange + 1 :] == [[]] * 7
         verdicts.clear()
         assert find_unpairable_pair(5).holds
