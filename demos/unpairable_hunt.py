@@ -17,6 +17,7 @@ from deltamatroids import (
     uniform,
 )
 from deltamatroids.delta import _delta_ok
+from deltamatroids.matroids import _indicator
 from deltamatroids.serialize import matroid_from_json
 
 # -- part one: the counterexample ----------------------------------------
@@ -56,7 +57,7 @@ realizations = []
 for pick in range(1 << len(optional)):
     masks = tuple(sorted(forced | {optional[i] for i in range(len(optional)) if pick >> i & 1}))
     if _delta_ok(masks):
-        d = DeltaMatroid._trusted(g, masks)
+        d = DeltaMatroid._trusted(g, _indicator(masks, g.size))
         if d.upper == mu3 and d.lower == ml3:
             realizations.append(masks)
 

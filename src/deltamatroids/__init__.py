@@ -11,8 +11,6 @@ from .core import (
     SetFamily,
     Subset,
     default_ground,
-    maximal_members,
-    minimal_members,
 )
 from .delta import (
     DeltaMatroid,
@@ -88,8 +86,6 @@ __all__ = [
     "is_quotient",
     "is_sparse_23",
     "is_union_of_circuits",
-    "maximal_members",
-    "minimal_members",
     "restrict_by_deletion",
     "restrict_to_contained",
     "rigidity_feasible_family",

@@ -192,23 +192,3 @@ def _project(mask: int, keep: Sequence[int]) -> int:
     """mask restricted to the element indices in keep, renumbered 0, 1, ... in that order."""
     return sum(1 << i for i, b in enumerate(keep) if mask >> b & 1)
 
-
-def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    pool = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for m in pool:
-        if not any(k & ~m == 0 for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept))
-
-
-def minimal_members(fam: SetFamily) -> SetFamily:
-    """Members of fam that strictly contain no other member."""
-    return SetFamily(fam.ground, _minimal_masks(fam.masks))
-
-
-def maximal_members(fam: SetFamily) -> SetFamily:
-    """Members of fam strictly contained in no other member: the complements
-    of the minimal members of the complements."""
-    full = fam.ground.full_mask
-    return SetFamily(fam.ground, tuple(full ^ m for m in _minimal_masks(full ^ m for m in fam.masks)))

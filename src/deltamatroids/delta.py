@@ -1,16 +1,18 @@
 """Delta-matroids: symmetric exchange checking, upper/lower matroids,
 duals and minors, the sandwich construction, pairability, and the maximal
-feasible-family constructions.
+feasible-family constructions.  A `DeltaMatroid` is stored, as a `Matroid`
+is, as its 2^n-bit family code; its upper and lower matroids are the code's
+greatest and least member-size layers, and its complement dual the reversed code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import GroundSet, InputError, SetFamily, Subset, _project
-from .matroids import Matroid, _certify_exchange, _code_layers, _decode_family, _exchange_ok, _indicator
+from .matroids import Matroid, _certify_exchange, _code_layers, _complement, _decode_family, _exchange_ok, _indicator
 
 
 @lru_cache(maxsize=1 << 18)
@@ -22,31 +24,33 @@ def _delta_ok(masks: tuple[int, ...]) -> bool:
 
 
 class DeltaMatroid:
-    """A feasible family certified against the symmetric exchange axiom."""
+    """A feasible family certified against the symmetric exchange axiom, stored as its feasibles' indicator."""
 
-    def __init__(self, ground: GroundSet, feasibles: SetFamily, _certified: bool = False):
+    def __init__(self, ground: GroundSet, code: int, _certified: bool = False):
         if not _certified:
             raise TypeError("use DeltaMatroid.certify to build delta-matroids")
         self.ground = ground
-        self.feasibles = feasibles
+        self._feasibles = code
 
     @classmethod
     def certify(cls, fam: SetFamily) -> "DeltaMatroid":
         if len(fam) == 0:
             raise InputError("a delta-matroid needs at least one feasible set")
         _certify_exchange(fam, "DF")
-        return cls(fam.ground, fam, _certified=True)
+        d = cls(fam.ground, _indicator(fam.masks, fam.ground.size), _certified=True)
+        d.feasibles = fam  # fills the cached_property
+        return d
 
     @classmethod
-    def _trusted(cls, ground: GroundSet, masks: Sequence[int]) -> "DeltaMatroid":
-        return cls(ground, SetFamily(ground, tuple(masks)), _certified=True)
-
-    # -- upper and lower matroids ----------------------------------------
+    def _trusted(cls, ground: GroundSet, code: int) -> "DeltaMatroid":
+        """Build from a feasible-set indicator without running (DF); for constructions correct by theory."""
+        return cls(ground, code, _certified=True)
 
     @cached_property
-    def _layer_codes(self) -> tuple[int, int]:
-        """Indicators of the minimum- and maximum-cardinality feasible sets."""
-        return _code_layers(_indicator(self.feasibles.masks, self.ground.size), self.ground.size)
+    def feasibles(self) -> SetFamily:
+        return SetFamily(self.ground, _decode_family(self._feasibles))
+
+    # -- upper and lower matroids ----------------------------------------
 
     @cached_property
     def upper(self) -> Matroid:
@@ -55,12 +59,12 @@ class DeltaMatroid:
         No re-certification: the extremal layers of a delta-matroid are
         matroids (Bouchet 1987, Greedy algorithm and symmetric matroids).
         """
-        return Matroid._trusted(self.ground, self._layer_codes[1])
+        return Matroid._trusted(self.ground, _code_layers(self._feasibles, self.ground.size)[1])
 
     @cached_property
     def lower(self) -> Matroid:
         """Matroid of the minimum-cardinality feasible sets."""
-        return Matroid._trusted(self.ground, self._layer_codes[0])
+        return Matroid._trusted(self.ground, _code_layers(self._feasibles, self.ground.size)[0])
 
     # -- operations -------------------------------------------------------
 
@@ -70,8 +74,7 @@ class DeltaMatroid:
         No re-certification: this is the twist F Δ E by the whole ground set,
         and (F1 Δ E) Δ (F2 Δ E) = F1 Δ F2 keeps symmetric exchange.
         """
-        full = self.ground.full_mask
-        return DeltaMatroid._trusted(self.ground, [full ^ m for m in self.feasibles.masks])
+        return DeltaMatroid._trusted(self.ground, _complement(self._feasibles, self.ground.size))
 
     def delete(self, x_set: Subset) -> "DeltaMatroid":
         """Remove x_set from the ground set and from every feasible set.
@@ -86,36 +89,37 @@ class DeltaMatroid:
             raise InputError("deletion set over a different ground set")
         if not any(x_set.mask & ~f == 0 for f in self.feasibles.masks):
             raise InputError(f"{x_set!r} is contained in no feasible set")
-        keep = [i for i in range(self.ground.size) if not x_set.mask >> i & 1]
-        sub = GroundSet(tuple(self.ground.labels[i] for i in keep))
-        fam = SetFamily(sub, tuple(_project(f, keep) for f in self.feasibles.masks))
-        return DeltaMatroid.certify(fam)
+        return _restricted(self.ground, self.feasibles.masks, x_set.complement().mask)
 
     def contract(self, x_set: Subset) -> "DeltaMatroid":
         """Contraction via the complement dual: (D* delete X)*.
 
-        Requires x_set to miss at least one feasible set.  Deletion is read
-        as projection, so whenever both are defined this is the same family
-        as delete(x_set): both keep {F without X} for every feasible F.
+        Requires x_set to miss at least one feasible set.  Complementing in E,
+        deleting X and complementing in E - X leaves F - X, so whenever both
+        are defined this is the same family as delete(x_set): both keep
+        {F without X} for every feasible F.
         """
         if x_set.ground != self.ground:
             raise InputError("contraction set over a different ground set")
         if all(x_set.mask & f for f in self.feasibles.masks):
             raise InputError(f"{x_set!r} meets every feasible set")
-        return self.complement_dual().delete(x_set).complement_dual()
+        return _restricted(self.ground, self.feasibles.masks, x_set.complement().mask)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DeltaMatroid)
-            and self.ground == other.ground
-            and self.feasibles.masks == other.feasibles.masks
-        )
+        return isinstance(other, DeltaMatroid) and self.ground == other.ground and self._feasibles == other._feasibles
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.feasibles.masks))
+        return hash((self.ground, self._feasibles))
 
     def __repr__(self) -> str:
         return f"DeltaMatroid(feasibles={self.feasibles!r})"
+
+
+def _restricted(ground: GroundSet, masks: Iterable[int], keep: int) -> DeltaMatroid:
+    """The certified delta-matroid of {F ∩ keep : F in masks} on keep's elements, in ground order."""
+    idx = [i for i in range(ground.size) if keep >> i & 1]
+    fam = SetFamily(GroundSet(tuple(ground.labels[i] for i in idx)), tuple(_project(f, idx) for f in masks))
+    return DeltaMatroid.certify(fam)
 
 
 @dataclass(frozen=True)
@@ -201,9 +205,7 @@ def restrict_to_contained(d: DeltaMatroid, c: Subset) -> DeltaMatroid:
     inside = [f for f in d.feasibles.masks if f & ~c.mask == 0]
     if not inside:
         raise InputError(f"no feasible set is contained in {c!r}")
-    keep = [i for i in range(d.ground.size) if c.mask >> i & 1]
-    fam = SetFamily(GroundSet(c.labels), tuple(_project(f, keep) for f in inside))
-    return DeltaMatroid.certify(fam)
+    return _restricted(d.ground, inside, c.mask)
 
 
 def restrict_by_deletion(d: DeltaMatroid, c: Subset) -> DeltaMatroid:

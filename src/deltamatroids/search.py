@@ -3,12 +3,12 @@ pairs: theorem verification suites and the unpairable-pair hunt.
 
 Each (axiom, n) universe is built once per process, level by level (families on
 k elements from those on k - 1; one (DF) verdict per twist orbit): `_codes`
-caches its codes, and `_objects` its matroids, each stored as its code and keeping
-its derived sets, or one row (code, upper, lower) per delta-matroid, upper and
-lower being (MB) universe objects.  At n = 4, 5,959 rows share 68 matroids in
-0.7 MB, 1.2 MB after every sweep (tracemalloc).  Sweeps read these codes and the
-matroids' indicators, building no family objects.  Per-matroid and per-pair work
-is shared within one sweep and redone by a repeated sweep.
+caches its codes, and `_objects` its matroids or delta-matroids, each stored as
+its code, the matroids keeping their derived sets and each delta-matroid's upper
+and lower being (MB) universe objects.  At n = 4, 5,959 delta-matroids share 68
+matroids in 0.9 MB, 1.4 MB after every sweep (tracemalloc).  Sweeps read these
+codes and the matroids' indicators, building no family objects.  Per-matroid and
+per-pair work is shared within one sweep and redone by a repeated sweep.
 """
 
 from __future__ import annotations
@@ -109,22 +109,23 @@ def _codes(axiom: str, n: int) -> tuple[int, ...]:
 
 @cache  # as _codes: at most 10 entries
 def _objects(axiom: str, n: int) -> tuple:
-    """(MB): the certified matroids in code order.  (DF): one row (code, upper,
-    lower) per code, upper and lower the (MB) universe's own objects whose
-    bases are the code's largest and smallest members."""
+    """The certified matroids or delta-matroids in code order, a delta-matroid's
+    upper and lower preset to the (MB) universe's own objects whose bases are
+    the code's largest and smallest members."""
     codes, g = _codes(axiom, n), default_ground(n)
     if axiom == "MB":
         return tuple(Matroid._trusted(g, c) for c in codes)
     by_code = dict(zip(_codes("MB", n), _objects("MB", n)))
-    rows = []
+    deltas = []
     for c in codes:
+        d = DeltaMatroid._trusted(g, c)
         lower, upper = _code_layers(c, n)
         for name, layer in (("upper", upper), ("lower", lower)):
             if layer not in by_code:
-                d = DeltaMatroid._trusted(g, _decode_family(c))
                 raise RuntimeError(f"{name} layer of {d!r} is missing from the (MB) universe")
-        rows.append((c, by_code[upper], by_code[lower]))
-    return tuple(rows)
+        d.upper, d.lower = by_code[upper], by_code[lower]  # fills the cached_properties
+        deltas.append(d)
+    return tuple(deltas)
 
 
 def matroid_codes(n: int) -> list[int]:
@@ -142,26 +143,18 @@ def enumerate_matroids(n: int) -> Iterator[Matroid]:
     yield from _objects("MB", n)
 
 
-def _delta(row: tuple[int, Matroid, Matroid]) -> DeltaMatroid:
-    """A (DF) row's delta-matroid, its upper and lower preset to the row's."""
-    code, upper, lower = row
-    d = DeltaMatroid._trusted(upper.ground, _decode_family(code))
-    d.upper, d.lower = upper, lower  # fills the cached_properties
-    return d
-
-
 def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
     """Every delta-matroid on n labeled elements, once, in canonical code order."""
-    yield from map(_delta, _objects("DF", n))
+    yield from _objects("DF", n)
 
 
 # -- property checks ----------------------------------------------------
 # Each property's cases(obj, universe, memo) yields one entry per case it
 # checks on obj: None when the case holds, else a JSON-ready witness.  An (MB)
-# obj is a matroid, a (DF) obj a row (code, upper, lower); both are checked on
-# codes, a realization by the exchange verdict on a code's members and its
-# least and greatest size layers against two basis codes.  Only a witness
-# builds a delta-matroid.  `universe` holds every obj of the property's
+# obj is a matroid, a (DF) obj a delta-matroid with its upper and lower; both
+# are checked on codes, a realization by the exchange verdict on a code's
+# members and its least and greatest size layers against two basis codes.
+# Only a witness decodes a family.  `universe` holds every obj of the property's
 # universe, for properties that pair; `memo` lives for one sweep, for results
 # its objects share, keyed by the basis codes of a matroid or pair.
 
@@ -191,28 +184,26 @@ def _spanning_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Opti
     yield None if _realizes(m._spanning, 1 << m.ground.full_mask, m._bases, m.ground.size) else matroid_to_json(m)
 
 
-def _uplow_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
+def _uplow_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
     # some lower basis inside F, and F inside some upper basis
-    code, upper, lower = row
-    yield None if code & ~(upper._indep & lower._spanning) == 0 else delta_to_json(_delta(row))
+    yield None if d._feasibles & ~(d.upper._indep & d.lower._spanning) == 0 else delta_to_json(d)
 
 
-def _necessity_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    code, upper, lower = row
+def _necessity_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
+    upper, lower = d.upper, d.lower
     rep = _once(memo, (upper._bases, lower._bases), lambda: is_pairable(upper, lower))
-    yield None if rep.pairable else {**delta_to_json(_delta(row)), "offending_circuit": list(rep.offending_circuit.labels)}
+    yield None if rep.pairable else {**delta_to_json(d), "offending_circuit": list(rep.offending_circuit.labels)}
 
 
-def _dual_exchange_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    code, upper, lower = row
-    n = upper.ground.size
+def _dual_exchange_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
+    upper, lower, n = d.upper, d.lower, d.ground.size
     duals = _once(memo, (upper._bases, lower._bases), lambda: tuple(
         _once(memo, m._bases, lambda: m.dual()._bases) for m in (upper, lower)
     ))
-    families = _once(memo, "families", lambda: frozenset(r[0] for r in universe))
-    twisted = _complement(code, n)
+    families = _once(memo, "families", lambda: frozenset(e._feasibles for e in universe))
+    twisted = _complement(d._feasibles, n)
     ok = twisted in families and _code_layers(twisted, n) == duals  # lower of the twist: upper's dual
-    yield None if ok else delta_to_json(_delta(row))
+    yield None if ok else delta_to_json(d)
 
 
 def _augmentation_breaks(code: int, lo: int, hi: int, n: int) -> bool:
@@ -224,11 +215,11 @@ def _augmentation_breaks(code: int, lo: int, hi: int, n: int) -> bool:
     return not any(_delta_ok(_decode_family(code | 1 << x)) for x in _decode_family(extras))
 
 
-def _fmax_pair(row: tuple) -> list[tuple[str, int, bool]]:
+def _fmax_pair(d: DeltaMatroid) -> list[tuple[str, int, bool]]:
     """(variant, fmax family code, whether it is a maximal delta-matroid with
-    the row's upper and lower) for each variant whose side is uniform; both
+    d's upper and lower) for each variant whose side is uniform; both
     variants' family is the sandwich, so one verdict serves both."""
-    _, upper, lower = row
+    upper, lower = d.upper, d.lower
     variants = [v for v, side in (("upper-uniform", upper), ("lower-uniform", lower)) if side.is_uniform()]
     if not variants:
         return []
@@ -237,10 +228,9 @@ def _fmax_pair(row: tuple) -> list[tuple[str, int, bool]]:
     return [(variant, fam, ok) for variant in variants]
 
 
-def _fmax_cases(row: tuple, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    code, upper, lower = row
-    for variant, fam, ok in _once(memo, (upper._bases, lower._bases), lambda: _fmax_pair(row)):
-        yield None if ok and code & ~fam == 0 else {**delta_to_json(_delta(row)), "variant": variant}
+def _fmax_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
+    for variant, fam, ok in _once(memo, (d.upper._bases, d.lower._bases), lambda: _fmax_pair(d)):
+        yield None if ok and d._feasibles & ~fam == 0 else {**delta_to_json(d), "variant": variant}
 
 
 def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[int, ...]], int]:

@@ -34,6 +34,7 @@ from deltamatroids import (
     verify_property,
 )
 from deltamatroids.delta import _delta_ok
+from deltamatroids.matroids import _indicator
 from deltamatroids.search import _codes, _objects
 from deltamatroids.serialize import matroid_from_json
 
@@ -146,7 +147,7 @@ def test_criterion_4_worked_examples():
                 continue
             aug = tuple(sorted(set(out.masks) | {extra}))
             if _delta_ok(aug):
-                da = DeltaMatroid._trusted(g4, aug)
+                da = DeltaMatroid._trusted(g4, _indicator(aug, 4))
                 assert da.upper != dm.upper or da.lower != dm.lower
 
 

@@ -8,9 +8,6 @@ from deltamatroids import (
     SetFamily,
     Subset,
     default_ground,
-    maximal_members,
-    minimal_members,
-    uniform,
 )
 
 
@@ -131,56 +128,3 @@ class TestFamilies:
                 for mask in g.all_masks():
                     for s in (Subset(g, mask), Subset(other, mask)):
                         assert (s in fam) == (s.ground == fam.ground and s.mask in set(fam.masks))
-
-    def test_minimal_members(self):
-        g = default_ground(3)
-        fam = SetFamily.from_labels(g, [["a"], ["a", "b"], ["c"]])
-        assert minimal_members(fam) == SetFamily.from_labels(g, [["a"], ["c"]])
-        assert minimal_members(SetFamily(g, ())) == SetFamily(g, ())
-
-    def test_maximal_members(self):
-        g = default_ground(3)
-        fam = SetFamily.from_labels(g, [["a"], ["a", "b"], ["c"]])
-        assert maximal_members(fam) == SetFamily.from_labels(g, [["a", "b"], ["c"]])
-        single = SetFamily.from_labels(g, [["b"]])
-        assert maximal_members(single) == single
-
-    def test_minimal_dependents_of_u23(self):
-        # oracle: enumerate all subsets, keep the non-independent ones, take minimal
-        g = default_ground(3)
-        m = uniform(2, g)
-        indep = {frozenset(s.labels) for s in m.independents()}
-        dependents = [
-            g.labels_of(mask) for mask in g.all_masks() if frozenset(g.labels_of(mask)) not in indep
-        ]
-        fam = SetFamily.from_labels(g, dependents)
-        assert minimal_members(fam) == SetFamily.from_labels(g, [["a", "b", "c"]])
-
-    def test_maximal_of_two_size_classes(self):
-        # sizes k-1 and k+1 with k=2, n=4: the maximal members are the 3-sets
-        g = default_ground(4)
-        fam = SetFamily(g, tuple(m for m in g.all_masks() if m.bit_count() in (1, 3)))
-        assert maximal_members(fam).masks == tuple(m for m in g.all_masks() if m.bit_count() == 3)
-
-    def test_extreme_members_match_definitions_on_every_family(self):
-        for n in range(4):
-            g = default_ground(n)
-            for code in range(1 << (1 << n)):  # every family, the empty one included
-                masks = tuple(i for i in g.all_masks() if code >> i & 1)
-                fam = SetFamily(g, masks)
-                # a member is minimal (maximal) when no other member is a subset (superset) of it
-                mins = tuple(m for m in masks if not any(k != m and k & ~m == 0 for k in masks))
-                maxs = tuple(m for m in masks if not any(k != m and m & ~k == 0 for k in masks))
-                assert minimal_members(fam).masks == mins, (n, code)
-                assert maximal_members(fam).masks == maxs, (n, code)
-
-    def test_minimal_covers_every_member(self):
-        for n in range(4):
-            g = default_ground(n)
-            for code in range(1, 1 << (1 << n), 7):
-                masks = tuple(i for i in g.all_masks() if code >> i & 1)
-                fam = SetFamily(g, masks)
-                mins = minimal_members(fam)
-                assert set(mins.masks) <= set(fam.masks)
-                for m in fam.masks:
-                    assert any(k & ~m == 0 for k in mins.masks)

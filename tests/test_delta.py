@@ -229,8 +229,33 @@ class TestLayers:
             want = tuple(tuple(m for m in masks if m.bit_count() == k) for k in (min(sizes), max(sizes)))
             n = g.size
             assert _code_layers(_indicator(masks, n), n) == tuple(_indicator(layer, n) for layer in want), masks
-            d = DeltaMatroid._trusted(g, masks)
+            d = DeltaMatroid._trusted(g, _indicator(masks, n))
             assert (d.lower.bases.masks, d.upper.bases.masks) == want, masks
+
+
+class TestFeasibleCode:
+    def test_trusted_code_matches_the_certified_family(self):
+        # every (DF) code at n <= 4: the object built from the code and the
+        # one certified from its decoded family are one delta-matroid
+        seen = 0
+        for n in range(5):
+            g = default_ground(n)
+            for c in delta_codes(n):
+                d = DeltaMatroid._trusted(g, c)
+                ref = DeltaMatroid.certify(SetFamily(g, _decode_family(c)))
+                assert d == ref and hash(d) == hash(ref), c
+                assert d.feasibles.masks == ref.feasibles.masks, c
+                assert (d.upper, d.lower) == (ref.upper, ref.lower), c
+                seen += 1
+        assert seen == 6133
+
+    def test_family_is_decoded_only_when_read(self):
+        g = default_ground(3)
+        d = DeltaMatroid._trusted(g, _indicator((0b001, 0b011, 0b111), 3))
+        assert d.upper.bases.masks == (0b111,) and d.lower.bases.masks == (0b001,)
+        assert d.complement_dual() == DeltaMatroid._trusted(g, _indicator((0b000, 0b100, 0b110), 3))
+        assert "feasibles" not in vars(d)
+        assert d.feasibles.masks == (0b001, 0b011, 0b111)
 
 
 class TestComplementDual:
@@ -291,15 +316,19 @@ class TestMinors:
                     d.delete(xs)  # raises AxiomError on failure
 
     def test_contract_matches_dual_delete_dual(self):
+        # reference on masks: complement every feasible set in E, delete X,
+        # then complement every set in E - X
         for d in enumerate_delta_matroids(3):
+            full = d.ground.full_mask
             for x in range(1, 1 << 3):
-                xs = Subset(d.ground, x)
-                full = d.ground.full_mask
                 if not any(x & ~(full ^ f) == 0 for f in d.feasibles.masks):
                     continue
-                got = d.contract(xs)
-                want = d.complement_dual().delete(xs).complement_dual()
-                assert got == want
+                keep = [i for i in range(3) if not x >> i & 1]
+                rest = (1 << len(keep)) - 1
+                deleted = [sum(1 << j for j, i in enumerate(keep) if (full ^ f) >> i & 1) for f in d.feasibles.masks]
+                want = SetFamily(GroundSet(tuple(d.ground.labels[i] for i in keep)), tuple(rest ^ f for f in deleted))
+                got = d.contract(Subset(d.ground, x))
+                assert got.feasibles == want and got == DeltaMatroid.certify(want)
 
     def test_contract_names_its_own_precondition(self):
         g = default_ground(2)

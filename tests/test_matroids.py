@@ -22,7 +22,7 @@ from deltamatroids import (
     is_union_of_circuits,
     uniform,
 )
-from deltamatroids.core import _minimal_masks, _project
+from deltamatroids.core import _project
 from deltamatroids.delta import DeltaMatroid, construct_sandwich
 from deltamatroids.matroids import (
     _coordinates,
@@ -431,7 +431,8 @@ def reference_independents(m):
 def minimal_dependents(m):
     """Circuits by their definition: the minimal members of the dependent sets."""
     indep = reference_independents(m)
-    return _minimal_masks(d for d in m.ground.all_masks() if d not in indep)
+    dependents = [d for d in m.ground.all_masks() if d not in indep]
+    return tuple(d for d in dependents if not any(k != d and k & ~d == 0 for k in dependents))
 
 
 def reference_structure(m):

@@ -246,7 +246,7 @@ class TestSharedLayers:
         for n in range(5):
             mats = {id(m) for m in _objects("MB", n)}
             for d in enumerate_delta_matroids(n):
-                fresh = DeltaMatroid._trusted(d.ground, d.feasibles.masks)
+                fresh = DeltaMatroid._trusted(d.ground, d._feasibles)
                 assert id(d.upper) in mats and id(d.lower) in mats
                 assert d.upper == fresh.upper and d.lower == fresh.lower
                 seen += 1
@@ -267,8 +267,8 @@ class TestSharedLayers:
         for n in range(4):
             g = default_ground(n)
             for code in range(1, 1 << (1 << n)):
-                d = DeltaMatroid._trusted(g, _decode_family(code))
-                assert list(_uplow_cases((code, d.upper, d.lower), (), {})) == list(_uplow_reference(d)), d
+                d = DeltaMatroid._trusted(g, code)
+                assert list(_uplow_cases(d, (), {})) == list(_uplow_reference(d)), d
         ref = [w for d in enumerate_delta_matroids(4) for w in _uplow_reference(d)]
         assert verify_property("uplow", 4).to_json() == _report_json("uplow", ref)
 
@@ -277,9 +277,9 @@ class TestSharedLayers:
         cases = [(n, code) for n in range(4) for code in range(1, 1 << (1 << n))]
         cases += [(4, code) for code in _codes("DF", 4)]
         for n, code in cases:
-            d = DeltaMatroid._trusted(default_ground(n), _decode_family(code))
-            assert _complement(code, n) == _code_of(d.complement_dual().feasibles.masks), (n, code)
-            assert _code_layers(code, n) == tuple(map(_code_of, _size_layers(d.feasibles.masks))), (n, code)
+            masks, full = _decode_family(code), (1 << n) - 1
+            assert _complement(code, n) == _code_of({full ^ f for f in masks}), (n, code)
+            assert _code_layers(code, n) == tuple(map(_code_of, _size_layers(masks))), (n, code)
         assert len(cases) == 274 + 5959
 
     def test_per_pair_work_runs_once_per_pair(self, monkeypatch, fresh_universes):
@@ -300,7 +300,7 @@ class TestSharedLayers:
         pairs = [(mu.bases.masks, ml.bases.masks) for mu, ml in calls["is_pairable"]]
         assert len(pairs) == len(set(pairs)) == 558
         assert verify_property("fmax-maximal", 4).holds
-        assert [(up.bases.masks, low.bases.masks) for ((_, up, low),) in calls["_fmax_pair"]] == pairs
+        assert [(d.upper.bases.masks, d.lower.bases.masks) for (d,) in calls["_fmax_pair"]] == pairs
 
     def test_df_universe_builds_no_delta_matroid_or_family(self, monkeypatch, fresh_universes):
         _objects("MB", 4)
@@ -318,9 +318,10 @@ class TestSharedLayers:
         count(DeltaMatroid, "__init__")
         count(SetFamily, "__post_init__")
         assert len(_objects("DF", 4)) == 5959
+        assert made == ["DeltaMatroid"] * 5959
+        made.clear()
+        next(enumerate_delta_matroids(4))
         assert made == []
-        next(enumerate_delta_matroids(4))  # the counters do see a build
-        assert made == ["SetFamily", "DeltaMatroid"]
 
     def test_sweep_work_is_pinned_at_n4(self, monkeypatch, fresh_universes):
         # on built universes every sweep reads codes and the matroids'
@@ -386,15 +387,17 @@ class TestSharedLayers:
             mid = [m for m in fam if d.lower.rank < m.bit_count() < d.upper.rank]
             return SetFamily(d.ground, tuple(m for m in fam if mid[-1:] != [m]))
 
-        def lossy_pair(row):
+        def lossy_pair(d):
             # the same pair with the upper matroid's independents losing that
             # set, so that its sandwich, read by the real _fmax_pair, does too
-            code, upper, lower = row
+            upper, lower = d.upper, d.lower
             n, lo, hi = upper.ground.size, lower.rank, upper.rank
             mid = upper._indep & lower._spanning & sum(_sizes(n)[lo + 1 : hi])
             lossy = copy.copy(upper)
             lossy._indep = upper._indep & ~((1 << mid.bit_length()) >> 1)  # mid's top bit, if any
-            out = real_fmax_pair((code, lossy, lower))
+            lossy_d = copy.copy(d)
+            lossy_d.upper = lossy
+            out = real_fmax_pair(lossy_d)
             families[upper._bases, lower._bases] = {fam for _, fam, _ in out}
             return out
 
@@ -411,7 +414,7 @@ class TestSharedLayers:
             assert verify_property("fmax-maximal", n).to_json() == _report_json("fmax-maximal", ref)
         assert any(w is None for w in ref) and any(w is not None for w in ref)
         assert any(
-            code & ~fam for code, upper, lower in _objects("DF", 4) for fam in families[upper._bases, lower._bases]
+            d._feasibles & ~fam for d in _objects("DF", 4) for fam in families[d.upper._bases, d.lower._bases]
         )
 
     def test_realization_sweeps_match_references_when_perturbed(self, monkeypatch, fresh_universes):
@@ -500,7 +503,8 @@ class TestSharedLayers:
             return [m for m in masks if m not in mid[:1]]
 
         def lossy(d):
-            return DeltaMatroid._trusted(d.ground, lossy_masks(real_complement_dual(d).feasibles.masks))
+            masks = lossy_masks(real_complement_dual(d).feasibles.masks)
+            return DeltaMatroid._trusted(d.ground, _indicator(masks, d.ground.size))
 
         def lossy_code(code, n):
             return sum(1 << m for m in lossy_masks(_decode_family(_complement(code, n))))
@@ -572,14 +576,14 @@ def _necessity_reference(d, pairable):
 
 def _independents_reference(m, delta_ok, perturb):
     fam = perturb(m.independents().masks)
-    d = DeltaMatroid._trusted(m.ground, fam)
+    d = DeltaMatroid._trusted(m.ground, _indicator(fam, m.ground.size))
     ok = delta_ok(fam) and d.upper == m and d.lower.rank == 0
     return None if ok else matroid_to_json(m)
 
 
 def _spanning_reference(m, delta_ok, perturb):
     fam = perturb(m.spanning_sets().masks)
-    d = DeltaMatroid._trusted(m.ground, fam)
+    d = DeltaMatroid._trusted(m.ground, _indicator(fam, m.ground.size))
     ok = delta_ok(fam) and d.lower == m and d.upper.rank == m.ground.size
     return None if ok else matroid_to_json(m)
 
@@ -588,7 +592,7 @@ def _sufficiency_reference(mu, ml, delta_ok, sandwich):
     pair = {"upper": matroid_to_json(mu), "lower": matroid_to_json(ml)}
     if is_pairable(mu, ml).pairable:
         fam = sandwich(mu, ml).masks
-        d = DeltaMatroid._trusted(mu.ground, fam)
+        d = DeltaMatroid._trusted(mu.ground, _indicator(fam, mu.ground.size))
         ok = delta_ok(fam) and d.upper == mu and d.lower == ml
         return None if ok else {"kind": "sandwich-failed", **pair}
     found, _ = _realization_by_subfamilies(mu, ml, delta_ok)
@@ -634,7 +638,7 @@ def _fmax_reference(d, delta_ok, breaks, upper_family, lower_family):
         fam = build(d)
         ok = delta_ok(fam.masks) and set(d.feasibles.masks) <= set(fam.masks)
         if ok:
-            dm = DeltaMatroid._trusted(d.ground, fam.masks)
+            dm = DeltaMatroid._trusted(d.ground, _indicator(fam.masks, d.ground.size))
             ok = dm.upper == d.upper and dm.lower == d.lower and breaks(dm)
         yield None if ok else {**delta_to_json(d), "variant": variant}
 
@@ -690,7 +694,7 @@ def _augmentation_breaks_by_definition(d):
             continue
         aug = tuple(sorted(have | {extra}))
         if _delta_ok(aug):
-            da = DeltaMatroid._trusted(d.ground, aug)
+            da = DeltaMatroid._trusted(d.ground, _indicator(aug, d.ground.size))
             if da.upper == d.upper and da.lower == d.lower:
                 return False
     return True
@@ -934,7 +938,7 @@ class TestPairScans:
     ):
         ms = list(enumerate_matroids(4))
         # the pairable pairs are those some delta-matroid realizes
-        realized = {(upper.bases.masks, lower.bases.masks) for _, upper, lower in _objects("DF", 4)}
+        realized = {(d.upper.bases.masks, d.lower.bases.masks) for d in _objects("DF", 4)}
         pairable, failing, rest = [], [], []
         for mu, ml in itertools.product(ms, repeat=2):
             if (mu.bases.masks, ml.bases.masks) in realized:
