@@ -17,7 +17,6 @@ from deltamatroids import (
     uniform,
 )
 from deltamatroids.delta import _delta_ok
-from deltamatroids.matroids import _indicator
 from deltamatroids.serialize import matroid_from_json
 
 # -- part one: the counterexample ----------------------------------------
@@ -56,8 +55,9 @@ optional = [m for m in sandwich.masks if m not in forced]
 realizations = []
 for pick in range(1 << len(optional)):
     masks = tuple(sorted(forced | {optional[i] for i in range(len(optional)) if pick >> i & 1}))
-    if _delta_ok(masks):
-        d = DeltaMatroid._trusted(g, _indicator(masks, g.size))
+    code = sum(1 << m for m in masks)
+    if _delta_ok(code):
+        d = DeltaMatroid._trusted(g, code)
         if d.upper == mu3 and d.lower == ml3:
             realizations.append(masks)
 

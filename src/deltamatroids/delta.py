@@ -12,15 +12,15 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .core import GroundSet, InputError, SetFamily, Subset, _project
-from .matroids import Matroid, _certify_exchange, _code_layers, _complement, _decode_family, _exchange_ok, _indicator
+from .matroids import Matroid, _certify_exchange, _code_layers, _complement, _decode_family, _exchange_ok
 
 
 @lru_cache(maxsize=1 << 18)
-def _delta_ok(masks: tuple[int, ...]) -> bool:
-    """Memoized pass/fail view of the exchange check.  Few calls repeat a
-    family (331 hits in 2,298 calls over a traced cli-sweep round); the memo
-    stays because bench/one_round.py reports its cache_info()."""
-    return _exchange_ok(masks, "DF")
+def _delta_ok(code: int) -> bool:
+    """Memoized (DF) pass/fail on a family code.  Few calls repeat a family
+    (331 hits in 2,298 calls over a traced cli-sweep round); the memo stays
+    because bench/one_round.py reports its cache_info()."""
+    return _exchange_ok(code, "DF")
 
 
 class DeltaMatroid:
@@ -36,8 +36,7 @@ class DeltaMatroid:
     def certify(cls, fam: SetFamily) -> "DeltaMatroid":
         if len(fam) == 0:
             raise InputError("a delta-matroid needs at least one feasible set")
-        _certify_exchange(fam, "DF")
-        d = cls(fam.ground, _indicator(fam.masks, fam.ground.size), _certified=True)
+        d = cls(fam.ground, _certify_exchange(fam, "DF"), _certified=True)
         d.feasibles = fam  # fills the cached_property
         return d
 
@@ -87,9 +86,10 @@ class DeltaMatroid:
         """
         if x_set.ground != self.ground:
             raise InputError("deletion set over a different ground set")
-        if not any(x_set.mask & ~f == 0 for f in self.feasibles.masks):
+        masks = _decode_family(self._feasibles)
+        if not any(x_set.mask & ~f == 0 for f in masks):
             raise InputError(f"{x_set!r} is contained in no feasible set")
-        return _restricted(self.ground, self.feasibles.masks, x_set.complement().mask)
+        return _restricted(self.ground, masks, x_set.complement().mask)
 
     def contract(self, x_set: Subset) -> "DeltaMatroid":
         """Contraction via the complement dual: (D* delete X)*.
@@ -101,9 +101,10 @@ class DeltaMatroid:
         """
         if x_set.ground != self.ground:
             raise InputError("contraction set over a different ground set")
-        if all(x_set.mask & f for f in self.feasibles.masks):
+        masks = _decode_family(self._feasibles)
+        if all(x_set.mask & f for f in masks):
             raise InputError(f"{x_set!r} meets every feasible set")
-        return _restricted(self.ground, self.feasibles.masks, x_set.complement().mask)
+        return _restricted(self.ground, masks, x_set.complement().mask)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DeltaMatroid) and self.ground == other.ground and self._feasibles == other._feasibles
@@ -202,7 +203,7 @@ def restrict_to_contained(d: DeltaMatroid, c: Subset) -> DeltaMatroid:
     on the ground set c."""
     if c.ground != d.ground:
         raise InputError("restriction set over a different ground set")
-    inside = [f for f in d.feasibles.masks if f & ~c.mask == 0]
+    inside = [f for f in _decode_family(d._feasibles) if f & ~c.mask == 0]
     if not inside:
         raise InputError(f"no feasible set is contained in {c!r}")
     return _restricted(d.ground, inside, c.mask)

@@ -2,8 +2,9 @@
 
 A `Matroid` value only exists after its basis family passed the basis
 exchange axiom, so downstream code never re-checks.  It is stored as its
-bases' 2^n-bit indicator (bit m set iff subset mask m is a basis), and
-`bases` decodes that on first read.  Its independent sets, spanning sets,
+bases' 2^n-bit indicator (bit m set iff subset mask m is a basis), the code
+`certify` packs once and the exchange kernel reads, as it reads every family;
+`bases` decodes it on first read.  Its independent sets, spanning sets,
 circuits and unions of circuits are indicators of the same kind over
 `_coordinates(n)`: shift-and-mask steps from the bases' indicator, and for the
 circuit unions one up-closure of the circuits through each element, O(n^2)
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, reduce
-from operator import and_
-from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     GroundSet,
@@ -122,57 +123,55 @@ def _up_closure(indicator: int, n: int) -> int:
     return indicator
 
 
-def _exchange_failures(
-    source: Sequence[int], members: AbstractSet[int], axiom: str
-) -> Iterator[tuple[int, int, int]]:
-    """(F1, x, failing) for each F1 in source and pivot bit x where the axiom fails.
+def _exchange_failures(source: int, members: int, axiom: str) -> Iterator[tuple[int, int, int]]:
+    """(F1, x, failing) for each F1 in source, ascending, and pivot bit x where the axiom fails.
 
-    F1 and F2 range over source.  A partner y != x of x needs g Δ {y} in
-    members, with g = F1 Δ {x}, so the partners depend on g alone, through
-    N(g) = {y : g Δ {y} in members}: the axiom fails at (F1, x, F2) exactly
-    when F2 agrees with g on N(g) ∪ {x}.  `failing` is the 2^n-bit indicator
-    of those F2, source's indicator ANDed with one coordinate per element.
+    source and members are family codes, decoded once each, or once when they
+    are one code; F1 and F2 range over source.  A partner y != x of x needs
+    g Δ {y} in members, with g = F1 Δ {x}, so the partners depend on g alone,
+    through N(g) = {y : g Δ {y} in members}: the axiom fails at (F1, x, F2)
+    exactly when F2 agrees with g on N(g) ∪ {x}.  `failing` is the 2^n-bit
+    indicator of those F2, source ANDed with one coordinate per element.
     (MB), x in F1 and y outside it: F2 fails iff it avoids Z = N⁺(g) ∪ {x},
     N⁺(g) the additions that make g a member; that is one byte of source's
     up-closure at union - Z.  (DF), any x, and y = x is a partner, so x fails
     only if g is no member; the AND over N(g) runs once per such g.
     """
-    union = 0
-    for m in source:
-        union |= m
+    masks = _decode_family(source)
+    member_set = set(masks if members == source else _decode_family(members))
+    union = reduce(or_, masks, 0)
     n = union.bit_length()
-    indicator = _indicator(source, n)
-    has = [indicator & c for c in _coordinates(n)]
-    lacks = [indicator ^ h for h in has]
+    has = [source & c for c in _coordinates(n)]
+    lacks = [source ^ h for h in has]
     elements = [(i, 1 << i) for i in range(n) if union >> i & 1]
     if axiom == "MB":
         additions: dict[int, int] = {}
-        for m in members:
+        for m in member_set:
             rest = m
             while rest:
                 yb = rest & -rest
                 rest ^= yb
                 additions[m ^ yb] = additions.get(m ^ yb, 0) | yb
-        covered = _up_closure(indicator, n).to_bytes(((1 << n) + 7) >> 3, "little")
-        for f in source:
+        covered = _up_closure(source, n).to_bytes(((1 << n) + 7) >> 3, "little")
+        for f in masks:
             for _, xb in elements:
                 if f & xb:
                     z = additions.get(f ^ xb, 0) | xb
                     free = union & ~z
                     if covered[free >> 3] >> (free & 7) & 1:
-                        yield f, xb, reduce(and_, (lacks[y] for y, yb in elements if z & yb), indicator)
+                        yield f, xb, reduce(and_, (lacks[y] for y, yb in elements if z & yb), source)
         return
     agree: dict[int, int] = {}  # per non-member g: the source members agreeing with g on N(g)
-    for f in source:
+    for f in masks:
         for x, xb in elements:
             g = f ^ xb
-            if g in members:
+            if g in member_set:
                 continue
             acc = agree.get(g)
             if acc is None:
-                acc = indicator
+                acc = source
                 for y, yb in elements:
-                    if g ^ yb in members:
+                    if g ^ yb in member_set:
                         acc &= has[y] if g & yb else lacks[y]
                         if not acc:
                             break
@@ -183,18 +182,16 @@ def _exchange_failures(
                     yield f, xb, acc
 
 
-def _exchange_ok(masks: Sequence[int], axiom: str) -> bool:
-    """Pass/fail of (MB) or (DF) on a family; stops at the first failure."""
-    return next(_exchange_failures(masks, set(masks), axiom), None) is None
+def _exchange_ok(code: int, axiom: str) -> bool:
+    """Pass/fail of (MB) or (DF) on a family code; stops at the first failure."""
+    return next(_exchange_failures(code, code, axiom), None) is None
 
 
-def _exchange_witness(
-    source: Sequence[int], members: AbstractSet[int], axiom: str
-) -> Optional[tuple[int, int, int]]:
-    """The canonical failure (first, second, pivot bit), or None.
+def _exchange_witness(source: int, members: int, axiom: str) -> Optional[tuple[int, int, int]]:
+    """The canonical failure (first, second, pivot bit) on the codes source and members, or None.
 
-    Canonical is least second, then first, then pivot: with source ascending,
-    the order of a scan over pairs with `second` outer and `first` inner.
+    Canonical is least second, then first, then pivot: over source's members
+    ascending, the order of a scan with `second` outer and `first` inner.
     """
     failures = _exchange_failures(source, members, axiom)
     least = min((((acc & -acc).bit_length() - 1, f1, xb) for f1, xb, acc in failures), default=None)
@@ -210,11 +207,13 @@ def _violation(ground: GroundSet, triple: tuple[int, int, int], axiom: str) -> E
     return ExchangeViolation(Subset(ground, f1), Subset(ground, f2), ground.labels[xb.bit_length() - 1], axiom)
 
 
-def _certify_exchange(fam: SetFamily, axiom: str) -> None:
-    """Raise AxiomError with the canonical witness unless fam passes the axiom."""
-    bad = _exchange_witness(fam.masks, set(fam.masks), axiom)
+def _certify_exchange(fam: SetFamily, axiom: str) -> int:
+    """fam's code, packed once; raise AxiomError with the canonical witness unless fam passes the axiom."""
+    code = _indicator(fam.masks, fam.ground.size)
+    bad = _exchange_witness(code, code, axiom)
     if bad is not None:
         raise AxiomError(_violation(fam.ground, bad, axiom))
+    return code
 
 
 class Matroid:
@@ -231,8 +230,7 @@ class Matroid:
     def certify(cls, fam: SetFamily) -> "Matroid":
         if len(fam) == 0:
             raise InputError("a matroid needs at least one basis")
-        _certify_exchange(fam, "MB")
-        m = cls(fam.ground, _indicator(fam.masks, fam.ground.size), _certified=True)
+        m = cls(fam.ground, _certify_exchange(fam, "MB"), _certified=True)
         m.bases = fam  # fills the cached_property
         # (MB) forces equicardinality; a failure here would be an engine bug.
         if any(b.bit_count() != m.rank for b in fam.masks):

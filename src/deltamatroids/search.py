@@ -86,7 +86,7 @@ def _codes_level(axiom: str, k: int, prev: tuple[int, ...]) -> list[int]:
             if c and (a & low) | b_del in known and (a >> q) | b_con in known:
                 if c not in decided:
                     orbit = _twists(c, k) if axiom == "DF" else (c,)
-                    decided.update(dict.fromkeys(orbit, _exchange_ok(_decode_family(c), axiom)))
+                    decided.update(dict.fromkeys(orbit, _exchange_ok(c, axiom)))
                 if decided[c]:
                     out.append(c)
     return out
@@ -152,11 +152,11 @@ def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
 # Each property's cases(obj, universe, memo) yields one entry per case it
 # checks on obj: None when the case holds, else a JSON-ready witness.  An (MB)
 # obj is a matroid, a (DF) obj a delta-matroid with its upper and lower; both
-# are checked on codes, a realization by the exchange verdict on a code's
-# members and its least and greatest size layers against two basis codes.
-# Only a witness decodes a family.  `universe` holds every obj of the property's
-# universe, for properties that pair; `memo` lives for one sweep, for results
-# its objects share, keyed by the basis codes of a matroid or pair.
+# are checked on codes, a realization by the exchange verdict on the code and
+# its least and greatest size layers against two basis codes.  Only a witness
+# decodes a family.  `universe` holds every obj of the property's universe,
+# for properties that pair; `memo` lives for one sweep, for results its
+# objects share, keyed by the basis codes of a matroid or pair.
 
 
 def _once(memo: dict, key: Hashable, make: Callable):
@@ -173,7 +173,7 @@ def _equicardinal_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[
 def _realizes(code: int, upper: int, lower: int, n: int) -> bool:
     """Whether the family with 2^n-bit code is a delta-matroid whose upper and
     lower matroids have the basis codes upper and lower."""
-    return _delta_ok(_decode_family(code)) and _code_layers(code, n) == (lower, upper)
+    return _delta_ok(code) and _code_layers(code, n) == (lower, upper)
 
 
 def _independents_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
@@ -212,7 +212,7 @@ def _augmentation_breaks(code: int, lo: int, hi: int, n: int) -> bool:
     matroid.  An extra of at most rank lo changes the lower matroid, one of at
     least rank hi the upper; one strictly between leaves both unchanged."""
     extras = sum(_sizes(n)[lo + 1:hi]) & ~code
-    return not any(_delta_ok(_decode_family(code | 1 << x)) for x in _decode_family(extras))
+    return not any(_delta_ok(code | 1 << x) for x in _decode_family(extras))
 
 
 def _fmax_pair(d: DeltaMatroid) -> list[tuple[str, int, bool]]:
@@ -250,9 +250,9 @@ def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[in
         return None, 0
     free = _decode_family(sandwich & ~forced)
     for sel in range(1 << len(free)):
-        masks = _decode_family(forced | sum(1 << f for k, f in enumerate(free) if sel >> k & 1))
-        if _delta_ok(masks):
-            return masks, sel + 1
+        code = forced | sum(1 << f for k, f in enumerate(free) if sel >> k & 1)
+        if _delta_ok(code):
+            return _decode_family(code), sel + 1
     return None, 1 << len(free)
 
 
@@ -365,7 +365,7 @@ def _pair_witness(upper: tuple[Matroid, Multigraph], lower: tuple[Matroid, Multi
     }
     # a forced-feasible pair and pivot with no exchange partner inside the
     # sandwich; its existence alone rules out any realizing delta-matroid
-    triple = _exchange_witness(_decode_family(forced), set(_decode_family(sandwich)), "DF")
+    triple = _exchange_witness(forced, sandwich, "DF")
     if triple is not None:
         wit["replay"] = {k: v for k, v in _violation(mu.ground, triple, "DF").to_json().items() if k != "axiom"}
     wit["upper_graph"] = graph_to_json(gu)

@@ -145,9 +145,9 @@ def test_criterion_4_worked_examples():
         for extra in g4.all_masks():
             if extra in set(out.masks):
                 continue
-            aug = tuple(sorted(set(out.masks) | {extra}))
+            aug = _indicator(set(out.masks) | {extra}, 4)
             if _delta_ok(aug):
-                da = DeltaMatroid._trusted(g4, _indicator(aug, 4))
+                da = DeltaMatroid._trusted(g4, aug)
                 assert da.upper != dm.upper or da.lower != dm.lower
 
 

@@ -31,7 +31,7 @@ from deltamatroids import (
 )
 from deltamatroids.matroids import Matroid, _code_layers, _decode_family, _exchange_ok, _indicator
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
-from deltamatroids.search import delta_codes, enumerate_matroids
+from deltamatroids.search import _objects, delta_codes, enumerate_matroids
 
 
 def powerset(iterable):
@@ -354,6 +354,25 @@ class TestMinors:
                         both += 1
         assert both > 0
 
+    def test_projections_leave_universe_families_undecoded(self):
+        # the (DF) universe's objects live as long as the process, so the
+        # projections read each one's code and cache no decoded family on it
+        _objects.cache_clear()
+        try:
+            projected = 0
+            for d in _objects("DF", 3):
+                for x in range(1 << 3):
+                    for project in (d.delete, d.contract, lambda s: restrict_to_contained(d, s)):
+                        try:
+                            project(Subset(d.ground, x))
+                            projected += 1
+                        except InputError:
+                            pass
+                assert "feasibles" not in vars(d), d._feasibles
+            assert projected > 0
+        finally:
+            _objects.cache_clear()
+
 
 class TestRestrictionVariants:
     def test_deletion_reading_validates_proof_step(self):
@@ -591,7 +610,7 @@ class TestEnumeration:
                 except AxiomError as e:
                     got = e.violation
                 ref = reference_delta_violation(masks)
-                assert _exchange_ok(masks, "DF") == (ref is None), masks
+                assert _exchange_ok(code, "DF") == (ref is None), masks
                 if ref is None:
                     assert isinstance(got, DeltaMatroid)
                 else:

@@ -30,6 +30,7 @@ from deltamatroids.matroids import (
     _exchange_failures,
     _exchange_ok,
     _exchange_witness,
+    _indicator,
     _sizes,
 )
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
@@ -571,9 +572,14 @@ def expand(failures):
     return {(f1, xb, f2) for f1, xb, failing in failures for f2 in _decode_family(failing)}
 
 
+def code_of(masks):
+    """The family code of a collection of masks: bit m set iff m is among them."""
+    return sum(1 << m for m in set(masks))
+
+
 def kernel_failures(source, members, axiom):
-    """Every failing (first, pivot bit, second) the kernel yields."""
-    return expand(_exchange_failures(source, members, axiom))
+    """Every failing (first, pivot bit, second) the kernel yields on the codes of source and members."""
+    return expand(_exchange_failures(code_of(source), code_of(members), axiom))
 
 
 def per_partner_failures(source, members, axiom):
@@ -680,7 +686,7 @@ class TestExchangeKernel:
                 masks = _decode_family(code)
                 for axiom in ("MB", "DF"):
                     scan = exchange_violation(masks, set(masks), axiom)
-                    assert _exchange_ok(masks, axiom) == (scan is None), (axiom, masks)
+                    assert _exchange_ok(code, axiom) == (scan is None), (axiom, masks)
 
     def test_mb_witnesses_equal_reference_up_to_n4(self):
         for n in range(5):
@@ -710,7 +716,7 @@ class TestExchangeKernel:
                 got = (Matroid if axiom == "MB" else DeltaMatroid).certify(SetFamily(g, masks))
             except AxiomError as e:
                 got = e.violation
-            assert _exchange_ok(masks, axiom) == (ref is None), (axiom, len(masks))
+            assert _exchange_ok(code_of(masks), axiom) == (ref is None), (axiom, len(masks))
             if ref is None:
                 assert not isinstance(got, ExchangeViolation)
             else:
@@ -734,7 +740,7 @@ class TestExchangeKernel:
             source, members = sorted(source), set(members)
             for axiom in ("MB", "DF"):
                 ref = exchange_violation(source, members, axiom)
-                assert _exchange_witness(source, members, axiom) == ref, (axiom, source, members)
+                assert _exchange_witness(code_of(source), code_of(members), axiom) == ref, (axiom, source, members)
                 assert kernel_failures(source, members, axiom) == exchange_failures(source, members, axiom)
                 failing += ref is not None
         assert 0 < failing < 3000
@@ -761,16 +767,50 @@ class TestExchangeKernel:
         assert got == expand(per_partner_failures(source, members, axiom))
         assert any(f1 not in members for f1, _, _ in got)
 
-    def test_membership_tests_are_per_neighbour_set(self):
+    def test_membership_tests_are_per_neighbour_set(self, monkeypatch):
+        # the kernel builds its member set from the members code; count the
+        # membership tests on the one set it builds per call
+        made = []
+
+        class RecordingSet(CountingSet):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr("deltamatroids.matroids.set", RecordingSet, raising=False)
         g = default_ground(11)
-        bases = CountingSet(uniform(4, g).bases.masks)
-        assert _exchange_witness(sorted(bases), bases, "MB") is None
-        assert bases.tests == 0
+        bases = uniform(4, g)._bases
+        assert _exchange_witness(bases, bases, "MB") is None
+        (members,) = made
+        assert members.tests == 0
         source = construct_sandwich(uniform(4, g), uniform(3, g)).masks
-        members = CountingSet(source)
         neighbours = {f ^ 1 << i for f in source for i in range(11)} - set(source)
-        assert _exchange_witness(source, members, "DF") is None
+        made.clear()
+        assert _exchange_witness(code_of(source), code_of(source), "DF") is None
+        (members,) = made
+        assert members == set(source)
         assert 0 < members.tests <= 11 * (len(source) + len(neighbours))
+
+    def test_certify_packs_its_family_once(self, monkeypatch):
+        # certify packs the masks into the code the kernel reads and the
+        # object stores; the kernel itself packs nothing
+        packs = []
+
+        def counting_indicator(masks, n):
+            packs.append(n)
+            return _indicator(masks, n)
+
+        monkeypatch.setattr("deltamatroids.matroids._indicator", counting_indicator)
+        g = default_ground(5)
+        bases, sandwich = uniform(2, g).bases, construct_sandwich(uniform(3, g), uniform(1, g))
+        for cls, fam in ((Matroid, bases), (DeltaMatroid, bases), (DeltaMatroid, sandwich)):
+            packs.clear()
+            got = cls.certify(fam)
+            assert packs == [5] and got == cls._trusted(g, code_of(fam.masks)), cls
+        packs.clear()
+        with pytest.raises(AxiomError):
+            Matroid.certify(SetFamily.from_labels(g, [["a"], ["b", "c"]]))
+        assert packs == [5]
 
     def test_k5_cone_less_a_basis_names_its_witness(self):
         # the witness the quadratic pair scan named for these 3,354 bases
@@ -793,8 +833,8 @@ class TestExchangeKernel:
             if axiom == "DF":
                 full = (1 << max(masks).bit_length()) - 1
                 comp = tuple(sorted(full ^ m for m in masks))
-                ok = _exchange_ok(masks, "DF")
-                assert _exchange_ok(comp, "DF") == ok, len(masks)
+                ok = _exchange_ok(code_of(masks), "DF")
+                assert _exchange_ok(code_of(comp), "DF") == ok, len(masks)
                 if ok:
                     d = DeltaMatroid.certify(SetFamily(default_ground(full.bit_length()), masks))
                     assert d.complement_dual().feasibles.masks == comp
@@ -815,7 +855,7 @@ class TestExchangeKernel:
         assert out.stdout == "0\n"
 
     def test_unequal_sizes_fail_mb_but_not_df(self):
-        masks = (0b001, 0b110)
-        assert not _exchange_ok(masks, "MB")
-        assert _exchange_witness(masks, set(masks), "MB") is not None
-        assert _exchange_ok((0b00, 0b01, 0b11), "DF")
+        code = code_of((0b001, 0b110))
+        assert not _exchange_ok(code, "MB")
+        assert _exchange_witness(code, code, "MB") is not None
+        assert _exchange_ok(code_of((0b00, 0b01, 0b11)), "DF")

@@ -95,7 +95,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(5))
     def test_codes_equal_full_range_scan(self, axiom, n):
         # reference: every family code through the axiom, no minor pruning
-        ref = [c for c in range(1, 1 << (1 << n)) if _exchange_ok(_decode_family(c), axiom)]
+        ref = [c for c in range(1, 1 << (1 << n)) if _exchange_ok(c, axiom)]
         assert list(_codes(axiom, n)) == ref, (axiom, n)
 
     def test_df_n4_runs_the_axiom_on_a_fraction_of_codes(self, monkeypatch, fresh_universes):
@@ -128,7 +128,7 @@ class TestTwists:
 
     def test_df_verdict_is_constant_on_each_orbit(self):
         for code, n in self._codes_to_check():
-            verdicts = {_exchange_ok(_decode_family(t), "DF") for t in _twists(code, n)}
+            verdicts = {_exchange_ok(t, "DF") for t in _twists(code, n)}
             assert len(verdicts) == 1, (code, n)
 
     def test_orbits_are_twists_by_every_subset(self):
@@ -170,10 +170,10 @@ class TestVerifyProperty:
     def test_mb_equicardinal_reports_unequal_family(self, monkeypatch, fresh_universes):
         # the universe comes from (MB) by its definition; let the kernel
         # wrongly accept {{}, {a}} and the theorem check must name that family
-        odd = (0b0, 0b1)
+        odd = _code_of((0b0, 0b1))
 
         def lenient(source, members, axiom):
-            return iter(()) if tuple(source) == odd else _exchange_failures(source, members, axiom)
+            return iter(()) if source == odd else _exchange_failures(source, members, axiom)
 
         monkeypatch.setattr("deltamatroids.matroids._exchange_failures", lenient)
         report = verify_property("mb-equicardinal", 1)
@@ -254,7 +254,7 @@ class TestSharedLayers:
 
     def test_layer_missing_from_mb_universe_raises(self, monkeypatch, fresh_universes):
         def strict(source, members, axiom):  # (MB) wrongly rejects U(1,2)
-            if axiom == "MB" and tuple(source) == (0b01, 0b10):
+            if axiom == "MB" and source == _code_of((0b01, 0b10)):
                 return iter([(0b01, 0b01, 1 << 0b10)])
             return _exchange_failures(source, members, axiom)
 
@@ -333,9 +333,9 @@ class TestSharedLayers:
         _objects("DF", 4)
         verdicts, built, passes = [], [], []
 
-        def counting_delta_ok(masks):
-            verdicts.append(masks)
-            return _delta_ok(masks)
+        def counting_delta_ok(code):
+            verdicts.append(code)
+            return _delta_ok(code)
 
         def counting_count_sparse(*args):
             passes.append(args)
@@ -372,12 +372,30 @@ class TestSharedLayers:
         assert len(verdicts) == 1
         assert len(passes) == 1435  # one count pass per canonical assignment, none per new key
 
+    def test_universes_and_sweeps_pack_no_masks(self, monkeypatch, fresh_universes):
+        # the kernel reads family codes, so building every universe up to
+        # n = 4 and running every sweep at n = 4 packs no mask collection
+        packs = []
+
+        def counting_indicator(masks, n):
+            packs.append(n)
+            return _indicator(masks, n)
+
+        monkeypatch.setattr("deltamatroids.matroids._indicator", counting_indicator)
+        _delta_ok.cache_clear()  # so that every verdict runs the kernel
+        sizes = [len(_codes(axiom, n)) for axiom in ("MB", "DF") for n in range(5)]
+        assert sizes == [1, 2, 5, 16, 68, 1, 3, 15, 155, 5959]
+        for pid in PROPERTY_IDS:
+            assert verify_property(pid, 4).holds, pid
+        assert _delta_ok.cache_info().misses > 0
+        assert packs == []
+
     def test_fmax_matches_reference_when_perturbed(self, monkeypatch, fresh_universes):
         # a verdict that splits pairs, and a pair family that misses its
         # greatest set strictly between the ranks, which only some objects of
         # a pair have: the per-pair memo must still give per-object answers
-        def delta_ok(masks):
-            return _delta_ok(masks) and len(masks) % 5 != 0
+        def delta_ok(code):
+            return _delta_ok(code) and code.bit_count() % 5 != 0
 
         def breaks(*args):  # the family above is never maximal; judge the rest
             return True
@@ -422,8 +440,8 @@ class TestSharedLayers:
         # least (independents) or greatest member (spanning sets, sandwich)
         # for some matroids or pairs before the real _realizes reads them, so
         # that both the verdict and the layer comparison decide some cases
-        def delta_ok(masks):
-            return _delta_ok(masks) != (len(masks) % 5 == 0)
+        def delta_ok(code):
+            return _delta_ok(code) != (code.bit_count() % 5 == 0)
 
         def lossy(masks, end):
             if len(masks) % 3:
@@ -532,7 +550,7 @@ class TestSharedLayers:
     def test_patched_kernel_leaks_into_no_memo(self, monkeypatch, fresh_universes):
         cold = {pid: verify_property(pid, 3).canonical_bytes() for pid in PROPERTY_IDS}
         _clear_universes()
-        monkeypatch.setattr("deltamatroids.search._delta_ok", lambda masks: False)
+        monkeypatch.setattr("deltamatroids.search._delta_ok", lambda code: False)
         monkeypatch.setattr(Matroid, "dual", lambda self: self)
         for pid in ("fmax-maximal", "dual-exchange"):
             assert not verify_property(pid, 3).holds
@@ -545,7 +563,7 @@ class TestSharedLayers:
         # each sweep's memo dies with it, so results a patched sweep computed
         # reach no later sweep, though the universes stay built
         cold = {pid: verify_property(pid, 3).canonical_bytes() for pid in PROPERTY_IDS}
-        monkeypatch.setattr("deltamatroids.search._delta_ok", lambda masks: False)
+        monkeypatch.setattr("deltamatroids.search._delta_ok", lambda code: False)
         monkeypatch.setattr(Matroid, "dual", lambda self: self)
         for pid in ("fmax-maximal", "dual-exchange"):
             assert not verify_property(pid, 3).holds
@@ -565,7 +583,7 @@ def _report_json(pid, cases):
 
 def _dual_exchange_reference(d):
     ds = d.complement_dual()
-    ok = _exchange_ok(ds.feasibles.masks, "DF") and ds.upper == d.lower.dual() and ds.lower == d.upper.dual()
+    ok = _exchange_ok(ds._feasibles, "DF") and ds.upper == d.lower.dual() and ds.lower == d.upper.dual()
     yield None if ok else delta_to_json(d)
 
 
@@ -575,25 +593,25 @@ def _necessity_reference(d, pairable):
 
 
 def _independents_reference(m, delta_ok, perturb):
-    fam = perturb(m.independents().masks)
-    d = DeltaMatroid._trusted(m.ground, _indicator(fam, m.ground.size))
-    ok = delta_ok(fam) and d.upper == m and d.lower.rank == 0
+    code = _indicator(perturb(m.independents().masks), m.ground.size)
+    d = DeltaMatroid._trusted(m.ground, code)
+    ok = delta_ok(code) and d.upper == m and d.lower.rank == 0
     return None if ok else matroid_to_json(m)
 
 
 def _spanning_reference(m, delta_ok, perturb):
-    fam = perturb(m.spanning_sets().masks)
-    d = DeltaMatroid._trusted(m.ground, _indicator(fam, m.ground.size))
-    ok = delta_ok(fam) and d.lower == m and d.upper.rank == m.ground.size
+    code = _indicator(perturb(m.spanning_sets().masks), m.ground.size)
+    d = DeltaMatroid._trusted(m.ground, code)
+    ok = delta_ok(code) and d.lower == m and d.upper.rank == m.ground.size
     return None if ok else matroid_to_json(m)
 
 
 def _sufficiency_reference(mu, ml, delta_ok, sandwich):
     pair = {"upper": matroid_to_json(mu), "lower": matroid_to_json(ml)}
     if is_pairable(mu, ml).pairable:
-        fam = sandwich(mu, ml).masks
-        d = DeltaMatroid._trusted(mu.ground, _indicator(fam, mu.ground.size))
-        ok = delta_ok(fam) and d.upper == mu and d.lower == ml
+        code = _indicator(sandwich(mu, ml).masks, mu.ground.size)
+        d = DeltaMatroid._trusted(mu.ground, code)
+        ok = delta_ok(code) and d.upper == mu and d.lower == ml
         return None if ok else {"kind": "sandwich-failed", **pair}
     found, _ = _realization_by_subfamilies(mu, ml, delta_ok)
     if found is None:
@@ -614,7 +632,7 @@ def _realization_by_subfamilies(mu, ml, delta_ok=_delta_ok):
     for sel in range(1 << len(free)):
         masks = tuple(sorted(forced | {free[k] for k in range(len(free)) if sel >> k & 1}))
         tried += 1
-        if delta_ok(masks):
+        if delta_ok(_code_of(masks)):
             return masks, tried
     return None, tried
 
@@ -636,9 +654,10 @@ def _fmax_reference(d, delta_ok, breaks, upper_family, lower_family):
         if not applicable:
             continue
         fam = build(d)
-        ok = delta_ok(fam.masks) and set(d.feasibles.masks) <= set(fam.masks)
+        code = _indicator(fam.masks, d.ground.size)
+        ok = delta_ok(code) and set(d.feasibles.masks) <= set(fam.masks)
         if ok:
-            dm = DeltaMatroid._trusted(d.ground, _indicator(fam.masks, d.ground.size))
+            dm = DeltaMatroid._trusted(d.ground, code)
             ok = dm.upper == d.upper and dm.lower == d.lower and breaks(dm)
         yield None if ok else {**delta_to_json(d), "variant": variant}
 
@@ -666,7 +685,7 @@ def _size_layers(masks):
 def _realizes_by_masks(masks, upper, lower):
     """The definition on ascending mask tuples: a delta-matroid whose least-size
     and greatest-size members are exactly lower and upper."""
-    return _delta_ok(masks) and _size_layers(masks) == (lower, upper)
+    return _delta_ok(_code_of(masks)) and _size_layers(masks) == (lower, upper)
 
 
 def test_realizes_on_codes_matches_the_mask_definition():
@@ -692,9 +711,9 @@ def _augmentation_breaks_by_definition(d):
     for extra in d.ground.all_masks():
         if extra in have:
             continue
-        aug = tuple(sorted(have | {extra}))
+        aug = _indicator(have | {extra}, d.ground.size)
         if _delta_ok(aug):
-            da = DeltaMatroid._trusted(d.ground, _indicator(aug, d.ground.size))
+            da = DeltaMatroid._trusted(d.ground, aug)
             if da.upper == d.upper and da.lower == d.lower:
                 return False
     return True
@@ -889,8 +908,7 @@ def _pair_witness_reference(upper, lower):
         "offending_circuit": list(rep.offending_circuit.labels),
         "candidates_exhausted": tried,
     }
-    forced = _decode_family(mu._bases | ml._bases)
-    triple = _exchange_witness(forced, set(_decode_family(mu._indep & ml._spanning)), "DF")
+    triple = _exchange_witness(mu._bases | ml._bases, mu._indep & ml._spanning, "DF")
     if triple is not None:
         f1, f2, xb = triple
         g = mu.ground
