@@ -68,11 +68,14 @@ class AxiomError(ValueError):
 
 @lru_cache(maxsize=None)
 def _coordinates(n: int) -> tuple[int, ...]:
-    """Per element i < n, the 2^n-bit integer whose bit m is set iff mask m has i."""
-    ones = (1 << (1 << n)) - 1
-    return tuple(
-        (((1 << (1 << i)) - 1) << (1 << i)) * (ones // ((1 << (2 << i)) - 1)) for i in range(n)
-    )
+    """Per element i < n, the 2^n-bit integer whose bit m is set iff mask m has i:
+    on k + 1 elements, each coordinate on k elements twice over, and element k
+    on the upper half."""
+    coords: tuple[int, ...] = ()
+    for k in range(n):
+        half = 1 << k
+        coords = tuple(c | c << half for c in coords) + (((1 << half) - 1) << half,)
+    return coords
 
 
 def _indicator(masks: Iterable[int], n: int) -> int:

@@ -2,9 +2,10 @@
 counts, the rigidity feasible family, and the cone construction.
 
 Each edge's vertex mask is a graph's one derived vertex form.  Both matroids
-come from one count pass over the 2^m edge subsets, one up-closure of the sets
-that break the count, and one shift-AND per edge coordinate for the maximal
-sparse sets, the bases.
+come from one count pass on 2^m-bit indicators of edge sets: per-vertex
+incidence indicators give the sets that break the count, one up-closure of
+those the sets that are not sparse, and one shift-AND per edge coordinate the
+maximal sparse sets, the bases.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable
 
 from .core import MAX_GROUND_SIZE, GroundSet, InputError, SetFamily, Subset
 from .delta import construct_sandwich
-from .matroids import Matroid, _coordinates, _up_closure
+from .matroids import Matroid, _coordinates, _sizes, _up_closure
 
 
 @dataclass(frozen=True)
@@ -93,26 +94,34 @@ class Multigraph:
 
 def _count_sparse(ev: tuple[int, ...], k: int, l: int) -> tuple[int, int]:
     """2^m-bit indicators of the (k,l)-sparse edge sets of a graph, given by
-    its edge vertex masks ev, and of their maximal members.
+    its edge vertex masks ev, and of their maximal members (k >= 1, l >= 0).
 
-    F is (k,l)-sparse when every nonempty F' within F has |F'| <= k|V(F')| - l.
-    One ascending pass builds V(X) from V(X - lowest edge) and marks each X
-    that breaks the count.  The up-closure of the marks is exact for the
-    complement: X is sparse iff none of its subsets is marked.  Sparse sets
-    are down-closed, so one is maximal iff no one-edge extension is sparse,
-    one shift-AND per edge coordinate.
+    F is (k,l)-sparse iff no nonempty subset X of F breaks the count, that is
+    has |X| > k|V(X)| - l.  The test reads only |X| and |V(X)|: for |X| = s it
+    is |V(X)| <= ceil((s + l)/k) - 1 = (s + l - 1) // k.  at_most[j], the sets
+    with |V(X)| <= j, takes one step per vertex u from touch[u], the OR of the
+    coordinates of the edges at u; the broken sets are one AND per size layer,
+    and X is sparse iff it lies above none of them.  Sparse sets are
+    down-closed, so one is maximal iff no one-edge extension is sparse, one
+    shift-AND per edge coordinate.
     """
-    size = 1 << len(ev)
-    vmask = [0] * size
-    broken = bytearray((size + 7) >> 3)
-    for x in range(1, size):
-        low = x & -x
-        vmask[x] = v = vmask[x ^ low] | ev[low.bit_length() - 1]
-        if x.bit_count() > k * v.bit_count() - l:
-            broken[x >> 3] |= 1 << (x & 7)
-    sparse = ((1 << size) - 1) ^ _up_closure(int.from_bytes(broken, "little"), len(ev))
+    m = len(ev)
+    ones = (1 << (1 << m)) - 1
+    touch: dict[int, int] = {}
+    for has, ends in zip(_coordinates(m), ev):
+        for u in range(ends.bit_length()):  # bit by bit: a loop touches one vertex
+            if ends >> u & 1:
+                touch[u] = touch.get(u, 0) | has
+    at_most = [ones]  # no vertex read yet: |V(X)| = 0 for every X
+    for t in touch.values():
+        rest = ones ^ t
+        at_most = [a & rest | b & t for a, b in zip(at_most, (0, *at_most))] + [ones]
+    broken = 0
+    for s, layer in enumerate(_sizes(m)[1:], 1):
+        broken |= layer & at_most[min((s + l - 1) // k, len(touch))]
+    sparse = ones ^ _up_closure(broken, m)
     extendable = 0
-    for i, has in enumerate(_coordinates(len(ev))):
+    for i, has in enumerate(_coordinates(m)):
         extendable |= (sparse & has) >> (1 << i)
     return sparse, sparse & ~extendable
 

@@ -854,6 +854,15 @@ class TestExchangeKernel:
         assert out.returncode == 0, out.stderr
         assert out.stdout == "0\n"
 
+    def test_coordinates_match_their_definition(self):
+        # bit m of coordinate i is set iff mask m has element i, up to the cap
+        for n in (*range(13), 16):
+            want = tuple(
+                int("".join("1" if m >> i & 1 else "0" for m in reversed(range(1 << n))), 2)
+                for i in range(n)
+            )
+            assert _coordinates(n) == want, n
+
     def test_unequal_sizes_fail_mb_but_not_df(self):
         code = code_of((0b001, 0b110))
         assert not _exchange_ok(code, "MB")

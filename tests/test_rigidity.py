@@ -137,6 +137,11 @@ def k5_less(removed):
 CONE_SHAPES = ("01 02 12", "01 12 23", "01 02 03", "01 12 34", "01 12 23 03", "01 12 23 34")
 
 
+#: (k, l) pairs for the kernel's differential tests: forests (1,1), Laman
+#: (2,3), and four more that reach the other roundings of its threshold.
+COUNT_PARAMETERS = ((1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 6))
+
+
 class TestMultigraph:
     def test_validation(self):
         with pytest.raises(InputError):
@@ -324,6 +329,29 @@ class TestCountSparseKernel:
         for g in graphs:
             for k, l in ((1, 1), (2, 3)):
                 assert decoded_count_sparse(g, k, l) == state_machine_sparse(g, k, l), (g, k, l)
+
+    def test_every_rounding_case_matches_state_machine(self):
+        # the kernel decides |X| = s by |V(X)| <= ceil((s + l)/k) - 1; these
+        # (k, l) cover k dividing s + l and not, l = 0, and (3,6), under
+        # which every single edge breaks the count
+        for g in seeded_multigraphs():
+            for k, l in COUNT_PARAMETERS:
+                assert decoded_count_sparse(g, k, l) == state_machine_sparse(g, k, l), (g, k, l)
+
+    def test_edgeless_graph(self):
+        # only the empty set, which is sparse and maximal
+        for g in (Multigraph((), ()), Multigraph(("a", "b"), ())):
+            for k, l in COUNT_PARAMETERS:
+                assert _count_sparse(g._edge_vertex_masks, k, l) == (1, 1), (g, k, l)
+
+    def test_isolated_vertices_change_nothing(self):
+        # vertices no edge touches, before, between and after the used ones
+        bare = Multigraph.build("uvw", [("e1", "u", "v"), ("e2", "v", "w"), ("e3", "u", "w"), ("e4", "w", "w")])
+        padded = Multigraph.build("puqvrws", [(e, u, v) for e, (u, v) in bare.edges])
+        for k, l in COUNT_PARAMETERS:
+            want = state_machine_sparse(bare, k, l)
+            assert decoded_count_sparse(bare, k, l) == want, (k, l)
+            assert decoded_count_sparse(padded, k, l) == state_machine_sparse(padded, k, l) == want, (k, l)
 
 
 class TestRigidityMatroid:
