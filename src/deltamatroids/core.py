@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 MAX_GROUND_SIZE = 16
 
@@ -186,9 +186,3 @@ class SetFamily:
 
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(s) for s in self.members) + "}"
-
-
-def _project(mask: int, keep: Sequence[int]) -> int:
-    """mask restricted to the element indices in keep, renumbered 0, 1, ... in that order."""
-    return sum(1 << i for i, b in enumerate(keep) if mask >> b & 1)
-

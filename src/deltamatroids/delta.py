@@ -9,10 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from operator import or_
+from typing import Optional
 
-from .core import GroundSet, InputError, SetFamily, Subset, _project
-from .matroids import Matroid, _certify_exchange, _code_layers, _complement, _decode_family, _exchange_ok
+from .core import GroundSet, InputError, SetFamily, Subset
+from .matroids import (
+    Matroid,
+    _certify_exchange,
+    _code_layers,
+    _complement,
+    _decode_family,
+    _exchange_ok,
+    _indicator,
+    _minor_code,
+)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -36,9 +46,14 @@ class DeltaMatroid:
     def certify(cls, fam: SetFamily) -> "DeltaMatroid":
         if len(fam) == 0:
             raise InputError("a delta-matroid needs at least one feasible set")
-        d = cls(fam.ground, _certify_exchange(fam, "DF"), _certified=True)
+        d = cls._checked(fam.ground, _indicator(fam.masks, fam.ground.size))
         d.feasibles = fam  # fills the cached_property
         return d
+
+    @classmethod
+    def _checked(cls, ground: GroundSet, code: int) -> "DeltaMatroid":
+        """Build from a feasible-set indicator that passes (DF); raise AxiomError with the witness otherwise."""
+        return cls(ground, _certify_exchange(ground, code, "DF"), _certified=True)
 
     @classmethod
     def _trusted(cls, ground: GroundSet, code: int) -> "DeltaMatroid":
@@ -86,25 +101,20 @@ class DeltaMatroid:
         """
         if x_set.ground != self.ground:
             raise InputError("deletion set over a different ground set")
-        masks = _decode_family(self._feasibles)
-        if not any(x_set.mask & ~f == 0 for f in masks):
+        if not _minor_code(self._feasibles, self.ground, x_set.mask, lambda a, b: b)[1]:
             raise InputError(f"{x_set!r} is contained in no feasible set")
-        return _restricted(self.ground, masks, x_set.complement().mask)
+        return DeltaMatroid._checked(*_minor_code(self._feasibles, self.ground, x_set.mask, or_))
 
     def contract(self, x_set: Subset) -> "DeltaMatroid":
-        """Contraction via the complement dual: (D* delete X)*.
+        """Contraction (D* delete X)*: {F without X} for every feasible F, the family delete keeps.
 
-        Requires x_set to miss at least one feasible set.  Complementing in E,
-        deleting X and complementing in E - X leaves F - X, so whenever both
-        are defined this is the same family as delete(x_set): both keep
-        {F without X} for every feasible F.
+        Requires x_set to miss at least one feasible set.
         """
         if x_set.ground != self.ground:
             raise InputError("contraction set over a different ground set")
-        masks = _decode_family(self._feasibles)
-        if all(x_set.mask & f for f in masks):
+        if not _minor_code(self._feasibles, self.ground, x_set.mask, lambda a, b: a)[1]:
             raise InputError(f"{x_set!r} meets every feasible set")
-        return _restricted(self.ground, masks, x_set.complement().mask)
+        return DeltaMatroid._checked(*_minor_code(self._feasibles, self.ground, x_set.mask, or_))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DeltaMatroid) and self.ground == other.ground and self._feasibles == other._feasibles
@@ -114,13 +124,6 @@ class DeltaMatroid:
 
     def __repr__(self) -> str:
         return f"DeltaMatroid(feasibles={self.feasibles!r})"
-
-
-def _restricted(ground: GroundSet, masks: Iterable[int], keep: int) -> DeltaMatroid:
-    """The certified delta-matroid of {F ∩ keep : F in masks} on keep's elements, in ground order."""
-    idx = [i for i in range(ground.size) if keep >> i & 1]
-    fam = SetFamily(GroundSet(tuple(ground.labels[i] for i in idx)), tuple(_project(f, idx) for f in masks))
-    return DeltaMatroid.certify(fam)
 
 
 @dataclass(frozen=True)
@@ -169,11 +172,7 @@ def is_pairable(mu: Matroid, ml: Matroid) -> PairabilityReport:
 def bouchet_triple(m: Matroid) -> tuple[DeltaMatroid, DeltaMatroid, DeltaMatroid]:
     """The three delta-matroids naturally attached to a matroid: feasible
     sets equal to its bases, its independent sets, and its spanning sets."""
-    return (
-        DeltaMatroid.certify(m.bases),
-        DeltaMatroid.certify(m.independents()),
-        DeltaMatroid.certify(m.spanning_sets()),
-    )
+    return tuple(DeltaMatroid._checked(m.ground, code) for code in (m._bases, m._indep, m._spanning))
 
 
 def fmax_upper_uniform(d: DeltaMatroid) -> SetFamily:
@@ -203,10 +202,10 @@ def restrict_to_contained(d: DeltaMatroid, c: Subset) -> DeltaMatroid:
     on the ground set c."""
     if c.ground != d.ground:
         raise InputError("restriction set over a different ground set")
-    inside = [f for f in _decode_family(d._feasibles) if f & ~c.mask == 0]
+    ground, inside = _minor_code(d._feasibles, d.ground, d.ground.full_mask ^ c.mask, lambda a, b: a)
     if not inside:
         raise InputError(f"no feasible set is contained in {c!r}")
-    return _restricted(d.ground, inside, c.mask)
+    return DeltaMatroid._checked(ground, inside)
 
 
 def restrict_by_deletion(d: DeltaMatroid, c: Subset) -> DeltaMatroid:

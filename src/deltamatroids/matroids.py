@@ -10,8 +10,7 @@ circuits and unions of circuits are indicators of the same kind over
 circuit unions one up-closure of the circuits through each element, O(n^2)
 steps.  A quotient test, and its least offending circuit, is then one AND of
 circuits against circuit unions.  The dual complements the indicator, and a
-minor by X keeps B - X over the bases B that meet X least (deletion) or most
-(contraction).
+minor drops X's coordinates from it, one element at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .core import (
     InputError,
     SetFamily,
     Subset,
-    _project,
 )
 
 
@@ -126,6 +124,22 @@ def _up_closure(indicator: int, n: int) -> int:
     return indicator
 
 
+def _minor_code(code: int, ground: GroundSet, x: int, part: Callable[[int, int], int]) -> tuple[GroundSet, int]:
+    """Drop x's elements from a family code, highest first, onto the ground less x: swaps of adjacent
+    coordinates carry each to the top coordinate, where the code's low half a holds the members without
+    it and its high half b those with it, less it, and part(a, b) is kept."""
+    n = ground.size
+    coords = _coordinates(n)  # its low 2^k bits are the coordinates on k elements
+    for i in reversed(range(n)):
+        if x >> i & 1:
+            for j in range(i, n - 1):
+                t = (code ^ code >> (1 << j)) & coords[j] & ~coords[j + 1]
+                code ^= t | t << (1 << j)
+            n -= 1
+            code = part(code & ((1 << (1 << n)) - 1), code >> (1 << n))
+    return GroundSet(ground.labels_of(ground.full_mask ^ x)), code
+
+
 def _exchange_failures(source: int, members: int, axiom: str) -> Iterator[tuple[int, int, int]]:
     """(F1, x, failing) for each F1 in source, ascending, and pivot bit x where the axiom fails.
 
@@ -210,12 +224,11 @@ def _violation(ground: GroundSet, triple: tuple[int, int, int], axiom: str) -> E
     return ExchangeViolation(Subset(ground, f1), Subset(ground, f2), ground.labels[xb.bit_length() - 1], axiom)
 
 
-def _certify_exchange(fam: SetFamily, axiom: str) -> int:
-    """fam's code, packed once; raise AxiomError with the canonical witness unless fam passes the axiom."""
-    code = _indicator(fam.masks, fam.ground.size)
+def _certify_exchange(ground: GroundSet, code: int, axiom: str) -> int:
+    """code, once it passes the axiom over ground; raise AxiomError with the canonical witness otherwise."""
     bad = _exchange_witness(code, code, axiom)
     if bad is not None:
-        raise AxiomError(_violation(fam.ground, bad, axiom))
+        raise AxiomError(_violation(ground, bad, axiom))
     return code
 
 
@@ -233,7 +246,8 @@ class Matroid:
     def certify(cls, fam: SetFamily) -> "Matroid":
         if len(fam) == 0:
             raise InputError("a matroid needs at least one basis")
-        m = cls(fam.ground, _certify_exchange(fam, "MB"), _certified=True)
+        code = _certify_exchange(fam.ground, _indicator(fam.masks, fam.ground.size), "MB")
+        m = cls(fam.ground, code, _certified=True)
         m.bases = fam  # fills the cached_property
         # (MB) forces equicardinality; a failure here would be an engine bug.
         if any(b.bit_count() != m.rank for b in fam.masks):
@@ -314,20 +328,13 @@ class Matroid:
         """Restrict to the complement of x_set: B - x_set over the bases B meeting it least."""
         if x_set.ground != self.ground:
             raise InputError("deletion set over a different ground set")
-        return self._minor(x_set.mask, min)
+        return Matroid._trusted(*_minor_code(self._bases, self.ground, x_set.mask, lambda a, b: a or b))
 
     def contract(self, x_set: Subset) -> "Matroid":
         """Contract x_set: B - x_set over the bases B meeting it most (Oxley, Matroid Theory, section 3.1)."""
         if x_set.ground != self.ground:
             raise InputError("contraction set over a different ground set")
-        return self._minor(x_set.mask, max)
-
-    def _minor(self, x: int, pick: Callable) -> "Matroid":
-        """B - x over the bases B whose meet with x has the size pick chooses, on the ground less x."""
-        best = pick((b & x).bit_count() for b in self.bases.masks)
-        keep = [i for i in range(self.ground.size) if not x >> i & 1]
-        kept = (_project(b, keep) for b in self.bases.masks if (b & x).bit_count() == best)
-        return Matroid._trusted(GroundSet(tuple(self.ground.labels[i] for i in keep)), _indicator(kept, len(keep)))
+        return Matroid._trusted(*_minor_code(self._bases, self.ground, x_set.mask, lambda a, b: b or a))
 
     def is_uniform(self) -> bool:
         """True iff the bases are exactly all rank-sized subsets of the ground."""
@@ -355,9 +362,8 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
     so the code holds one copy of m1's per basis b2 of m2, shifted to b2's place."""
     if set(m1.ground.labels) & set(m2.ground.labels):
         raise InputError("direct sum requires disjoint ground sets")
-    shift = m1.ground.size
-    code = sum(m1._bases << (b2 << shift) for b2 in _decode_family(m2._bases))
-    return Matroid._trusted(GroundSet(m1.ground.labels + m2.ground.labels), code)
+    ground = GroundSet(m1.ground.labels + m2.ground.labels)  # over the cap, this raises before the code is built
+    return Matroid._trusted(ground, sum(m1._bases << (b2 << m1.ground.size) for b2 in _decode_family(m2._bases)))
 
 
 def is_union_of_circuits(s: Subset, m: Matroid) -> bool:

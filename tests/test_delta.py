@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 from itertools import chain, combinations, product
 from pathlib import Path
 
@@ -47,6 +48,12 @@ def naive_satisfies_exchange(feasibles):
                 if not any(f1 ^ {x, y} in feasibles for y in f1 ^ f2):
                     return False
     return True
+
+
+def reference_projection(ground, keep, masks):
+    """(labels, masks) of masks restricted to keep's elements, renumbered in ground order."""
+    idx = [i for i in range(ground.size) if keep >> i & 1]
+    return tuple(ground.labels[i] for i in idx), {sum(1 << j for j, i in enumerate(idx) if f >> i & 1) for f in masks}
 
 
 def reference_delta_violation(masks):
@@ -330,6 +337,38 @@ class TestMinors:
                 got = d.contract(Subset(d.ground, x))
                 assert got.feasibles == want and got == DeltaMatroid.certify(want)
 
+    def test_projections_decode_no_family(self, monkeypatch):
+        # delete, contract and restrict_to_contained read the feasible code:
+        # against the mask definitions, with every decode in delta.py refused
+        cases = []
+        for n in range(4):
+            for d in enumerate_delta_matroids(n):
+                masks = _decode_family(d._feasibles)
+                for x in range(1 << n):
+                    rest = d.ground.full_mask ^ x
+                    every = reference_projection(d.ground, rest, masks)
+                    cases.append((d.delete, d, x, every if any(x & ~f == 0 for f in masks) else None))
+                    cases.append((d.contract, d, x, every if any(x & f == 0 for f in masks) else None))
+                    inside = [f for f in masks if f & ~x == 0]
+                    want = reference_projection(d.ground, x, inside) if inside else None
+                    cases.append((partial(restrict_to_contained, d), d, x, want))
+
+        def no_decode(code):
+            raise AssertionError("a projection decoded a family")
+
+        monkeypatch.setattr("deltamatroids.delta._decode_family", no_decode)
+        built = 0
+        for project, d, x, want in cases:
+            if want is None:
+                with pytest.raises(InputError):
+                    project(Subset(d.ground, x))
+                continue
+            labels, members = want
+            got = project(Subset(d.ground, x))
+            assert got.ground.labels == labels and got._feasibles == _indicator(members, len(labels)), (d._feasibles, x)
+            built += 1
+        assert 0 < built < len(cases)
+
     def test_contract_names_its_own_precondition(self):
         g = default_ground(2)
         d = DeltaMatroid.certify(SetFamily.from_labels(g, [["a"]]))
@@ -375,6 +414,27 @@ class TestMinors:
 
 
 class TestRestrictionVariants:
+    def test_contained_reading_matches_its_mask_definition(self):
+        # keep the feasible sets inside c, projected onto c (a delta-matroid
+        # by theory: those that miss E - c); none is an error that names c
+        outcomes = {"empty": 0, "kept": 0}
+        for n in range(4):
+            for d in enumerate_delta_matroids(n):
+                for c in range(1 << n):
+                    cs = Subset(d.ground, c)
+                    inside = [f for f in _decode_family(d._feasibles) if f & ~c == 0]
+                    if not inside:
+                        with pytest.raises(InputError) as err:
+                            restrict_to_contained(d, cs)
+                        assert str(err.value) == f"no feasible set is contained in {cs!r}"
+                        outcomes["empty"] += 1
+                        continue
+                    labels, members = reference_projection(d.ground, c, inside)
+                    got = restrict_to_contained(d, cs)
+                    assert got.ground.labels == labels and set(got.feasibles.masks) == members, (d, c)
+                    outcomes["kept"] += 1
+        assert all(outcomes.values()), outcomes
+
     def test_deletion_reading_validates_proof_step(self):
         # restricting to an upper-matroid circuit C must make the restricted
         # upper matroid the single cycle on C; the intersect-with-C reading

@@ -4,7 +4,9 @@ import subprocess
 import sys
 from itertools import chain, combinations
 from math import comb
+from operator import or_
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -22,7 +24,6 @@ from deltamatroids import (
     is_union_of_circuits,
     uniform,
 )
-from deltamatroids.core import _project
 from deltamatroids.delta import DeltaMatroid, construct_sandwich
 from deltamatroids.matroids import (
     _coordinates,
@@ -31,10 +32,16 @@ from deltamatroids.matroids import (
     _exchange_ok,
     _exchange_witness,
     _indicator,
+    _minor_code,
     _sizes,
 )
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
 from deltamatroids.search import enumerate_matroids, matroid_codes
+
+
+def _project(mask: int, keep: Sequence[int]) -> int:
+    """mask restricted to the element indices in keep, renumbered 0, 1, ... in that order."""
+    return sum(1 << i for i, b in enumerate(keep) if mask >> b & 1)
 
 
 def powerset(iterable):
@@ -165,6 +172,17 @@ class TestDirectSum:
         with pytest.raises(InputError):
             direct_sum(m, m)
 
+    def test_over_cap_sum_is_rejected_before_its_code_is_built(self, monkeypatch):
+        # 9 + 8 elements: the ground's cap check comes before the 2^17-bit code
+        def no_decode(code):
+            raise AssertionError("direct_sum decoded a basis code")
+
+        m1 = uniform(1, GroundSet(tuple(f"x{i}" for i in range(9))))
+        m2 = uniform(1, GroundSet(tuple(f"y{i}" for i in range(8))))
+        monkeypatch.setattr("deltamatroids.matroids._decode_family", no_decode)
+        with pytest.raises(InputError, match="the cap is 16"):
+            direct_sum(m1, m2)
+
 
 class TestDerivedFamilies:
     def test_independents_of_u12(self):
@@ -292,6 +310,74 @@ class TestDualsAndMinors:
             assert set(deleted.bases.masks) == {_project(r, keep) for r in rest if r.bit_count() == top}, (m, x)
             assert m.contract(xs) == m.dual().delete(xs).dual(), (m, x)
         assert len(cases) == 1 + 2 * 2 + 5 * 4 + 16 * 8 + 68 * 16 + len(CORPUS) + 1
+
+    def test_minors_of_a_trusted_cone_matroid_decode_no_bases(self):
+        k5 = Multigraph.build("abcde", [(u + v, u, v) for u, v in combinations("abcde", 2)])
+        result = cone(k5)
+        m = Matroid._trusted(result.cone_graph.ground, rigidity_matroid(result.cone_graph)._bases)
+        minors = (m.delete(result.cone_edges), m.contract(result.cone_edges))
+        assert "bases" not in vars(m)
+        assert all("bases" not in vars(minor) for minor in minors)
+        assert minors[0] == rigidity_matroid(k5) and minors[1] == cycle_matroid(k5)
+
+
+def reference_drop(code, n, i, part):
+    """part(a, b) of one element's drop on masks: a the members without i,
+    b those with it, less it, each projected onto the other elements."""
+    keep = [j for j in range(n) if j != i]
+    masks = _decode_family(code)
+    a = _indicator((_project(f, keep) for f in masks if not f >> i & 1), n - 1)
+    b = _indicator((_project(f, keep) for f in masks if f >> i & 1), n - 1)
+    return part(a, b)
+
+
+class TestMinorCode:
+    """The coordinate drop on family codes against the mask reference."""
+
+    PARTS = {
+        "a": lambda a, b: a,
+        "b": lambda a, b: b,
+        "a|b": or_,
+        "a or b": lambda a, b: a or b,
+        "b or a": lambda a, b: b or a,
+    }
+
+    def seeded_codes(self):
+        rng = random.Random(30)
+        for n in range(1, 11):
+            for _ in range(3):
+                yield n, rng.getrandbits(1 << n)  # dense: about half of all subsets
+                yield n, _indicator(rng.sample(range(1 << n), min(n, 1 << n)), n)  # sparse
+
+    def test_one_element_drop_at_every_position(self):
+        checked = 0
+        for n, code in self.seeded_codes():
+            g = default_ground(n)
+            for i in range(n):
+                for name, part in self.PARTS.items():
+                    ground, got = _minor_code(code, g, 1 << i, part)
+                    assert ground.labels == g.labels[:i] + g.labels[i + 1 :], (n, i)
+                    assert got == reference_drop(code, n, i, part), (n, code, i, name)
+                    checked += 1
+        assert checked == 5 * 6 * sum(range(1, 11))
+
+    def test_many_element_drop_is_the_drops_highest_first(self):
+        rng = random.Random(31)
+        for n, code in self.seeded_codes():
+            g = default_ground(n)
+            for x in (g.full_mask, rng.randrange(1 << n), rng.randrange(1 << n)):
+                keep = [i for i in range(n) if not x >> i & 1]
+                for name, part in self.PARTS.items():
+                    want, m = code, n
+                    for i in reversed(range(n)):
+                        if x >> i & 1:
+                            want, m = reference_drop(want, m, i, part), m - 1
+                    ground, got = _minor_code(code, g, x, part)
+                    assert ground.labels == tuple(g.labels[i] for i in keep), (n, x)
+                    assert got == want, (n, code, x, name)
+                # keeping both halves projects every member
+                projected = {_project(f, keep) for f in _decode_family(code)}
+                assert _minor_code(code, g, x, or_)[1] == _indicator(projected, len(keep)), (n, code, x)
 
 
 class TestBasisCode:
@@ -801,6 +887,7 @@ class TestExchangeKernel:
             return _indicator(masks, n)
 
         monkeypatch.setattr("deltamatroids.matroids._indicator", counting_indicator)
+        monkeypatch.setattr("deltamatroids.delta._indicator", counting_indicator)
         g = default_ground(5)
         bases, sandwich = uniform(2, g).bases, construct_sandwich(uniform(3, g), uniform(1, g))
         for cls, fam in ((Matroid, bases), (DeltaMatroid, bases), (DeltaMatroid, sandwich)):

@@ -382,6 +382,7 @@ class TestSharedLayers:
             return _indicator(masks, n)
 
         monkeypatch.setattr("deltamatroids.matroids._indicator", counting_indicator)
+        monkeypatch.setattr("deltamatroids.delta._indicator", counting_indicator)
         _delta_ok.cache_clear()  # so that every verdict runs the kernel
         sizes = [len(_codes(axiom, n)) for axiom in ("MB", "DF") for n in range(5)]
         assert sizes == [1, 2, 5, 16, 68, 1, 3, 15, 155, 5959]
