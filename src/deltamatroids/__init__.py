@@ -6,6 +6,8 @@ exhaustive verification suites at desk scale.
 """
 
 from .core import (
+    AxiomError,
+    ExchangeViolation,
     GroundSet,
     InputError,
     SetFamily,
@@ -24,8 +26,6 @@ from .delta import (
     restrict_to_contained,
 )
 from .matroids import (
-    AxiomError,
-    ExchangeViolation,
     Matroid,
     direct_sum,
     is_quotient,

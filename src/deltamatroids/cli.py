@@ -14,9 +14,8 @@ import os
 import sys
 from typing import Optional
 
-from .core import InputError, default_ground
+from .core import AxiomError, InputError, _decode_family, default_ground
 from .delta import DeltaMatroid, construct_sandwich, is_pairable
-from .matroids import AxiomError, _decode_family
 from .rigidity import CORPUS, verify_cone_quotient
 from .search import (
     delta_codes,
@@ -121,7 +120,7 @@ def _cmd_pair(args, fmt: str) -> int:
     payload = rep.to_json()
     if rep.pairable and args.construct:
         fam = construct_sandwich(mu, ml)
-        d = DeltaMatroid.certify(fam)
+        d = DeltaMatroid.certify(fam)  # checked: the paper's claim that it is a delta-matroid, on the input pair
         payload["sandwich"] = delta_to_json(d)
     text = "pairable" if rep.pairable else f"not pairable; offending circuit {payload['offending_circuit']}"
     _emit(payload, fmt, text)

@@ -1,16 +1,21 @@
-"""Ground sets, bitmask subsets, and families of subsets.
+"""Ground sets, bitmask subsets, families of subsets, and their family codes.
 
 Everything downstream (matroids, delta-matroids, graphs, searches) is built
 on these three values.  A ground set is an ordered list of at most 16 labels,
 so every subset fits in one machine word and exhaustive sweeps stay cheap.
+A family on n elements is also one 2^n-bit integer, its family code (bit m
+set iff mask m is a member), which every matroid and delta-matroid stores.
+The code's algebra and the one exchange kernel for (MB) and (DF) live here;
+only `Matroid.certify` and `DeltaMatroid.certify` run the kernel as a check.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from functools import cache, cached_property, reduce
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator, Optional
 
 MAX_GROUND_SIZE = 16
 
@@ -186,3 +191,220 @@ class SetFamily:
 
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(s) for s in self.members) + "}"
+
+
+@dataclass(frozen=True)
+class ExchangeViolation:
+    """Witness that an exchange axiom fails at a specific triple.
+
+    Replaying the axiom at (first, second, pivot) finds no valid exchange
+    partner y: no candidate first Δ {pivot, y} lies in the family.
+    """
+
+    first: Subset
+    second: Subset
+    pivot: str
+    axiom: str  # "MB" or "DF"
+
+    def describe(self) -> str:
+        return (
+            f"axiom ({self.axiom}) fails: no exchange partner for pivot "
+            f"{self.pivot!r} with first={self.first!r}, second={self.second!r}"
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "axiom": self.axiom,
+            "first": list(self.first.labels),
+            "second": list(self.second.labels),
+            "pivot": self.pivot,
+        }
+
+
+class AxiomError(ValueError):
+    """A family failed certification; carries the violating triple."""
+
+    def __init__(self, violation: ExchangeViolation):
+        super().__init__(violation.describe())
+        self.violation = violation
+
+
+@cache
+def _coordinates(n: int) -> tuple[int, ...]:
+    """Per element i < n, the 2^n-bit integer whose bit m is set iff mask m has i:
+    on k + 1 elements, each coordinate on k elements twice over, and element k
+    on the upper half."""
+    coords: tuple[int, ...] = ()
+    for k in range(n):
+        half = 1 << k
+        coords = tuple(c | c << half for c in coords) + (((1 << half) - 1) << half,)
+    return coords
+
+
+def _indicator(masks: Iterable[int], n: int) -> int:
+    """The 2^n-bit integer whose bit m is set iff m is among masks (all below 2^n)."""
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _decode_family(code: int) -> tuple[int, ...]:
+    """Indicator, or family code (the same thing), -> member masks, ascending.
+    Byte by byte: a lowest-set-bit loop on the whole int costs O(2^n) a member."""
+    masks = []
+    for i, byte in enumerate(code.to_bytes((code.bit_length() + 7) >> 3, "little")):
+        while byte:
+            low = byte & -byte
+            masks.append(i << 3 | low.bit_length() - 1)
+            byte ^= low
+    return tuple(masks)
+
+
+@cache
+def _sizes(n: int) -> tuple[int, ...]:
+    """Per size k = 0..n, the 2^n-bit indicator of the k-element masks: the
+    k-sets on n - 1 elements, and the (k - 1)-sets on them with element n - 1 added."""
+    if n == 0:
+        return (1,)
+    prev = _sizes(n - 1)
+    return tuple(a | b << (1 << (n - 1)) for a, b in zip((*prev, 0), (0, *prev)))
+
+
+def _code_layers(code: int, n: int) -> tuple[int, int]:
+    """(minimum-size, maximum-size) members of a nonempty family, as codes."""
+    present = [layer for s in _sizes(n) if (layer := code & s)]
+    return present[0], present[-1]
+
+
+def _complement(code: int, n: int) -> int:
+    """Code of the complement family {E - F : F in family}: mask m goes to 2^n - 1 - m, so the bits reverse."""
+    return int(format(code, f"0{1 << n}b")[::-1], 2)
+
+
+def _twists(code: int, n: int) -> set[int]:
+    """Codes of the twists F Δ S of a family on n elements, S any subset: the
+    twist by element i swaps the code bits of masks with and without i."""
+    orbit = {code}
+    for i, has in enumerate(_coordinates(n)):
+        s = 1 << i
+        orbit |= {(c & has) >> s | (c ^ c & has) << s for c in orbit}
+    return orbit
+
+
+def _up_closure(indicator: int, n: int) -> int:
+    """Indicator of every superset of a member of indicator."""
+    for i, has in enumerate(_coordinates(n)):
+        indicator |= indicator << (1 << i) & has
+    return indicator
+
+
+def _minor_code(code: int, ground: GroundSet, x: int, part: Callable[[int, int], int]) -> tuple[GroundSet, int]:
+    """Drop x's elements from a family code, highest first, onto the ground less x: swaps of adjacent
+    coordinates carry each to the top coordinate, where the code's low half a holds the members without
+    it and its high half b those with it, less it, and part(a, b) is kept."""
+    n = ground.size
+    coords = _coordinates(n)  # its low 2^k bits are the coordinates on k elements
+    for i in reversed(range(n)):
+        if x >> i & 1:
+            for j in range(i, n - 1):
+                t = (code ^ code >> (1 << j)) & coords[j] & ~coords[j + 1]
+                code ^= t | t << (1 << j)
+            n -= 1
+            code = part(code & ((1 << (1 << n)) - 1), code >> (1 << n))
+    return GroundSet(ground.labels_of(ground.full_mask ^ x)), code
+
+
+# -- the exchange kernel, one for (MB) and (DF) ---------------------------
+
+
+def _exchange_failures(source: int, members: int, axiom: str) -> Iterator[tuple[int, int, int]]:
+    """(F1, x, failing) for each F1 in source, ascending, and pivot bit x where the axiom fails.
+
+    source and members are family codes, decoded once each, or once when they
+    are one code; F1 and F2 range over source.  A partner y != x of x needs
+    g Δ {y} in members, with g = F1 Δ {x}, so the partners depend on g alone,
+    through N(g) = {y : g Δ {y} in members}: the axiom fails at (F1, x, F2)
+    exactly when F2 agrees with g on N(g) ∪ {x}.  `failing` is the 2^n-bit
+    indicator of those F2, source ANDed with one coordinate per element.
+    (MB), x in F1 and y outside it: F2 fails iff it avoids Z = N⁺(g) ∪ {x},
+    N⁺(g) the additions that make g a member; that is one byte of source's
+    up-closure at union - Z.  (DF), any x, and y = x is a partner, so x fails
+    only if g is no member; the AND over N(g) runs once per such g.
+    """
+    masks = _decode_family(source)
+    member_set = set(masks if members == source else _decode_family(members))
+    union = reduce(or_, masks, 0)
+    n = union.bit_length()
+    has = [source & c for c in _coordinates(n)]
+    lacks = [source ^ h for h in has]
+    elements = [(i, 1 << i) for i in range(n) if union >> i & 1]
+    if axiom == "MB":
+        additions: dict[int, int] = {}
+        for m in member_set:
+            rest = m
+            while rest:
+                yb = rest & -rest
+                rest ^= yb
+                additions[m ^ yb] = additions.get(m ^ yb, 0) | yb
+        covered = _up_closure(source, n).to_bytes(((1 << n) + 7) >> 3, "little")
+        for f in masks:
+            for _, xb in elements:
+                if f & xb:
+                    z = additions.get(f ^ xb, 0) | xb
+                    free = union & ~z
+                    if covered[free >> 3] >> (free & 7) & 1:
+                        yield f, xb, reduce(and_, (lacks[y] for y, yb in elements if z & yb), source)
+        return
+    agree: dict[int, int] = {}  # per non-member g: the source members agreeing with g on N(g)
+    for f in masks:
+        for x, xb in elements:
+            g = f ^ xb
+            if g in member_set:
+                continue
+            acc = agree.get(g)
+            if acc is None:
+                acc = source
+                for y, yb in elements:
+                    if g ^ yb in member_set:
+                        acc &= has[y] if g & yb else lacks[y]
+                        if not acc:
+                            break
+                agree[g] = acc
+            if acc:
+                acc &= has[x] if g & xb else lacks[x]
+                if acc:
+                    yield f, xb, acc
+
+
+def _exchange_ok(code: int, axiom: str) -> bool:
+    """Pass/fail of (MB) or (DF) on a family code; stops at the first failure."""
+    return next(_exchange_failures(code, code, axiom), None) is None
+
+
+def _exchange_witness(source: int, members: int, axiom: str) -> Optional[tuple[int, int, int]]:
+    """The canonical failure (first, second, pivot bit) on the codes source and members, or None.
+
+    Canonical is least second, then first, then pivot: over source's members
+    ascending, the order of a scan with `second` outer and `first` inner.
+    """
+    failures = _exchange_failures(source, members, axiom)
+    least = min((((acc & -acc).bit_length() - 1, f1, xb) for f1, xb, acc in failures), default=None)
+    if least is None:
+        return None
+    f2, f1, xb = least
+    return f1, f2, xb
+
+
+def _violation(ground: GroundSet, triple: tuple[int, int, int], axiom: str) -> ExchangeViolation:
+    """The ExchangeViolation of a (first, second, pivot bit) triple over ground."""
+    f1, f2, xb = triple
+    return ExchangeViolation(Subset(ground, f1), Subset(ground, f2), ground.labels[xb.bit_length() - 1], axiom)
+
+
+def _certify_exchange(ground: GroundSet, code: int, axiom: str) -> int:
+    """code, once it passes the axiom over ground; raise AxiomError with the canonical witness otherwise."""
+    bad = _exchange_witness(code, code, axiom)
+    if bad is not None:
+        raise AxiomError(_violation(ground, bad, axiom))
+    return code

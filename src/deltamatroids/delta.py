@@ -12,17 +12,9 @@ from functools import cached_property, lru_cache
 from operator import or_
 from typing import Optional
 
-from .core import GroundSet, InputError, SetFamily, Subset
-from .matroids import (
-    Matroid,
-    _certify_exchange,
-    _code_layers,
-    _complement,
-    _decode_family,
-    _exchange_ok,
-    _indicator,
-    _minor_code,
-)
+from .core import GroundSet, InputError, SetFamily, Subset, _certify_exchange, _code_layers, _complement
+from .core import _decode_family, _exchange_ok, _indicator, _minor_code
+from .matroids import Matroid
 
 
 @lru_cache(maxsize=1 << 18)
@@ -46,14 +38,10 @@ class DeltaMatroid:
     def certify(cls, fam: SetFamily) -> "DeltaMatroid":
         if len(fam) == 0:
             raise InputError("a delta-matroid needs at least one feasible set")
-        d = cls._checked(fam.ground, _indicator(fam.masks, fam.ground.size))
+        code = _certify_exchange(fam.ground, _indicator(fam.masks, fam.ground.size), "DF")
+        d = cls(fam.ground, code, _certified=True)
         d.feasibles = fam  # fills the cached_property
         return d
-
-    @classmethod
-    def _checked(cls, ground: GroundSet, code: int) -> "DeltaMatroid":
-        """Build from a feasible-set indicator that passes (DF); raise AxiomError with the witness otherwise."""
-        return cls(ground, _certify_exchange(ground, code, "DF"), _certified=True)
 
     @classmethod
     def _trusted(cls, ground: GroundSet, code: int) -> "DeltaMatroid":
@@ -95,26 +83,27 @@ class DeltaMatroid:
 
         Requires x_set to be contained in at least one feasible set.  The
         feasible sets of the result are {F without X} for *every* feasible F,
-        which is the construction taken literally; the result is certified
-        (projections of delta-matroids are delta-matroids, Bouchet and
+        which is the construction taken literally.  It is built without a
+        check: projections of delta-matroids are delta-matroids (Bouchet and
         Cunningham 1995).
         """
         if x_set.ground != self.ground:
             raise InputError("deletion set over a different ground set")
         if not _minor_code(self._feasibles, self.ground, x_set.mask, lambda a, b: b)[1]:
             raise InputError(f"{x_set!r} is contained in no feasible set")
-        return DeltaMatroid._checked(*_minor_code(self._feasibles, self.ground, x_set.mask, or_))
+        return DeltaMatroid._trusted(*_minor_code(self._feasibles, self.ground, x_set.mask, or_))
 
     def contract(self, x_set: Subset) -> "DeltaMatroid":
         """Contraction (D* delete X)*: {F without X} for every feasible F, the family delete keeps.
 
-        Requires x_set to miss at least one feasible set.
+        Requires x_set to miss at least one feasible set.  Built without a
+        check, as delete's projection is.
         """
         if x_set.ground != self.ground:
             raise InputError("contraction set over a different ground set")
         if not _minor_code(self._feasibles, self.ground, x_set.mask, lambda a, b: a)[1]:
             raise InputError(f"{x_set!r} meets every feasible set")
-        return DeltaMatroid._checked(*_minor_code(self._feasibles, self.ground, x_set.mask, or_))
+        return DeltaMatroid._trusted(*_minor_code(self._feasibles, self.ground, x_set.mask, or_))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DeltaMatroid) and self.ground == other.ground and self._feasibles == other._feasibles
@@ -171,8 +160,10 @@ def is_pairable(mu: Matroid, ml: Matroid) -> PairabilityReport:
 
 def bouchet_triple(m: Matroid) -> tuple[DeltaMatroid, DeltaMatroid, DeltaMatroid]:
     """The three delta-matroids naturally attached to a matroid: feasible
-    sets equal to its bases, its independent sets, and its spanning sets."""
-    return tuple(DeltaMatroid._checked(m.ground, code) for code in (m._bases, m._indep, m._spanning))
+    sets equal to its bases, its independent sets, and its spanning sets.
+    Built without a check: each of the three families is a delta-matroid
+    (Bouchet 1987, Greedy algorithm and symmetric matroids)."""
+    return tuple(DeltaMatroid._trusted(m.ground, code) for code in (m._bases, m._indep, m._spanning))
 
 
 def fmax_upper_uniform(d: DeltaMatroid) -> SetFamily:
@@ -199,13 +190,14 @@ def fmax_lower_uniform(d: DeltaMatroid) -> SetFamily:
 
 def restrict_to_contained(d: DeltaMatroid, c: Subset) -> DeltaMatroid:
     """Restriction reading one: keep only the feasible sets inside c,
-    on the ground set c."""
+    on the ground set c.  Built without a check: for F1, F2 inside c, the
+    F1 Δ {x, y} that (DF) gives in d has x, y in F1 Δ F2, so it is inside c."""
     if c.ground != d.ground:
         raise InputError("restriction set over a different ground set")
     ground, inside = _minor_code(d._feasibles, d.ground, d.ground.full_mask ^ c.mask, lambda a, b: a)
     if not inside:
         raise InputError(f"no feasible set is contained in {c!r}")
-    return DeltaMatroid._checked(ground, inside)
+    return DeltaMatroid._trusted(ground, inside)
 
 
 def restrict_by_deletion(d: DeltaMatroid, c: Subset) -> DeltaMatroid:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .core import MAX_GROUND_SIZE, GroundSet, InputError, SetFamily, Subset
+from .core import MAX_GROUND_SIZE, GroundSet, InputError, SetFamily, Subset, _coordinates, _sizes, _up_closure
 from .delta import construct_sandwich
-from .matroids import Matroid, _coordinates, _sizes, _up_closure
+from .matroids import Matroid
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .core import InputError, SetFamily, default_ground
+from .core import InputError, SetFamily, _code_layers, _complement, _decode_family, _exchange_ok, _exchange_witness
+from .core import _sizes, _twists, _violation, default_ground
 from .delta import DeltaMatroid, _delta_ok, is_pairable
-from .matroids import Matroid, _code_layers, _complement, _coordinates, _decode_family, _exchange_ok, _exchange_witness
-from .matroids import _sizes, _violation, is_quotient
+from .matroids import Matroid, is_quotient
 from .rigidity import Multigraph, _count_sparse
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
 
@@ -57,16 +57,6 @@ class SearchReport:
 # -- enumeration --------------------------------------------------------
 # Family code: bit i set means subset-mask i is a member.  The code space
 # at n holds 2^(2^n) - 1 nonempty families, 65,535 at n = 4.
-
-
-def _twists(code: int, n: int) -> set[int]:
-    """Codes of the twists F Δ S of a family on n elements, S any subset: the
-    twist by element i swaps the code bits of masks with and without i."""
-    orbit = {code}
-    for i, has in enumerate(_coordinates(n)):
-        s = 1 << i
-        orbit |= {(c & has) >> s | (c ^ c & has) << s for c in orbit}
-    return orbit
 
 
 def _codes_level(axiom: str, k: int, prev: tuple[int, ...]) -> list[int]:

@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Any, Union
 
-from .core import GroundSet, InputError, SetFamily
+from .core import GroundSet, InputError, SetFamily, _decode_family
 from .delta import DeltaMatroid
 from .matroids import Matroid
 from .rigidity import Multigraph
@@ -38,7 +38,9 @@ def family_from_json(obj: Any, members_key: str) -> SetFamily:
 
 
 def matroid_to_json(m: Matroid) -> dict:
-    return {"ground": list(m.ground.labels), "bases": m.bases.member_labels()}
+    # labels from the code: reading m.bases would cache a decoded SetFamily on m for its lifetime
+    bases = [list(m.ground.labels_of(b)) for b in _decode_family(m._bases)]
+    return {"ground": list(m.ground.labels), "bases": bases}
 
 
 def matroid_from_json(obj: Any) -> Matroid:
@@ -47,7 +49,8 @@ def matroid_from_json(obj: Any) -> Matroid:
 
 
 def delta_to_json(d: DeltaMatroid) -> dict:
-    return {"ground": list(d.ground.labels), "feasibles": d.feasibles.member_labels()}
+    feasibles = [list(d.ground.labels_of(f)) for f in _decode_family(d._feasibles)]
+    return {"ground": list(d.ground.labels), "feasibles": feasibles}
 
 
 def delta_from_json(obj: Any) -> DeltaMatroid:

@@ -34,7 +34,7 @@ from deltamatroids import (
     verify_property,
 )
 from deltamatroids.delta import _delta_ok
-from deltamatroids.matroids import _indicator
+from deltamatroids.core import _indicator
 from deltamatroids.search import _codes, _objects
 from deltamatroids.serialize import matroid_from_json
 

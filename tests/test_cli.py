@@ -8,7 +8,7 @@ import pytest
 
 from deltamatroids import AxiomError, GroundSet, Matroid, SetFamily, default_ground, direct_sum, uniform
 from deltamatroids.cli import main
-from deltamatroids.matroids import _decode_family
+from deltamatroids.core import _decode_family
 from deltamatroids.rigidity import CORPUS
 from deltamatroids.search import delta_codes, matroid_codes
 from deltamatroids.serialize import dumps_canonical, graph_to_json, matroid_to_json

@@ -30,7 +30,8 @@ from deltamatroids import (
     restrict_to_contained,
     uniform,
 )
-from deltamatroids.matroids import Matroid, _code_layers, _decode_family, _exchange_ok, _indicator
+from deltamatroids.core import _code_layers, _decode_family, _exchange_ok, _indicator
+from deltamatroids.matroids import Matroid
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
 from deltamatroids.search import _objects, delta_codes, enumerate_matroids
 
@@ -311,16 +312,22 @@ class TestMinors:
             d.delete(g.subset("b"))
 
     def test_literal_formula_preserves_exchange_at_desk_scale(self):
-        # the minor keeps {F \ X} for *every* feasible F; certification never
-        # failed over all (delta-matroid, X) pairs with n <= 3 here and n <= 4
-        # in a one-off sweep
-        for n in range(1, 4):
+        # delete and contract keep {F \ X} for *every* feasible F, built
+        # without a check; its code is a delta-matroid's for every
+        # delta-matroid and X at n <= 3, and every one-element X at n = 4
+        universes = {k: set(delta_codes(k)) for k in range(4)}
+        minors = 0
+        for n in range(1, 5):
             for d in enumerate_delta_matroids(n):
-                for x in range(1, 1 << n):
-                    xs = Subset(d.ground, x)
-                    if not any(x & ~f == 0 for f in d.feasibles.masks):
-                        continue
-                    d.delete(xs)  # raises AxiomError on failure
+                for x in [1 << i for i in range(n)] if n == 4 else range(1, 1 << n):
+                    for project in (d.delete, d.contract):
+                        try:
+                            minor = project(Subset(d.ground, x))
+                        except InputError:
+                            continue
+                        assert minor._feasibles in universes[minor.ground.size], (d._feasibles, x)
+                        minors += 1
+        assert minors == 48194
 
     def test_contract_matches_dual_delete_dual(self):
         # reference on masks: complement every feasible set in E, delete X,
@@ -604,6 +611,43 @@ class TestBouchetTriple:
             _, by_indep, by_span = bouchet_triple(m)
             assert by_indep.lower.rank == 0
             assert by_span.upper.rank == m.ground.size
+
+
+class TestBuiltByTheorem:
+    # the minors, the restrictions and bouchet_triple build delta-matroids by
+    # theorem, without the (DF) check; only certify runs it
+    def test_only_certify_runs_the_check(self, monkeypatch):
+        def refuse(ground, code, axiom):
+            raise AssertionError("a theorem-built family was checked")
+
+        monkeypatch.setattr("deltamatroids.delta._certify_exchange", refuse)
+        g = default_ground(4)
+        d = DeltaMatroid._trusted(g, _indicator([m for m in g.all_masks() if m.bit_count() in (1, 3)], 4))
+        x, c = g.subset("d"), g.subset("abc")
+        built = [d.delete(x), d.contract(x), restrict_to_contained(d, c), restrict_by_deletion(d, c)]
+        built += bouchet_triple(uniform(2, g))
+        assert [r.ground.size for r in built] == [3, 3, 3, 3, 4, 4, 4]
+        with pytest.raises(AssertionError, match="theorem-built"):
+            DeltaMatroid.certify(SetFamily(g, (1, 2)))
+
+    def test_results_lie_in_the_delta_universe(self):
+        # the minors' codes are tested in TestMinors; here every delta-matroid
+        # at n <= 3 with every c, n = 4 with every c = E - e, and
+        # bouchet_triple on every matroid at n <= 4
+        universes = {k: set(delta_codes(k)) for k in range(5)}
+        results = []
+        for n in range(5):
+            for d in enumerate_delta_matroids(n):
+                for c in [d.ground.full_mask ^ 1 << i for i in range(n)] if n == 4 else range(1 << n):
+                    for restrict in (restrict_to_contained, restrict_by_deletion):
+                        try:
+                            results.append(restrict(d, Subset(d.ground, c)))
+                        except InputError:
+                            pass
+            for m in enumerate_matroids(n):
+                results += bouchet_triple(m)
+        misses = [r for r in results if r._feasibles not in universes[r.ground.size]]
+        assert misses == [] and len(results) == 48818
 
 
 class TestFmax:

@@ -25,7 +25,7 @@ from deltamatroids import (
     uniform,
 )
 from deltamatroids.delta import DeltaMatroid, construct_sandwich
-from deltamatroids.matroids import (
+from deltamatroids.core import (
     _coordinates,
     _decode_family,
     _exchange_failures,
@@ -109,7 +109,7 @@ class TestBasisAxiom:
     def test_unequal_sizes_past_mb_is_an_engine_error(self, monkeypatch):
         # (MB) implies equicardinality; if the kernel ever let unequal sizes
         # through, certify must refuse instead of building the matroid
-        monkeypatch.setattr("deltamatroids.matroids._exchange_failures", lambda *args: iter(()))
+        monkeypatch.setattr("deltamatroids.core._exchange_failures", lambda *args: iter(()))
         g = default_ground(3)
         with pytest.raises(RuntimeError):
             Matroid.certify(SetFamily.from_labels(g, [["a"], ["b", "c"]]))
@@ -863,9 +863,9 @@ class TestExchangeKernel:
                 super().__init__(*args)
                 made.append(self)
 
-        monkeypatch.setattr("deltamatroids.matroids.set", RecordingSet, raising=False)
-        g = default_ground(11)
+        g = default_ground(11)  # GroundSet builds a set in core too: build it before the patch
         bases = uniform(4, g)._bases
+        monkeypatch.setattr("deltamatroids.core.set", RecordingSet, raising=False)
         assert _exchange_witness(bases, bases, "MB") is None
         (members,) = made
         assert members.tests == 0
@@ -931,7 +931,7 @@ class TestExchangeKernel:
     def test_coordinates_are_not_built_at_import(self):
         snippet = (
             "import deltamatroids\n"
-            "from deltamatroids.matroids import _coordinates\n"
+            "from deltamatroids.core import _coordinates\n"
             "print(_coordinates.cache_info().currsize)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

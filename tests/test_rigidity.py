@@ -21,7 +21,7 @@ from deltamatroids import (
     verify_cone_quotient,
 )
 from deltamatroids.core import MAX_GROUND_SIZE
-from deltamatroids.matroids import _decode_family
+from deltamatroids.core import _decode_family
 from deltamatroids.rigidity import _count_sparse
 
 

@@ -24,7 +24,7 @@ from deltamatroids.delta import (
     fmax_upper_uniform,
     is_pairable,
 )
-from deltamatroids.matroids import (
+from deltamatroids.core import (
     _code_layers,
     _complement,
     _decode_family,
@@ -33,6 +33,7 @@ from deltamatroids.matroids import (
     _exchange_witness,
     _indicator,
     _sizes,
+    _twists,
 )
 from deltamatroids.rigidity import Multigraph, _count_sparse, cycle_matroid
 from deltamatroids.search import (
@@ -44,7 +45,6 @@ from deltamatroids.search import (
     _objects,
     _graphic_pool,
     _pair_witness,
-    _twists,
     constrained_realization,
     delta_codes,
     enumerate_delta_matroids,
@@ -105,7 +105,7 @@ class TestEnumeration:
             calls.append(source)
             return _exchange_failures(source, members, axiom)
 
-        monkeypatch.setattr("deltamatroids.matroids._exchange_failures", counting)
+        monkeypatch.setattr("deltamatroids.core._exchange_failures", counting)
         assert len(_codes("DF", 4)) == 5959
         assert len(calls) == 912  # one kernel call per twist orbit of the 11,612 candidates
         calls.clear()
@@ -175,7 +175,7 @@ class TestVerifyProperty:
         def lenient(source, members, axiom):
             return iter(()) if source == odd else _exchange_failures(source, members, axiom)
 
-        monkeypatch.setattr("deltamatroids.matroids._exchange_failures", lenient)
+        monkeypatch.setattr("deltamatroids.core._exchange_failures", lenient)
         report = verify_property("mb-equicardinal", 1)
         assert not report.holds
         assert report.universe_size == 3
@@ -220,7 +220,7 @@ class TestSharedUniverses:
 
             monkeypatch.setattr(cls, "__init__", counting_init)
 
-        monkeypatch.setattr("deltamatroids.matroids._exchange_failures", counting_kernel)
+        monkeypatch.setattr("deltamatroids.core._exchange_failures", counting_kernel)
         counting(DeltaMatroid)
         counting(Matroid)
         report = verify_property("necessity-circuit-union", 4)
@@ -258,7 +258,7 @@ class TestSharedLayers:
                 return iter([(0b01, 0b01, 1 << 0b10)])
             return _exchange_failures(source, members, axiom)
 
-        monkeypatch.setattr("deltamatroids.matroids._exchange_failures", strict)
+        monkeypatch.setattr("deltamatroids.core._exchange_failures", strict)
         with pytest.raises(RuntimeError, match="missing from the"):
             verify_property("uplow", 2)
 

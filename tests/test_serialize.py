@@ -5,6 +5,7 @@ import pytest
 from deltamatroids import AxiomError, GroundSet, InputError, default_ground, uniform
 from deltamatroids.delta import DeltaMatroid
 from deltamatroids.rigidity import CORPUS
+from deltamatroids.search import enumerate_delta_matroids, enumerate_matroids
 from deltamatroids.serialize import (
     delta_from_json,
     delta_to_json,
@@ -53,6 +54,23 @@ class TestDeltaFormat:
     def test_loading_certifies(self):
         with pytest.raises(AxiomError):
             delta_from_json({"ground": ["a", "b", "c"], "feasibles": [[], ["a", "b", "c"]]})
+
+
+class TestDumpsReadTheCode:
+    def test_dumps_cache_no_decoded_family_on_universe_objects(self):
+        # the universe objects live as long as the process: a dump builds its
+        # labels from the family code and caches no SetFamily on them
+        for key, objects, dump in (
+            ("bases", list(enumerate_matroids(4)), matroid_to_json),
+            ("feasibles", list(enumerate_delta_matroids(4)), delta_to_json),
+        ):
+            for obj in objects:
+                vars(obj).pop(key, None)  # what an earlier reader cached
+            dumped = [dump(obj) for obj in objects]
+            assert [obj for obj in objects if key in vars(obj)] == []
+            assert dumped == [
+                {"ground": list(obj.ground.labels), key: getattr(obj, key).member_labels()} for obj in objects
+            ]
 
 
 class TestGraphFormat:

@@ -118,3 +118,32 @@ def test_private_helpers_are_called_in_src():
 
     dead = [f"{path.relative_to(SRC)}:{d.lineno} {qualname}" for path, qualname, d in defs if not named_elsewhere(path, d)]
     assert dead == []
+
+
+def test_exchange_check_runs_only_at_the_input_boundary():
+    # the exchange kernel certifies only families given from outside, through
+    # the two certify methods; everything else reads the family code from core
+    callers, private = [], []
+    for path in sorted((SRC / "deltamatroids").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [(node, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [
+            (m, f"{node.name}.{m.name}")
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for m in node.body
+            if isinstance(m, ast.FunctionDef)
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_certify_exchange" in (getattr(node.func, a, None) for a in ("id", "attr")):
+                owner = [name for d, name in defs if d.lineno <= node.lineno <= d.end_lineno] or ["<module>"]
+                callers.append(f"{path.stem}.{owner[0]}")
+        private += [
+            f"{path.name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("matroids", "deltamatroids.matroids")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert sorted(callers) == ["delta.DeltaMatroid.certify", "matroids.Matroid.certify"]
+    assert private == []
