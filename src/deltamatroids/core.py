@@ -3,6 +3,8 @@
 Everything downstream (matroids, delta-matroids, graphs, searches) is built
 on these three values.  A ground set is an ordered list of at most 16 labels,
 so every subset fits in one machine word and exhaustive sweeps stay cheap.
+Labels become masks by one label-to-bit dict, a family at a time, and
+masks become labels by one table per block of four elements.
 A family on n elements is also one 2^n-bit integer, its family code (bit m
 set iff mask m is a member), which every matroid and delta-matroid stores.
 The code's algebra and the one exchange kernel for (MB) and (DF) live here;
@@ -48,12 +50,23 @@ class GroundSet:
         return len(self.labels)
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
+    def _bits(self) -> dict[str, int]:
+        return {lab: 1 << i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def _nibbles(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
+        """Per block of four elements (four blocks, padded), the labels of each submask of the block."""
+        blocks = []
+        for p in range(0, MAX_GROUND_SIZE, 4):
+            table: list[tuple[str, ...]] = [()]
+            for lab in self.labels[p : p + 4]:
+                table += [t + (lab,) for t in table]
+            blocks.append(tuple(table))
+        return tuple(blocks)
 
     def index(self, label: str) -> int:
         try:
-            return self._index[label]
+            return self._bits[label].bit_length() - 1
         except KeyError:
             raise InputError(f"label {label!r} not in ground set {self.labels!r}") from None
 
@@ -76,12 +89,34 @@ class GroundSet:
             mask |= bit
         return mask
 
+    def _masks(self, members: Iterable[Iterable[str]]) -> list[int]:
+        """The masks of the named subsets by one dict read per label (a label named twice
+        leaves too few bits); only a failed batch runs `_mask`, to name the first culprit."""
+        members = list(members)
+        bit = self._bits.__getitem__
+        try:
+            members = list(map(tuple, members))
+            masks = [sum(map(bit, m)) for m in members]
+            if list(map(int.bit_count, masks)) == list(map(len, members)):
+                return masks
+        except (KeyError, TypeError):
+            pass
+        return [self._mask(m) for m in members]
+
     def subset(self, labels: Iterable[str] = ()) -> "Subset":
         return Subset(self, self._mask(labels))
 
+    def _labels(self, mask: int) -> tuple[str, ...]:
+        """The labels of a mask inside the ground, unchecked."""
+        a, b, c, d = self._nibbles
+        return a[mask & 15] + b[mask >> 4 & 15] + c[mask >> 8 & 15] + d[mask >> 12]
+
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        self.validate_mask(mask)
-        return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
+        return self._labels(self.validate_mask(mask))
+
+    def _label_lists(self, masks: Iterable[int]) -> list[list[str]]:
+        """The labels of each mask inside the ground, as lists: a family's JSON form."""
+        return list(map(list, map(self._labels, masks)))
 
     def all_masks(self) -> range:
         """All 2^n subset masks, in canonical (ascending) order."""
@@ -170,7 +205,7 @@ class SetFamily:
 
     @classmethod
     def from_labels(cls, ground: GroundSet, members: Iterable[Iterable[str]]) -> "SetFamily":
-        return cls(ground, tuple(ground._mask(m) for m in members))
+        return cls(ground, tuple(ground._masks(members)))
 
     @property
     def members(self) -> tuple[Subset, ...]:
@@ -187,7 +222,7 @@ class SetFamily:
         return s.ground == self.ground and i < len(self.masks) and self.masks[i] == s.mask
 
     def member_labels(self) -> list[list[str]]:
-        return [list(self.ground.labels_of(m)) for m in self.masks]
+        return self.ground._label_lists(self.masks)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(s) for s in self.members) + "}"
@@ -239,6 +274,12 @@ def _coordinates(n: int) -> tuple[int, ...]:
         half = 1 << k
         coords = tuple(c | c << half for c in coords) + (((1 << half) - 1) << half,)
     return coords
+
+
+def _fixed(n: int, x: int, s: int) -> int:
+    """The 2^n-bit indicator of the masks m with m & x == s: one AND per element of x."""
+    ones = (1 << (1 << n)) - 1
+    return reduce(and_, (c if s >> i & 1 else ones ^ c for i, c in enumerate(_coordinates(n)) if x >> i & 1), ones)
 
 
 def _indicator(masks: Iterable[int], n: int) -> int:
@@ -312,14 +353,27 @@ def _minor_code(code: int, ground: GroundSet, x: int, part: Callable[[int, int],
                 code ^= t | t << (1 << j)
             n -= 1
             code = part(code & ((1 << (1 << n)) - 1), code >> (1 << n))
-    return GroundSet(ground.labels_of(ground.full_mask ^ x)), code
+    # the kept labels read directly: one read does not pay for the ground's label table
+    return GroundSet(tuple(lab for i, lab in enumerate(ground.labels) if not x >> i & 1)), code
 
 
 # -- the exchange kernel, one for (MB) and (DF) ---------------------------
 
 
+def _shadow(masks: Iterable[int]) -> dict[int, int]:
+    """Per set g one element short of a mask in masks, the bits y with g + y among masks."""
+    out: dict[int, int] = {}
+    for m in masks:
+        rest = m
+        while rest:
+            yb = rest & -rest
+            rest ^= yb
+            out[m ^ yb] = out.get(m ^ yb, 0) | yb
+    return out
+
+
 def _exchange_failures(source: int, members: int, axiom: str) -> Iterator[tuple[int, int, int]]:
-    """(F1, x, failing) for each F1 in source, ascending, and pivot bit x where the axiom fails.
+    """(F1, x, failing) for each F1 in source and pivot bit x where the axiom fails.
 
     source and members are family codes, decoded once each, or once when they
     are one code; F1 and F2 range over source.  A partner y != x of x needs
@@ -327,35 +381,33 @@ def _exchange_failures(source: int, members: int, axiom: str) -> Iterator[tuple[
     through N(g) = {y : g Δ {y} in members}: the axiom fails at (F1, x, F2)
     exactly when F2 agrees with g on N(g) ∪ {x}.  `failing` is the 2^n-bit
     indicator of those F2, source ANDed with one coordinate per element.
-    (MB), x in F1 and y outside it: F2 fails iff it avoids Z = N⁺(g) ∪ {x},
-    N⁺(g) the additions that make g a member; that is one byte of source's
-    up-closure at union - Z.  (DF), any x, and y = x is a partner, so x fails
-    only if g is no member; the AND over N(g) runs once per such g.
+    (MB), x in F1 and y outside it, g = F1 - x: F2 fails iff it avoids N⁺(g)
+    ∪ {x}, N⁺(g) the additions making g a member.  One byte of source's
+    up-closure, at union - N⁺(g), tells per g whether any F2 avoids N⁺(g);
+    only then are the coordinates ANDed (x is in N⁺(g) if source is members),
+    so failures come grouped by g.  (DF), any x, and y = x is a partner, so x
+    fails only if g is no member; the AND over N(g) runs once per such g.
     """
     masks = _decode_family(source)
-    member_set = set(masks if members == source else _decode_family(members))
     union = reduce(or_, masks, 0)
     n = union.bit_length()
     has = [source & c for c in _coordinates(n)]
     lacks = [source ^ h for h in has]
     elements = [(i, 1 << i) for i in range(n) if union >> i & 1]
     if axiom == "MB":
-        additions: dict[int, int] = {}
-        for m in member_set:
-            rest = m
-            while rest:
-                yb = rest & -rest
-                rest ^= yb
-                additions[m ^ yb] = additions.get(m ^ yb, 0) | yb
+        pivots = _shadow(masks)
+        additions = pivots if members == source else _shadow(_decode_family(members))
         covered = _up_closure(source, n).to_bytes(((1 << n) + 7) >> 3, "little")
-        for f in masks:
-            for _, xb in elements:
-                if f & xb:
-                    z = additions.get(f ^ xb, 0) | xb
-                    free = union & ~z
-                    if covered[free >> 3] >> (free & 7) & 1:
-                        yield f, xb, reduce(and_, (lacks[y] for y, yb in elements if z & yb), source)
+        for g, xs in pivots.items():
+            z = additions.get(g, 0)
+            free = union & ~z
+            if covered[free >> 3] >> (free & 7) & 1:
+                avoid = reduce(and_, (lacks[y] for y, yb in elements if z & yb), source)
+                for x, xb in elements:
+                    if xs & xb and (failing := avoid & lacks[x]):
+                        yield g | xb, xb, failing
         return
+    member_set = set(masks if members == source else _decode_family(members))
     agree: dict[int, int] = {}  # per non-member g: the source members agreeing with g on N(g)
     for f in masks:
         for x, xb in elements:

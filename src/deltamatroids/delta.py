@@ -13,7 +13,7 @@ from operator import or_
 from typing import Optional
 
 from .core import GroundSet, InputError, SetFamily, Subset, _certify_exchange, _code_layers, _complement
-from .core import _decode_family, _exchange_ok, _indicator, _minor_code
+from .core import _decode_family, _exchange_ok, _fixed, _indicator, _minor_code
 from .matroids import Matroid
 
 
@@ -89,7 +89,7 @@ class DeltaMatroid:
         """
         if x_set.ground != self.ground:
             raise InputError("deletion set over a different ground set")
-        if not _minor_code(self._feasibles, self.ground, x_set.mask, lambda a, b: b)[1]:
+        if not self._feasibles & _fixed(self.ground.size, x_set.mask, x_set.mask):
             raise InputError(f"{x_set!r} is contained in no feasible set")
         return DeltaMatroid._trusted(*_minor_code(self._feasibles, self.ground, x_set.mask, or_))
 
@@ -101,7 +101,7 @@ class DeltaMatroid:
         """
         if x_set.ground != self.ground:
             raise InputError("contraction set over a different ground set")
-        if not _minor_code(self._feasibles, self.ground, x_set.mask, lambda a, b: a)[1]:
+        if not self._feasibles & _fixed(self.ground.size, x_set.mask, 0):
             raise InputError(f"{x_set!r} meets every feasible set")
         return DeltaMatroid._trusted(*_minor_code(self._feasibles, self.ground, x_set.mask, or_))
 

@@ -39,7 +39,7 @@ class Matroid:
         m = cls(fam.ground, code, _certified=True)
         m.bases = fam  # fills the cached_property
         # (MB) forces equicardinality; a failure here would be an engine bug.
-        if any(b.bit_count() != m.rank for b in fam.masks):
+        if code & ~_sizes(fam.ground.size)[m.rank]:
             raise RuntimeError("(MB) passed on a basis family of unequal sizes")
         return m
 

@@ -322,14 +322,22 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
     vertices, each paired with the first graph realizing it, in canonical
     graph-enumeration order, from `_canonical_assignments` on v = 1, 2, ...
     vertices (1,435 of 8,020 at n = 5, v <= 3).  An assignment is keyed by its
-    bases' indicator, from its edge vertex masks, and only a new key builds
-    its graph and matroid, whose bases that key already lists."""
+    bases' indicator, and only a new key builds its graph and matroid, whose
+    bases that key already lists.  The key comes from one count pass per form
+    of an assignment: its edge vertex masks with each loop as 0 and vertices
+    renamed in order of first appearance, which keep the forests (257 forms
+    at n = 5)."""
     edge_labels = default_ground(n).labels
     seen: dict[int, tuple[Matroid, Multigraph]] = {}
+    keys: dict[tuple[int, ...], int] = {}
     for v in range(1, max_vertices + 1):
         vertices = tuple(f"v{i + 1}" for i in range(v))
         for assignment in _canonical_assignments(n, v):
-            key = _count_sparse(tuple(1 << i | 1 << j for i, j in assignment), 1, 1)[1]
+            ids: dict[int, int] = {}
+            form = tuple(0 if i == j else sum(1 << ids.setdefault(u, len(ids)) for u in (i, j)) for i, j in assignment)
+            if form not in keys:
+                keys[form] = _count_sparse(form, 1, 1)[1]
+            key = keys[form]
             if key not in seen:
                 edges = tuple((edge_labels[k], (vertices[i], vertices[j])) for k, (i, j) in enumerate(assignment))
                 g = Multigraph(vertices, edges)

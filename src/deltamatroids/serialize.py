@@ -3,11 +3,14 @@
 All emitters are canonical (family members ascending by mask, ground order
 preserved), so dump -> load -> dump is byte-stable.  Loaders certify the
 relevant axiom and reject bad families with the witness in the error.
+Labels cross the boundary once per family: a type pass over all members and
+one batch of label-to-bit reads on load, the ground's label tables on dump.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Union
 
@@ -34,13 +37,16 @@ def family_from_json(obj: Any, members_key: str) -> SetFamily:
     ground = GroundSet(tuple(_labels_list(obj["ground"], '"ground"')))
     members = obj[members_key]
     _require(isinstance(members, list), f'"{members_key}" must be a list')
-    return SetFamily.from_labels(ground, [_labels_list(m, "family member") for m in members])
+    # every member's type before any label is read: two C-level loops over all members
+    lists = all(map(isinstance, members, repeat(list)))
+    strings = lists and all(map(isinstance, chain.from_iterable(members), repeat(str)))
+    _require(strings, "family member must be a list of strings")
+    return SetFamily.from_labels(ground, members)
 
 
 def matroid_to_json(m: Matroid) -> dict:
     # labels from the code: reading m.bases would cache a decoded SetFamily on m for its lifetime
-    bases = [list(m.ground.labels_of(b)) for b in _decode_family(m._bases)]
-    return {"ground": list(m.ground.labels), "bases": bases}
+    return {"ground": list(m.ground.labels), "bases": m.ground._label_lists(_decode_family(m._bases))}
 
 
 def matroid_from_json(obj: Any) -> Matroid:
@@ -49,8 +55,7 @@ def matroid_from_json(obj: Any) -> Matroid:
 
 
 def delta_to_json(d: DeltaMatroid) -> dict:
-    feasibles = [list(d.ground.labels_of(f)) for f in _decode_family(d._feasibles)]
-    return {"ground": list(d.ground.labels), "feasibles": feasibles}
+    return {"ground": list(d.ground.labels), "feasibles": d.ground._label_lists(_decode_family(d._feasibles))}
 
 
 def delta_from_json(obj: Any) -> DeltaMatroid:

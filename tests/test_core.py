@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +32,30 @@ class TestGroundSet:
     def test_unknown_label(self):
         with pytest.raises(InputError):
             default_ground(2).index("z")
+
+    @staticmethod
+    def reference_labels(g, mask):
+        return tuple(lab for i, lab in enumerate(g.labels) if mask >> i & 1)
+
+    def test_label_tables_read_the_labels_of_every_mask(self):
+        # every mask up to n = 12, and seeded masks on 13 to 16 elements
+        rng = random.Random(5)
+        for n in range(17):
+            g = GroundSet(tuple(f"e{n - i}" for i in range(n)))  # labels out of their sort order
+            masks = list(g.all_masks()) if n <= 12 else [0, g.full_mask, *rng.sample(range(1 << n), 3000)]
+            want = [self.reference_labels(g, m) for m in masks]
+            assert [g.labels_of(m) for m in masks] == want, n
+            assert g._label_lists(masks) == [list(w) for w in want], n
+            fam = SetFamily(g, tuple(masks))
+            assert fam.member_labels() == [list(self.reference_labels(g, m)) for m in fam.masks], n
+
+    def test_labels_of_rejects_masks_outside_the_ground(self):
+        for n in (0, 3, 4, 11, 12, 16):
+            g = default_ground(n)
+            for mask in (-1, -(1 << n), 1 << n, g.full_mask + 1 << 3, 1 << 16, 1 << 40):
+                with pytest.raises(InputError) as err:
+                    g.labels_of(mask)
+                assert str(err.value) == f"mask {mask:#b} has bits outside ground set of size {n}"
 
 
 class TestSubset:

@@ -30,7 +30,7 @@ from deltamatroids import (
     restrict_to_contained,
     uniform,
 )
-from deltamatroids.core import _code_layers, _decode_family, _exchange_ok, _indicator
+from deltamatroids.core import _code_layers, _decode_family, _exchange_ok, _fixed, _indicator, _minor_code
 from deltamatroids.matroids import Matroid
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
 from deltamatroids.search import _objects, delta_codes, enumerate_matroids
@@ -375,6 +375,38 @@ class TestMinors:
             assert got.ground.labels == labels and got._feasibles == _indicator(members, len(labels)), (d._feasibles, x)
             built += 1
         assert 0 < built < len(cases)
+
+    def test_preconditions_are_one_and_each(self, monkeypatch):
+        # "X lies in some feasible set" and "X misses some feasible set" are
+        # one AND of the code with _fixed, against the projections that tested
+        # them before, for every delta-matroid and X at n <= 3; a minor then
+        # projects once
+        for n in range(5):
+            for x in range(1 << n):
+                for s in (s for s in range(1 << n) if s & ~x == 0):
+                    assert _fixed(n, x, s) == sum(1 << m for m in range(1 << n) if m & x == s), (n, x, s)
+        projections = []
+
+        def counting_minor_code(*args):
+            projections.append(args)
+            return _minor_code(*args)
+
+        monkeypatch.setattr("deltamatroids.delta._minor_code", counting_minor_code)
+        for n in range(4):
+            for d in enumerate_delta_matroids(n):
+                for x in range(1 << n):
+                    inside = _minor_code(d._feasibles, d.ground, x, lambda a, b: b)[1] != 0
+                    misses = _minor_code(d._feasibles, d.ground, x, lambda a, b: a)[1] != 0
+                    assert (d._feasibles & _fixed(n, x, x) != 0) == inside
+                    assert (d._feasibles & _fixed(n, x, 0) != 0) == misses
+                    for project, ok in ((d.delete, inside), (d.contract, misses)):
+                        projections.clear()
+                        if ok:
+                            project(Subset(d.ground, x))
+                        else:
+                            with pytest.raises(InputError):
+                                project(Subset(d.ground, x))
+                        assert len(projections) == ok
 
     def test_contract_names_its_own_precondition(self):
         g = default_ground(2)

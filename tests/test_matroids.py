@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from itertools import chain, combinations
 from math import comb
 from operator import or_
@@ -33,6 +34,7 @@ from deltamatroids.core import (
     _exchange_witness,
     _indicator,
     _minor_code,
+    _shadow,
     _sizes,
 )
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
@@ -740,8 +742,9 @@ def random_graph(rng, vertices, edges):
 
 def seeded_families(seed=7):
     """(MB) and (DF) families on 8-12 elements: uniform and graphic bases and
-    sandwiches of uniform pairs, each as is, with one member dropped, and with
-    one non-member added."""
+    sandwiches of uniform pairs, and the (MB) shapes of the pair-construct
+    benchmark, each as is, with one member dropped, and with one non-member
+    added."""
     rng = random.Random(seed)
     bases, feasibles = [], []
     for n, k in ((8, 3), (9, 4), (10, 2), (12, 2)):
@@ -752,16 +755,24 @@ def seeded_families(seed=7):
         g = default_ground(n)
         feasibles.append(construct_sandwich(uniform(k, g), uniform(j, g)).masks)
     out = []
+
+    def variants(axiom, masks):
+        n = max(masks).bit_length()
+        outside = [m for m in range(1 << n) if m not in set(masks)]
+        drop, add = rng.choice(masks), rng.choice(outside)
+        return [(axiom, masks), (axiom, tuple(m for m in masks if m != drop)), (axiom, tuple(sorted(masks + (add,))))]
+
     for axiom, fams in (("MB", bases), ("DF", bases + feasibles)):
         for masks in fams:
-            n = max(masks).bit_length()
-            outside = [m for m in range(1 << n) if m not in set(masks)]
-            drop, add = rng.choice(masks), rng.choice(outside)
-            out += [
-                (axiom, masks),
-                (axiom, tuple(m for m in masks if m != drop)),
-                (axiom, tuple(sorted(masks + (add,)))),
-            ]
+            out += variants(axiom, masks)
+    # U(4,11), U(3,5)⊕U(3,6) and U(2,4)⊕U(3,5), relabelled: their (r-1)-sets
+    # lie in few bases, and a dropped basis or an added set leaves some in one
+    for parts in (((4, 11),), ((3, 5), (3, 6)), ((2, 4), (3, 5))):
+        grounds = [GroundSet(tuple(f"{'pq'[i]}{j}" for j in range(n))) for i, (_, n) in enumerate(parts)]
+        m = reduce(direct_sum, [uniform(k, g) for (k, _), g in zip(parts, grounds)])
+        perm = rng.sample(range(m.ground.size), m.ground.size)
+        masks = tuple(sorted(sum(1 << perm[i] for i in range(m.ground.size) if b >> i & 1) for b in m.bases.masks))
+        out += variants("MB", masks)
     return out
 
 
@@ -812,6 +823,17 @@ class TestExchangeKernel:
             failing += ref is not None
         assert 0 < failing < len(cases)
 
+    def test_mb_witnesses_equal_reference_on_seeded_families(self):
+        # pair-construct's shapes among them: the verdict and the witness of
+        # the per-(r-1)-set kernel against the basis-exchange double loop
+        verdicts = []
+        for axiom, masks in seeded_families():
+            if axiom == "MB":
+                ref = reference_mb_violation(masks)
+                assert _exchange_witness(code_of(masks), code_of(masks), "MB") == ref, len(masks)
+                verdicts.append(ref is None)
+        assert len(verdicts) == 33 and 0 < sum(verdicts) < 33
+
     def test_failures_equal_scan_when_source_differs_from_members(self):
         # the unpairable replay's shape: pairs from one family, partners from
         # a larger one; some splits also add sets outside members to source
@@ -854,21 +876,28 @@ class TestExchangeKernel:
         assert any(f1 not in members for f1, _, _ in got)
 
     def test_membership_tests_are_per_neighbour_set(self, monkeypatch):
-        # the kernel builds its member set from the members code; count the
-        # membership tests on the one set it builds per call
-        made = []
+        # (DF) builds its member set from the members code; count the
+        # membership tests on the one set it builds per call.  (MB) builds
+        # none: it reads one shadow of the bases, and decides each of
+        # U(4,11)'s 165 3-sets once
+        made, shadows = [], []
 
         class RecordingSet(CountingSet):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(self)
 
+        def counting_shadow(masks):
+            out = _shadow(masks)
+            shadows.append(len(out))
+            return out
+
         g = default_ground(11)  # GroundSet builds a set in core too: build it before the patch
         bases = uniform(4, g)._bases
         monkeypatch.setattr("deltamatroids.core.set", RecordingSet, raising=False)
+        monkeypatch.setattr("deltamatroids.core._shadow", counting_shadow)
         assert _exchange_witness(bases, bases, "MB") is None
-        (members,) = made
-        assert members.tests == 0
+        assert made == [] and shadows == [comb(11, 3)]
         source = construct_sandwich(uniform(4, g), uniform(3, g)).masks
         neighbours = {f ^ 1 << i for f in source for i in range(11)} - set(source)
         made.clear()
