@@ -5,53 +5,14 @@ minors, the sandwich construction, graph rigidity via (2,3)-sparsity, and
 exhaustive verification suites at desk scale.
 """
 
-from .core import (
-    AxiomError,
-    ExchangeViolation,
-    GroundSet,
-    InputError,
-    SetFamily,
-    Subset,
-    default_ground,
-)
-from .delta import (
-    DeltaMatroid,
-    PairabilityReport,
-    bouchet_triple,
-    construct_sandwich,
-    fmax_lower_uniform,
-    fmax_upper_uniform,
-    is_pairable,
-    restrict_by_deletion,
-    restrict_to_contained,
-)
-from .matroids import (
-    Matroid,
-    direct_sum,
-    is_quotient,
-    is_union_of_circuits,
-    uniform,
-)
-from .rigidity import (
-    CORPUS,
-    ConeQuotientReport,
-    ConeResult,
-    Multigraph,
-    cone,
-    cycle_matroid,
-    is_sparse_23,
-    rigidity_feasible_family,
-    rigidity_matroid,
-    verify_cone_quotient,
-)
-from .search import (
-    PROPERTY_IDS,
-    SearchReport,
-    enumerate_delta_matroids,
-    enumerate_matroids,
-    find_unpairable_pair,
-    verify_property,
-)
+from .core import AxiomError, ExchangeViolation, GroundSet, InputError, SetFamily, Subset, default_ground
+from .delta import DeltaMatroid, PairabilityReport, bouchet_triple, construct_sandwich, fmax_lower_uniform
+from .delta import fmax_upper_uniform, is_pairable, restrict_by_deletion, restrict_to_contained
+from .matroids import Matroid, direct_sum, is_quotient, is_union_of_circuits, uniform
+from .rigidity import CORPUS, ConeQuotientReport, ConeResult, Multigraph, cone, cycle_matroid, is_sparse_23
+from .rigidity import rigidity_feasible_family, rigidity_matroid, verify_cone_quotient
+from .search import PROPERTY_IDS, SearchReport, enumerate_delta_matroids, enumerate_matroids
+from .search import find_unpairable_pair, verify_property
 
 __version__ = "0.1.0"
 

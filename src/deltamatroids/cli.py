@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional
 
-from .core import AxiomError, InputError, _decode_family, default_ground
+from .core import AxiomError, InputError, _submasks, default_ground
 from .delta import DeltaMatroid, construct_sandwich, is_pairable
 from .rigidity import CORPUS, verify_cone_quotient
 from .search import (
@@ -190,13 +190,14 @@ def _cmd_enumerate(args, fmt: str) -> int:
     if fmt != "json":
         print(f"{_count(len(codes), 'structure', 'structures')} at n={args.n}")
         return 0
-    # the bytes json.dumps({"count": ..., "items": [...]}, indent=2) gives, labels once per mask
+    # the bytes json.dumps({"count": ..., "items": [...]}, indent=2) gives, labels once per mask and
+    # members by table: a code has at most 16 bits (n <= 4), and per byte a table maps each value
+    # to the JSON strings of the members it holds
     g = default_ground(args.n)
-    members = [_nested(list(g.labels_of(m)), 4) for m in g.all_masks()]
+    members = tuple(_nested(list(g.labels_of(m)), 4) for m in g.all_masks())
+    low, high = _submasks(members[:8]), _submasks(members[8:])
     head = f'    {{\n      "ground": {_nested(list(g.labels), 3)},\n      {json.dumps(key)}: [\n        '
-    items = ",\n".join(
-        head + ",\n        ".join(members[m] for m in _decode_family(c)) + "\n      ]\n    }" for c in codes
-    )
+    items = ",\n".join([head + ",\n        ".join(low[c & 255] + high[c >> 8]) + "\n      ]\n    }" for c in codes])
     print(f'{{\n  "count": {len(codes)},\n  "items": [\n{items}\n  ]\n}}')
     return 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -56,13 +56,7 @@ class GroundSet:
     @cached_property
     def _nibbles(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
         """Per block of four elements (four blocks, padded), the labels of each submask of the block."""
-        blocks = []
-        for p in range(0, MAX_GROUND_SIZE, 4):
-            table: list[tuple[str, ...]] = [()]
-            for lab in self.labels[p : p + 4]:
-                table += [t + (lab,) for t in table]
-            blocks.append(tuple(table))
-        return tuple(blocks)
+        return tuple(_submasks(self.labels[p : p + 4]) for p in range(0, MAX_GROUND_SIZE, 4))
 
     def index(self, label: str) -> int:
         try:
@@ -127,6 +121,16 @@ class GroundSet:
 
     def __repr__(self) -> str:
         return f"GroundSet{self.labels!r}"
+
+
+@lru_cache(maxsize=256)
+def _submasks(items: tuple) -> tuple[tuple, ...]:
+    """The items of each submask of items, indexed by the submask: one table per
+    item tuple, so fresh grounds with equal labels share their label tables."""
+    table: list[tuple] = [()]
+    for x in items:
+        table += [t + (x,) for t in table]
+    return tuple(table)
 
 
 def default_ground(n: int) -> GroundSet:

@@ -3,12 +3,13 @@ pairs: theorem verification suites and the unpairable-pair hunt.
 
 Each (axiom, n) universe is built once per process, level by level (families on
 k elements from those on k - 1; one (DF) verdict per twist orbit): `_codes`
-caches its codes, and `_objects` its matroids or delta-matroids, each stored as
-its code, the matroids keeping their derived sets and each delta-matroid's upper
-and lower being (MB) universe objects.  At n = 4, 5,959 delta-matroids share 68
-matroids in 0.9 MB, 1.4 MB after every sweep (tracemalloc).  Sweeps read these
-codes and the matroids' indicators, building no family objects.  Per-matroid and
-per-pair work is shared within one sweep and redone by a repeated sweep.
+caches its codes, `_objects` its matroids (with their derived sets) or, for
+`enumerate_delta_matroids` only, its delta-matroids, and `_layers` the (DF)
+layer index, each code's lower and upper basis codes.  The (DF) sweeps read
+codes by layer pair, 558 pairs for the 5,959 delta-matroids at n = 4, and build
+no delta-matroid: codes, matroids and index hold 0.33 MB, 0.59 MB after every
+sweep (tracemalloc).  Per-pair work is shared within one sweep and redone by a
+repeated sweep.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional
 
 from .core import InputError, SetFamily, _code_layers, _complement, _decode_family, _exchange_ok, _exchange_witness
 from .core import _sizes, _twists, _violation, default_ground
@@ -97,6 +98,21 @@ def _codes(axiom: str, n: int) -> tuple[int, ...]:
     return tuple(codes)
 
 
+@cache  # as _codes: at most 5 entries
+def _layers(n: int) -> tuple[tuple[int, int], ...]:
+    """Per (DF) code at n, in code order, its (lower, upper) basis codes: the
+    (MB) universe's own ints, in one tuple per distinct pair (558 at n = 4)."""
+    own, pairs, out = {c: c for c in _codes("MB", n)}, {}, []
+    for c in _codes("DF", n):
+        lower, upper = _code_layers(c, n)
+        for name, layer in (("upper", upper), ("lower", lower)):
+            if layer not in own:
+                raise RuntimeError(f"{name} layer of {_delta(c, n)!r} is missing from the (MB) universe")
+        pair = own[lower], own[upper]
+        out.append(pairs.setdefault(pair, pair))
+    return tuple(out)
+
+
 @cache  # as _codes: at most 10 entries
 def _objects(axiom: str, n: int) -> tuple:
     """The certified matroids or delta-matroids in code order, a delta-matroid's
@@ -105,17 +121,19 @@ def _objects(axiom: str, n: int) -> tuple:
     codes, g = _codes(axiom, n), default_ground(n)
     if axiom == "MB":
         return tuple(Matroid._trusted(g, c) for c in codes)
-    by_code = dict(zip(_codes("MB", n), _objects("MB", n)))
     deltas = []
-    for c in codes:
+    for c, (upper, lower) in _by_pair(n, lambda upper, lower: (upper, lower)):
         d = DeltaMatroid._trusted(g, c)
-        lower, upper = _code_layers(c, n)
-        for name, layer in (("upper", upper), ("lower", lower)):
-            if layer not in by_code:
-                raise RuntimeError(f"{name} layer of {d!r} is missing from the (MB) universe")
-        d.upper, d.lower = by_code[upper], by_code[lower]  # fills the cached_properties
+        # fills the cached_properties as d is made: set once all 5,959 are made,
+        # they took 2.0 MB against 0.7 MB (tracemalloc, CPython 3.11)
+        d.upper, d.lower = upper, lower
         deltas.append(d)
     return tuple(deltas)
+
+
+def _delta(code: int, n: int) -> DeltaMatroid:
+    """The delta-matroid of a (DF) code on n elements, built only for a witness or a message."""
+    return DeltaMatroid._trusted(default_ground(n), code)
 
 
 def matroid_codes(n: int) -> list[int]:
@@ -139,25 +157,27 @@ def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
 
 
 # -- property checks ----------------------------------------------------
-# Each property's cases(obj, universe, memo) yields one entry per case it
-# checks on obj: None when the case holds, else a JSON-ready witness.  An (MB)
-# obj is a matroid, a (DF) obj a delta-matroid with its upper and lower; both
-# are checked on codes, a realization by the exchange verdict on the code and
-# its least and greatest size layers against two basis codes.  Only a witness
-# decodes a family.  `universe` holds every obj of the property's universe,
-# for properties that pair; `memo` lives for one sweep, for results its
-# objects share, keyed by the basis codes of a matroid or pair.
+# Each property's sweep at n gives one entry per case it checks, in order: None
+# when the case holds, else a JSON-ready witness.  (MB) sweeps read each
+# matroid's codes, a realization by the exchange verdict on the code and its
+# least and greatest size layers against two basis codes.  (DF) sweeps decide
+# once per layer pair, then read each code against its pair's value: one AND or
+# one set lookup, and a delta-matroid only for a witness.
 
 
-def _once(memo: dict, key: Hashable, make: Callable):
-    if (value := memo.get(key)) is None:  # one lookup on a hit: no value is None
-        value = memo[key] = make()
-    return value
+def _by_pair(n: int, decide: Callable[[Matroid, Matroid], object]) -> Iterator[tuple[int, Any]]:
+    """Each (DF) code at n, in code order, with its pair's decide(upper, lower),
+    run on the (MB) universe's objects once per distinct pair, in order of first use."""
+    mats = dict(zip(_codes("MB", n), _objects("MB", n)))
+    layers = _layers(n)
+    values = {pair: decide(mats[pair[1]], mats[pair[0]]) for pair in dict.fromkeys(layers)}
+    return zip(_codes("DF", n), map(values.__getitem__, layers))
 
 
-def _equicardinal_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    lower, upper = _code_layers(m._bases, m.ground.size)
-    yield None if lower == upper else {"ground": list(m.ground.labels), "members": m.bases.member_labels()}
+def _equicardinal_cases(n: int) -> Iterator[Optional[dict]]:
+    for m in _objects("MB", n):
+        lower, upper = _code_layers(m._bases, n)
+        yield None if lower == upper else {"ground": list(m.ground.labels), "members": m.bases.member_labels()}
 
 
 def _realizes(code: int, upper: int, lower: int, n: int) -> bool:
@@ -166,34 +186,36 @@ def _realizes(code: int, upper: int, lower: int, n: int) -> bool:
     return _delta_ok(code) and _code_layers(code, n) == (lower, upper)
 
 
-def _independents_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    yield None if _realizes(m._indep, m._bases, 1, m.ground.size) else matroid_to_json(m)
+def _independents_cases(n: int) -> Iterator[Optional[dict]]:
+    for m in _objects("MB", n):
+        yield None if _realizes(m._indep, m._bases, 1, n) else matroid_to_json(m)
 
 
-def _spanning_cases(m: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    yield None if _realizes(m._spanning, 1 << m.ground.full_mask, m._bases, m.ground.size) else matroid_to_json(m)
+def _spanning_cases(n: int) -> Iterator[Optional[dict]]:
+    for m in _objects("MB", n):
+        yield None if _realizes(m._spanning, 1 << m.ground.full_mask, m._bases, n) else matroid_to_json(m)
 
 
-def _uplow_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    # some lower basis inside F, and F inside some upper basis
-    yield None if d._feasibles & ~(d.upper._indep & d.lower._spanning) == 0 else delta_to_json(d)
+def _uplow_cases(n: int) -> Iterator[Optional[dict]]:
+    # some lower basis inside F, and F inside some upper basis: F in the sandwich
+    for c, sandwich in _by_pair(n, lambda upper, lower: upper._indep & lower._spanning):
+        yield None if c & ~sandwich == 0 else delta_to_json(_delta(c, n))
 
 
-def _necessity_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    upper, lower = d.upper, d.lower
-    rep = _once(memo, (upper._bases, lower._bases), lambda: is_pairable(upper, lower))
-    yield None if rep.pairable else {**delta_to_json(d), "offending_circuit": list(rep.offending_circuit.labels)}
+def _necessity_cases(n: int) -> Iterator[Optional[dict]]:
+    for c, rep in _by_pair(n, is_pairable):
+        yield None if rep.pairable else {**delta_to_json(_delta(c, n)), "offending_circuit": list(rep.offending_circuit.labels)}
 
 
-def _dual_exchange_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    upper, lower, n = d.upper, d.lower, d.ground.size
-    duals = _once(memo, (upper._bases, lower._bases), lambda: tuple(
-        _once(memo, m._bases, lambda: m.dual()._bases) for m in (upper, lower)
-    ))
-    families = _once(memo, "families", lambda: frozenset(e._feasibles for e in universe))
-    twisted = _complement(d._feasibles, n)
-    ok = twisted in families and _code_layers(twisted, n) == duals  # lower of the twist: upper's dual
-    yield None if ok else delta_to_json(d)
+def _dual_exchange_cases(n: int) -> Iterator[Optional[dict]]:
+    # the complement is in the universe with the duals as its layers (its
+    # lower the upper's dual) iff it is in the codes of that layer pair
+    group: dict[tuple[int, int], set[int]] = {}
+    for c, pair in zip(_codes("DF", n), _layers(n)):
+        group.setdefault(pair, set()).add(c)
+    dual = {m._bases: m.dual()._bases for m in _objects("MB", n)}
+    for c, twins in _by_pair(n, lambda upper, lower: group.get((dual[upper._bases], dual[lower._bases]), ())):
+        yield None if _complement(c, n) in twins else delta_to_json(_delta(c, n))
 
 
 def _augmentation_breaks(code: int, lo: int, hi: int, n: int) -> bool:
@@ -205,11 +227,10 @@ def _augmentation_breaks(code: int, lo: int, hi: int, n: int) -> bool:
     return not any(_delta_ok(code | 1 << x) for x in _decode_family(extras))
 
 
-def _fmax_pair(d: DeltaMatroid) -> list[tuple[str, int, bool]]:
+def _fmax_pair(upper: Matroid, lower: Matroid) -> list[tuple[str, int, bool]]:
     """(variant, fmax family code, whether it is a maximal delta-matroid with
-    d's upper and lower) for each variant whose side is uniform; both
+    this upper and lower) for each variant whose side is uniform; both
     variants' family is the sandwich, so one verdict serves both."""
-    upper, lower = d.upper, d.lower
     variants = [v for v, side in (("upper-uniform", upper), ("lower-uniform", lower)) if side.is_uniform()]
     if not variants:
         return []
@@ -218,9 +239,10 @@ def _fmax_pair(d: DeltaMatroid) -> list[tuple[str, int, bool]]:
     return [(variant, fam, ok) for variant in variants]
 
 
-def _fmax_cases(d: DeltaMatroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    for variant, fam, ok in _once(memo, (d.upper._bases, d.lower._bases), lambda: _fmax_pair(d)):
-        yield None if ok and d._feasibles & ~fam == 0 else {**delta_to_json(d), "variant": variant}
+def _fmax_cases(n: int) -> Iterator[Optional[dict]]:
+    for c, verdicts in _by_pair(n, _fmax_pair):
+        for variant, fam, ok in verdicts:
+            yield None if ok and c & ~fam == 0 else {**delta_to_json(_delta(c, n)), "variant": variant}
 
 
 def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[int, ...]], int]:
@@ -246,11 +268,11 @@ def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[in
     return None, 1 << len(free)
 
 
-def _sufficiency_cases(mu: Matroid, universe: Sequence, memo: dict) -> Iterator[Optional[dict]]:
-    for ml in universe:
+def _sufficiency_cases(n: int) -> Iterator[Optional[dict]]:
+    for mu, ml in itertools.product(_objects("MB", n), repeat=2):
         sandwich = mu._indep & ml._spanning
         if is_quotient(ml, mu):
-            ok = _realizes(sandwich, mu._bases, ml._bases, mu.ground.size)
+            ok = _realizes(sandwich, mu._bases, ml._bases, n)
             kind, extra = "sandwich-failed", {}
         elif (mu._bases | ml._bases) & ~sandwich:  # a basis condition fails
             ok = True
@@ -261,16 +283,16 @@ def _sufficiency_cases(mu: Matroid, universe: Sequence, memo: dict) -> Iterator[
         yield None if ok else {"kind": kind, "upper": matroid_to_json(mu), "lower": matroid_to_json(ml), **extra}
 
 
-#: property id -> (universe axiom, cases), in report order
-_PROPERTIES: dict[str, tuple[str, Callable]] = {
-    "mb-equicardinal": ("MB", _equicardinal_cases),
-    "independents-are-delta": ("MB", _independents_cases),
-    "spanning-are-delta": ("MB", _spanning_cases),
-    "uplow": ("DF", _uplow_cases),
-    "necessity-circuit-union": ("DF", _necessity_cases),
-    "sufficiency-sandwich": ("MB", _sufficiency_cases),
-    "dual-exchange": ("DF", _dual_exchange_cases),
-    "fmax-maximal": ("DF", _fmax_cases),
+#: property id -> its sweep at n, in report order
+_PROPERTIES: dict[str, Callable[[int], Iterator[Optional[dict]]]] = {
+    "mb-equicardinal": _equicardinal_cases,
+    "independents-are-delta": _independents_cases,
+    "spanning-are-delta": _spanning_cases,
+    "uplow": _uplow_cases,
+    "necessity-circuit-union": _necessity_cases,
+    "sufficiency-sandwich": _sufficiency_cases,
+    "dual-exchange": _dual_exchange_cases,
+    "fmax-maximal": _fmax_cases,
 }
 PROPERTY_IDS = tuple(_PROPERTIES)
 
@@ -280,9 +302,7 @@ def verify_property(property_id: str, n: int) -> SearchReport:
     if property_id not in _PROPERTIES:
         raise InputError(f"unknown property id {property_id!r}; known: {', '.join(PROPERTY_IDS)}")
     t0 = time.monotonic()
-    axiom, cases = _PROPERTIES[property_id]
-    universe, memo = _objects(axiom, n), {}
-    results = [w for obj in universe for w in cases(obj, universe, memo)]
+    results = list(_PROPERTIES[property_id](n))
     witnesses = [w for w in results if w is not None]
     return SearchReport(
         property_id=property_id,

@@ -49,6 +49,25 @@ class TestGroundSet:
             fam = SetFamily(g, tuple(masks))
             assert fam.member_labels() == [list(self.reference_labels(g, m)) for m in fam.masks], n
 
+    @staticmethod
+    def reference_tables(labels):
+        """The label tables as each ground built its own: per block of four
+        elements (four blocks, padded), the labels of each submask of the block."""
+        blocks = []
+        for p in range(0, 16, 4):
+            table = [()]
+            for lab in labels[p : p + 4]:
+                table += [t + (lab,) for t in table]
+            blocks.append(tuple(table))
+        return tuple(blocks)
+
+    def test_grounds_with_equal_labels_share_equal_label_tables(self):
+        for n in range(17):
+            for labels in (default_ground(n).labels, tuple(f"e{n - i}" for i in range(n))):
+                first, fresh = GroundSet(labels)._nibbles, GroundSet(labels)._nibbles
+                assert first == self.reference_tables(labels), (n, labels)
+                assert all(a is b for a, b in zip(first, fresh)), (n, labels)
+
     def test_labels_of_rejects_masks_outside_the_ground(self):
         for n in (0, 3, 4, 11, 12, 16):
             g = default_ground(n)

@@ -42,6 +42,7 @@ from deltamatroids.search import (
     _canonical_assignments,
     _uplow_cases,
     _codes,
+    _layers,
     _objects,
     _graphic_pool,
     _pair_witness,
@@ -57,6 +58,7 @@ from deltamatroids.serialize import delta_to_json, graph_to_json, matroid_from_j
 def _clear_universes():
     _codes.cache_clear()
     _objects.cache_clear()
+    _layers.cache_clear()
 
 
 @pytest.fixture
@@ -262,15 +264,26 @@ class TestSharedLayers:
         with pytest.raises(RuntimeError, match="missing from the"):
             verify_property("uplow", 2)
 
-    def test_uplow_matches_reference_on_every_family(self):
-        # any nonempty family up to n = 3, delta-matroid or not, then (DF) at n = 4
-        for n in range(4):
-            g = default_ground(n)
-            for code in range(1, 1 << (1 << n)):
-                d = DeltaMatroid._trusted(g, code)
-                assert list(_uplow_cases(d, (), {})) == list(_uplow_reference(d)), d
+    def test_uplow_matches_reference_on_every_family(self, monkeypatch):
+        # (DF) at n = 4, then any nonempty family up to n = 3, delta-matroid or
+        # not, through the sweep's per-pair value and per-code test: each
+        # family is read against the pair of its own least and greatest layers
         ref = [w for d in enumerate_delta_matroids(4) for w in _uplow_reference(d)]
         assert verify_property("uplow", 4).to_json() == _report_json("uplow", ref)
+
+        def every_family(n, decide):
+            g, codes = default_ground(n), range(1, 1 << (1 << n))
+            layers = [_code_layers(c, n) for c in codes]
+            return zip(codes, [decide(Matroid._trusted(g, upper), Matroid._trusted(g, lower)) for lower, upper in layers])
+
+        monkeypatch.setattr(search, "_by_pair", every_family)
+        outcomes = set()
+        for n in range(4):
+            g = default_ground(n)
+            ref = [w for code in range(1, 1 << (1 << n)) for w in _uplow_reference(DeltaMatroid._trusted(g, code))]
+            assert list(_uplow_cases(n)) == ref, n
+            outcomes |= {w is None for w in ref}
+        assert outcomes == {True, False}
 
     def test_code_helpers_match_the_object_operations(self):
         # every nonempty family up to n = 3, delta-matroid or not, then (DF) at n = 4
@@ -300,7 +313,7 @@ class TestSharedLayers:
         pairs = [(mu.bases.masks, ml.bases.masks) for mu, ml in calls["is_pairable"]]
         assert len(pairs) == len(set(pairs)) == 558
         assert verify_property("fmax-maximal", 4).holds
-        assert [(d.upper.bases.masks, d.lower.bases.masks) for (d,) in calls["_fmax_pair"]] == pairs
+        assert [(mu.bases.masks, ml.bases.masks) for mu, ml in calls["_fmax_pair"]] == pairs
 
     def test_df_universe_builds_no_delta_matroid_or_family(self, monkeypatch, fresh_universes):
         _objects("MB", 4)
@@ -406,17 +419,14 @@ class TestSharedLayers:
             mid = [m for m in fam if d.lower.rank < m.bit_count() < d.upper.rank]
             return SetFamily(d.ground, tuple(m for m in fam if mid[-1:] != [m]))
 
-        def lossy_pair(d):
+        def lossy_pair(upper, lower):
             # the same pair with the upper matroid's independents losing that
             # set, so that its sandwich, read by the real _fmax_pair, does too
-            upper, lower = d.upper, d.lower
             n, lo, hi = upper.ground.size, lower.rank, upper.rank
             mid = upper._indep & lower._spanning & sum(_sizes(n)[lo + 1 : hi])
             lossy = copy.copy(upper)
             lossy._indep = upper._indep & ~((1 << mid.bit_length()) >> 1)  # mid's top bit, if any
-            lossy_d = copy.copy(d)
-            lossy_d.upper = lossy
-            out = real_fmax_pair(lossy_d)
+            out = real_fmax_pair(lossy, lower)
             families[upper._bases, lower._bases] = {fam for _, fam, _ in out}
             return out
 
@@ -547,6 +557,45 @@ class TestSharedLayers:
         monkeypatch.setattr(Matroid, "__init__", counting_init)
         assert verify_property("dual-exchange", 4).holds
         assert 0 < len(made) <= 68
+
+    def test_dual_exchange_looks_up_the_dual_pair(self, monkeypatch, fresh_universes):
+        # with the complement the identity every code stays in the universe,
+        # but its layers are the duals only on self-dual pairs: the sweep must
+        # look the complement up among the codes of the dual pair, not of the
+        # whole universe
+        monkeypatch.setattr("deltamatroids.search._complement", lambda code, n: code)
+        monkeypatch.setattr(DeltaMatroid, "complement_dual", lambda self: self)
+        outcomes = set()
+        for n in range(5):
+            ref = [w for d in enumerate_delta_matroids(n) for w in _dual_exchange_reference(d)]
+            assert verify_property("dual-exchange", n).to_json() == _report_json("dual-exchange", ref), n
+            outcomes |= {w is None for w in ref}
+        assert outcomes == {True, False}
+
+    def test_sweeps_build_no_delta_matroid(self, monkeypatch, fresh_universes):
+        # from no universe, every sweep at n = 4 reads codes through the layer
+        # index: no delta-matroid is made and no (DF) object universe cached
+        made = []
+        real_init = DeltaMatroid.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DeltaMatroid, "__init__", counting_init)
+        for pid in PROPERTY_IDS:
+            assert verify_property(pid, 4).holds, pid
+        assert made == []
+        assert _objects.cache_info().currsize == 1  # the (MB) objects at n = 4
+        assert len(list(enumerate_delta_matroids(4))) == len(made) == 5959
+
+    def test_out_of_range_n_raises_and_caches_nothing(self, fresh_universes):
+        for pid in PROPERTY_IDS:
+            for n in (-1, 5):
+                with pytest.raises(InputError):
+                    verify_property(pid, n)
+                sizes = [f.cache_info().currsize for f in (_codes, _objects, _layers)]
+                assert sizes == [0, 0, 0], (pid, n)
 
     def test_patched_kernel_leaks_into_no_memo(self, monkeypatch, fresh_universes):
         cold = {pid: verify_property(pid, 3).canonical_bytes() for pid in PROPERTY_IDS}
@@ -890,7 +939,7 @@ class TestUnpairableSearch:
         pool = _graphic_pool(n, 3 if n >= 4 else n + 1)
         assert find_unpairable_pair(n).universe_size == len(pool) * (len(pool) - 1)
         # no shared universe was built
-        assert _codes.cache_info().currsize == _objects.cache_info().currsize == 0
+        assert _codes.cache_info().currsize == _objects.cache_info().currsize == _layers.cache_info().currsize == 0
 
 
 def _pair_witness_reference(upper, lower):
