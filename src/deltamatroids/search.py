@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Iterator, Optional
 
-from .core import InputError, SetFamily, _code_layers, _complement, _decode_family, _exchange_ok, _exchange_witness
-from .core import _sizes, _twists, _violation, default_ground
+from .core import InputError, SetFamily, _code_layers, _complement, _decode_family, _exchange_failures, _exchange_ok
+from .core import _exchange_witness, _sizes, _twists, _violation, default_ground
 from .delta import DeltaMatroid, _delta_ok, is_pairable
-from .matroids import Matroid, is_quotient
+from .matroids import Matroid
 from .rigidity import Multigraph, _count_sparse
 from .serialize import delta_to_json, graph_to_json, matroid_to_json
 
@@ -246,14 +246,17 @@ def _fmax_cases(n: int) -> Iterator[Optional[dict]]:
 
 
 def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[int, ...]], int]:
-    """Exhaust every feasible-family candidate that could realize (mu, ml).
+    """The first feasible-family candidate, in canonical order, that realizes (mu, ml).
 
     Any realizing family must contain all bases of both matroids and sit
     inside the sandwich family, so candidates are exactly the subfamilies of
-    the sandwich containing the forced bases.  Returns (family, candidates
-    tried) for the first realization in canonical order, (None, total) when
-    none realizes the pair, or (None, 0) when a forced basis lies outside
-    the sandwich.
+    the sandwich containing the forced bases.  One (DF) pass first seeks a
+    replay triple, two forced bases and a pivot with no partner in the
+    sandwich, which rules out every candidate (Bouchet 1987); up to n = 4 it
+    finds one for every unrealizable pair, so the 2^k candidates are tried
+    only when it finds none.  Returns (family, candidates tried) for the first
+    realization, (None, 2^k) when none realizes the pair, or (None, 0) when
+    a forced basis lies outside the sandwich.
     """
     if mu.ground != ml.ground:
         raise InputError("sandwich requires a common ground set")
@@ -261,6 +264,8 @@ def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[in
     if forced & ~sandwich:
         return None, 0
     free = _decode_family(sandwich & ~forced)
+    if next(_exchange_failures(forced, sandwich, "DF"), None) is not None:
+        return None, 1 << len(free)
     for sel in range(1 << len(free)):
         code = forced | sum(1 << f for k, f in enumerate(free) if sel >> k & 1)
         if _delta_ok(code):
@@ -268,13 +273,22 @@ def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[in
     return None, 1 << len(free)
 
 
+def _pair_scan(ms: list[Matroid]) -> Iterator[tuple[int, int, bool, bool]]:
+    """(i, j, whether ms[j] is a quotient of ms[i], whether no basis of either leaves their sandwich) per
+    ordered pair of ms, i outer: the quotient test and both basis conditions, ANDs of codes read once."""
+    rows = [(m._bases, m._indep, m._spanning, m._circuits, m._unions) for m in ms]
+    for i, (bu, iu, _, cu, _) in enumerate(rows):
+        for j, (bl, _, sl, _, ul) in enumerate(rows):
+            yield i, j, cu & ~ul == 0, (bu | bl) & ~(iu & sl) == 0
+
+
 def _sufficiency_cases(n: int) -> Iterator[Optional[dict]]:
-    for mu, ml in itertools.product(_objects("MB", n), repeat=2):
-        sandwich = mu._indep & ml._spanning
-        if is_quotient(ml, mu):
-            ok = _realizes(sandwich, mu._bases, ml._bases, n)
-            kind, extra = "sandwich-failed", {}
-        elif (mu._bases | ml._bases) & ~sandwich:  # a basis condition fails
+    ms = _objects("MB", n)
+    for i, j, quotient, meets in _pair_scan(ms):
+        mu, ml, extra = ms[i], ms[j], {}
+        if quotient:
+            ok, kind = _realizes(mu._indep & ml._spanning, mu._bases, ml._bases, n), "sandwich-failed"
+        elif not meets:
             ok = True
         else:
             found, _ = constrained_realization(mu, ml)
@@ -366,12 +380,10 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
 
 
 def _pair_witness(upper: tuple[Matroid, Multigraph], lower: tuple[Matroid, Multigraph]) -> Optional[dict]:
-    """Full witness for one candidate pair of (cycle matroid, graph) pool
-    entries, or None if it does not qualify."""
+    """Full witness for a pair of (cycle matroid, graph) pool entries whose
+    matroids are no quotient pair yet meet both basis conditions, or None if
+    some delta-matroid realizes them."""
     (mu, gu), (ml, gl) = upper, lower
-    forced, sandwich = mu._bases | ml._bases, mu._indep & ml._spanning
-    if is_quotient(ml, mu) or forced & ~sandwich:
-        return None  # pairable, or a basis condition fails
     found, tried = constrained_realization(mu, ml)
     if found is not None:
         return None
@@ -381,9 +393,8 @@ def _pair_witness(upper: tuple[Matroid, Multigraph], lower: tuple[Matroid, Multi
         "offending_circuit": list(is_pairable(mu, ml).offending_circuit.labels),
         "candidates_exhausted": tried,
     }
-    # a forced-feasible pair and pivot with no exchange partner inside the
-    # sandwich; its existence alone rules out any realizing delta-matroid
-    triple = _exchange_witness(forced, sandwich, "DF")
+    # the canonical replay triple, if any: forced sets and a pivot with no partner inside the sandwich
+    triple = _exchange_witness(mu._bases | ml._bases, mu._indep & ml._spanning, "DF")
     if triple is not None:
         wit["replay"] = {k: v for k, v in _violation(mu.ground, triple, "DF").to_json().items() if k != "axiom"}
     wit["upper_graph"] = graph_to_json(gu)
@@ -406,8 +417,9 @@ def find_unpairable_pair(n: int) -> SearchReport:
     # Vertex cap: 3 keeps the 5-edge scan at 1,435 canonical assignments of 8,020
     # while still covering the bridge-plus-parallel-edges shape the counterexample needs.
     pool = _graphic_pool(n, 3 if n >= 4 else n + 1)
-    pairs = itertools.permutations(pool, 2)
-    wit = next((w for w in itertools.starmap(_pair_witness, pairs) if w is not None), None)
+    scan = _pair_scan([m for m, _ in pool])  # a matroid is its own quotient: no pair (m, m) is tried
+    found = (_pair_witness(pool[i], pool[j]) for i, j, quotient, meets in scan if meets and not quotient)
+    wit = next(filter(None, found), None)
     return SearchReport(
         property_id="unpairable-pair",
         universe_size=len(pool) * (len(pool) - 1),

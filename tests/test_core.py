@@ -173,3 +173,16 @@ class TestFamilies:
                 for mask in g.all_masks():
                     for s in (Subset(g, mask), Subset(other, mask)):
                         assert (s in fam) == (s.ground == fam.ground and s.mask in set(fam.masks))
+
+
+def test_complement_reverses_the_code_bits_up_to_n12():
+    # from n = 3 on the code's bytes go through one reversal table; the
+    # reference reverses the code's 2^n-bit string
+    from deltamatroids.core import _complement
+
+    rng = random.Random(34)
+    for n in range(13):
+        width = 1 << n
+        codes = [0, 1, 1 << (width - 1), (1 << width) - 1] + [rng.getrandbits(width) for _ in range(40)]
+        for code in codes:
+            assert _complement(code, n) == int(format(code, f"0{width}b")[::-1], 2), (n, code)

@@ -341,14 +341,21 @@ class TestSharedLayers:
         # indicators, mb-equicardinal included: only dual-exchange builds
         # objects, one dual per matroid from its complemented basis code, and
         # fmax-maximal runs one exchange verdict per pair with a uniform side,
-        # as both its variants read the pair's sandwich
+        # as both its variants read the pair's sandwich; sufficiency-sandwich
+        # runs one per pairable pair and refutes every other pair meeting both
+        # basis conditions by one replay pass, so no candidate is exhausted
         _objects("MB", 4)
         _objects("DF", 4)
-        verdicts, built, passes = [], [], []
+        verdicts, built, passes, replays = [], [], [], []
 
         def counting_delta_ok(code):
             verdicts.append(code)
             return _delta_ok(code)
+
+        def counting_failures(*args):
+            first = next(_exchange_failures(*args), None)
+            replays.append("refuted" if first else "exhausted")
+            return iter([first] if first else [])
 
         def counting_count_sparse(*args):
             passes.append(args)
@@ -366,23 +373,31 @@ class TestSharedLayers:
         monkeypatch.setattr("deltamatroids.search._delta_ok", counting_delta_ok)
         monkeypatch.setattr("deltamatroids.search._count_sparse", counting_count_sparse)
         monkeypatch.setattr("deltamatroids.rigidity._count_sparse", counting_count_sparse)
+        monkeypatch.setattr("deltamatroids.search._exchange_failures", counting_failures)
         count(SetFamily, "__post_init__")
         count(DeltaMatroid, "__init__")
         count(Matroid, "__init__")
-        calls, builds = [], []
+        calls, builds, passes_by_pid = [], [], []
         for pid in PROPERTY_IDS:
             verdicts.clear()
             built.clear()
+            replays.clear()
             assert verify_property(pid, 4).holds
             calls.append(len(verdicts))
             builds.append(sorted(built))
-        assert calls == [0, 68, 68, 0, 0, 1854, 0, 307]
+            passes_by_pid.append(sorted(replays))
+        assert calls == [0, 68, 68, 0, 0, 558, 0, 307]
+        sufficiency = PROPERTY_IDS.index("sufficiency-sandwich")
+        assert passes_by_pid[sufficiency] == ["refuted"] * 192  # and no "exhausted"
+        assert passes_by_pid[:sufficiency] + passes_by_pid[sufficiency + 1 :] == [[]] * 7
         dual_exchange = PROPERTY_IDS.index("dual-exchange")
         assert builds[dual_exchange] == ["Matroid"] * 68  # Matroid.dual, on purpose
         assert builds[:dual_exchange] + builds[dual_exchange + 1 :] == [[]] * 7
         verdicts.clear()
+        replays.clear()
         assert find_unpairable_pair(5).holds
-        assert len(verdicts) == 1
+        assert len(verdicts) == 0  # its one pair tried is refuted by a replay pass
+        assert replays == ["refuted"]
         assert len(passes) == 257  # one count pass per form of a canonical assignment, none per new key
 
     def test_universes_and_sweeps_pack_no_masks(self, monkeypatch, fresh_universes):
@@ -450,9 +465,14 @@ class TestSharedLayers:
         # a verdict flipped on some families, and families that lose their
         # least (independents) or greatest member (spanning sets, sandwich)
         # for some matroids or pairs before the real _realizes reads them, so
-        # that both the verdict and the layer comparison decide some cases
+        # that both the verdict and the layer comparison decide some cases;
+        # the replay pass loses its triple on some pairs, so that the flipped
+        # verdict reaches their exhaust
         def delta_ok(code):
             return _delta_ok(code) != (code.bit_count() % 5 == 0)
+
+        def replay(source, members, axiom):
+            return iter(()) if source.bit_count() % 2 else _exchange_failures(source, members, axiom)
 
         def lossy(masks, end):
             if len(masks) % 3:
@@ -471,6 +491,7 @@ class TestSharedLayers:
         real_realizes = search._realizes
         ends = {"independents-are-delta": 0, "spanning-are-delta": -1, "sufficiency-sandwich": -1}
         monkeypatch.setattr("deltamatroids.search._delta_ok", delta_ok)
+        monkeypatch.setattr("deltamatroids.search._exchange_failures", replay)
         refs = {}
         for n in range(5):
             ms = list(enumerate_matroids(n))
@@ -478,7 +499,7 @@ class TestSharedLayers:
                 "independents-are-delta": [_independents_reference(m, delta_ok, lambda f: lossy(f, 0)) for m in ms],
                 "spanning-are-delta": [_spanning_reference(m, delta_ok, lambda f: lossy(f, -1)) for m in ms],
                 "sufficiency-sandwich": [
-                    _sufficiency_reference(mu, ml, delta_ok, sandwich) for mu in ms for ml in ms
+                    _sufficiency_reference(mu, ml, delta_ok, sandwich, replay) for mu in ms for ml in ms
                 ],
             }
             for pid, ref in refs.items():
@@ -656,13 +677,19 @@ def _spanning_reference(m, delta_ok, perturb):
     return None if ok else matroid_to_json(m)
 
 
-def _sufficiency_reference(mu, ml, delta_ok, sandwich):
+def _sufficiency_reference(mu, ml, delta_ok, sandwich, replay=_exchange_failures):
+    """A pairable pair's sandwich, else the exhaust of the subfamilies unless
+    a replay pass finds forced sets and a pivot with no partner in the sandwich."""
     pair = {"upper": matroid_to_json(mu), "lower": matroid_to_json(ml)}
     if is_pairable(mu, ml).pairable:
         code = _indicator(sandwich(mu, ml).masks, mu.ground.size)
         d = DeltaMatroid._trusted(mu.ground, code)
         ok = delta_ok(code) and d.upper == mu and d.lower == ml
         return None if ok else {"kind": "sandwich-failed", **pair}
+    forced = _code_of(set(mu.bases.masks) | set(ml.bases.masks))
+    inside = _code_of(construct_sandwich(mu, ml).masks)
+    if not forced & ~inside and next(replay(forced, inside, "DF"), None) is not None:
+        return None
     found, _ = _realization_by_subfamilies(mu, ml, delta_ok)
     if found is None:
         return None
@@ -871,15 +898,34 @@ def test_canonical_assignments_at_n5_on_three_vertices():
 
 
 class TestConstrainedRealization:
-    def test_matches_subfamily_exhaust_on_every_pair(self):
-        outcomes = set()
+    def test_matches_subfamily_exhaust_on_every_pair(self, monkeypatch):
+        # family and count as the exhaust of every candidate, on all 4,624
+        # ordered pairs at n = 4 and every pair below; a replay pass refutes
+        # each pair no candidate realizes, 198 of them, so none is exhausted
+        replays = []
+
+        def counting(*args):
+            first = next(_exchange_failures(*args), None)
+            replays.append((n, first is not None))
+            return iter([first] if first else [])
+
+        monkeypatch.setattr("deltamatroids.search._exchange_failures", counting)
+        outcomes, refuted = set(), []
         for n in range(5):
             ms = list(enumerate_matroids(n))
             for mu, ml in itertools.product(ms, repeat=2):
                 found, tried = constrained_realization(mu, ml)
                 assert (found, tried) == _realization_by_subfamilies(mu, ml), (mu, ml)
-                outcomes.add("none" if not tried else "exhausted" if found is None else "found")
-        assert outcomes == {"none", "exhausted", "found"}
+                outcomes.add("none" if not tried else "unrealized" if found is None else "found")
+                if tried and found is None:
+                    refuted.append(n)
+        assert outcomes == {"none", "unrealized", "found"}
+        assert refuted == [3] * 6 + [4] * 192 == [k for k, hit in replays if hit]
+
+    def test_hunt_witness_keeps_its_exhaust_count(self):
+        wit = find_unpairable_pair(5).witnesses[0]
+        mu, ml = matroid_from_json(wit["upper"]), matroid_from_json(wit["lower"])
+        assert (None, wit["candidates_exhausted"]) == _realization_by_subfamilies(mu, ml)
 
     def test_mismatched_grounds(self):
         from deltamatroids import uniform
@@ -942,6 +988,12 @@ class TestUnpairableSearch:
         assert _codes.cache_info().currsize == _objects.cache_info().currsize == _layers.cache_info().currsize == 0
 
 
+def _is_open(mu, ml):
+    """Whether ml is no quotient of mu yet every basis of either lies in their sandwich."""
+    inside = all(mu.is_independent(b) for b in ml.bases) and all(ml.is_spanning(b) for b in mu.bases)
+    return inside and not is_pairable(mu, ml).pairable
+
+
 def _pair_witness_reference(upper, lower):
     """The hunt's per-pair test without its two mask ANDs: the pairability
     report first, then the exhaust of every pair it calls unpairable."""
@@ -976,17 +1028,40 @@ class TestPairScans:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_pair_witness_matches_the_reference(self, n):
         # every ordered pool pair up to n = 4; at n = 5 the pairs the hunt
-        # scans, up to and including its witness
+        # scans, up to and including its witness.  _pair_witness takes only
+        # the pairs the scan lets through, and the reference is None on the rest
         pairs = itertools.permutations(_graphic_pool(n, 3 if n >= 4 else n + 1), 2)
         if n == 5:
             pairs = itertools.islice(pairs, 6328)
         found = []
         for k, (upper, lower) in enumerate(pairs):
-            wit = _pair_witness(upper, lower)
+            wit = _pair_witness(upper, lower) if _is_open(upper[0], lower[0]) else None
             assert wit == _pair_witness_reference(upper, lower), (n, k)
             if wit is not None:
                 found.append(k)
         assert (found == [6327]) if n == 5 else (bool(found) == (n >= 3))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_hunt_tries_exactly_the_open_pairs_up_to_its_witness(self, n, monkeypatch):
+        # in permutation order, the pool pairs that are no quotient pair yet
+        # meet both basis conditions, up to and including the first witness
+        tried = []
+
+        def recording(upper, lower):
+            tried.append((upper[0]._bases, lower[0]._bases))
+            return real(upper, lower)
+
+        real = search._pair_witness
+        monkeypatch.setattr(search, "_pair_witness", recording)
+        report = find_unpairable_pair(n)
+        expected, wit = [], None
+        for upper, lower in itertools.permutations(_graphic_pool(n, 3 if n >= 4 else n + 1), 2):
+            if wit is None and _is_open(upper[0], lower[0]):
+                expected.append((upper[0]._bases, lower[0]._bases))
+                wit = _pair_witness_reference(upper, lower)
+        assert tried == expected
+        assert report.witnesses == ([] if wit is None else [wit])
+        assert len(tried) == {1: 0, 2: 0, 3: 1, 4: 1, 5: 1}[n]
 
     @staticmethod
     def _count_calls(monkeypatch):
