@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from typing import Optional
 
 from .core import AxiomError, InputError, _submasks, default_ground
@@ -33,6 +34,7 @@ from .serialize import (
 )
 
 
+@cache  # built by the first main() call, not at import, and reused by every later call
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="deltamatroids",
@@ -47,30 +49,37 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="certify a basis or feasible family")
+    c.set_defaults(run=_cmd_check)
     c.add_argument("kind", choices=("matroid", "delta"))
     c.add_argument("file")
 
     ul = sub.add_parser("upper-lower", help="extract the upper and lower matroids")
+    ul.set_defaults(run=_cmd_upper_lower)
     ul.add_argument("file")
 
     pr = sub.add_parser("pair", help="test whether two matroids are pairable")
+    pr.set_defaults(run=_cmd_pair)
     pr.add_argument("upper_file")
     pr.add_argument("lower_file")
     pr.add_argument("--construct", action="store_true", help="also emit the sandwich delta-matroid")
 
     cc = sub.add_parser("cone-check", help="verify the cone identities for a graph")
+    cc.set_defaults(run=_cmd_cone_check)
     cc.add_argument("graph_file", nargs="?")
     cc.add_argument("--corpus", action="store_true", help="run the whole built-in graph corpus")
 
     v = sub.add_parser("verify", help="run a registered exhaustive property check")
+    v.set_defaults(run=_cmd_verify)
     v.add_argument("property_id")
     v.add_argument("--n", type=int, default=4)
 
     s = sub.add_parser("search", help="search for witnesses")
+    s.set_defaults(run=_cmd_search)
     s.add_argument("target", choices=("unpairable",))
     s.add_argument("--n", type=int, default=5)
 
     e = sub.add_parser("enumerate", help="enumerate all matroids or delta-matroids at size n")
+    e.set_defaults(run=_cmd_enumerate)
     e.add_argument("kind", choices=("matroid", "delta"))
     e.add_argument("--n", type=int, default=3)
 
@@ -192,34 +201,25 @@ def _cmd_enumerate(args, fmt: str) -> int:
         return 0
     # the bytes json.dumps({"count": ..., "items": [...]}, indent=2) gives, labels once per mask and
     # members by table: a code has at most 16 bits (n <= 4), and per byte a table maps each value
-    # to the JSON strings of the members it holds
+    # to the JSON strings of the members it holds, joined once per call
     g = default_ground(args.n)
     members = tuple(_nested(list(g.labels_of(m)), 4) for m in g.all_masks())
-    low, high = _submasks(members[:8]), _submasks(members[8:])
+    sep = ",\n        "
+    low, high = ([sep.join(t) for t in _submasks(half)] for half in (members[:8], members[8:]))
     head = f'    {{\n      "ground": {_nested(list(g.labels), 3)},\n      {json.dumps(key)}: [\n        '
-    items = ",\n".join([head + ",\n        ".join(low[c & 255] + high[c >> 8]) + "\n      ]\n    }" for c in codes])
+    items = ",\n".join([f"{head}{low[c & 255]}{sep if c & 255 and c >> 8 else ''}{high[c >> 8]}\n      ]\n    }}" for c in codes])
     print(f'{{\n  "count": {len(codes)},\n  "items": [\n{items}\n  ]\n}}')
     return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 2
     fmt = args.format or ("text" if sys.stdout.isatty() else "json")
-    handlers = {
-        "check": _cmd_check,
-        "upper-lower": _cmd_upper_lower,
-        "pair": _cmd_pair,
-        "cone-check": _cmd_cone_check,
-        "verify": _cmd_verify,
-        "search": _cmd_search,
-        "enumerate": _cmd_enumerate,
-    }
     try:
-        return handlers[args.command](args, fmt)
+        return args.run(args, fmt)
     except AxiomError as e:
         _emit({"ok": False, "witness": e.violation.to_json()}, fmt, e.violation.describe())
         return 1

@@ -105,9 +105,8 @@ def _layers(n: int) -> tuple[tuple[int, int], ...]:
     own, pairs, out = {c: c for c in _codes("MB", n)}, {}, []
     for c in _codes("DF", n):
         lower, upper = _code_layers(c, n)
-        for name, layer in (("upper", upper), ("lower", lower)):
-            if layer not in own:
-                raise RuntimeError(f"{name} layer of {_delta(c, n)!r} is missing from the (MB) universe")
+        if upper not in own or lower not in own:
+            raise RuntimeError(f"{'upper' if upper not in own else 'lower'} layer of {_delta(c, n)!r} is missing from the (MB) universe")
         pair = own[lower], own[upper]
         out.append(pairs.setdefault(pair, pair))
     return tuple(out)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from deltamatroids import AxiomError, GroundSet, Matroid, SetFamily, default_ground, direct_sum, uniform
-from deltamatroids.cli import main
+from deltamatroids.cli import _build_parser, main
 from deltamatroids.core import _decode_family
 from deltamatroids.rigidity import CORPUS
 from deltamatroids.search import delta_codes, matroid_codes
@@ -278,3 +278,24 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", snippet], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+def test_parser_is_built_once_and_reused_without_state(capsys):
+    # usage errors and --help in one call leave the next call's bytes and exit code as they were
+    _build_parser.cache_clear()
+    argv = ["--format", "json", "verify", "uplow", "--n", "3"]
+    first = main(argv), capsys.readouterr()
+    codes = [main(args) for args in ([], ["verify"], ["verify", "uplow", "--n", "9"], ["--help"])]
+    assert codes == [2, 2, 2, 0]
+    capsys.readouterr()
+    assert (main(argv), capsys.readouterr()) == first
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main() call, so importing the CLI costs no argparse tree
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    snippet = "import deltamatroids.cli as cli\nprint(cli._build_parser.cache_info().currsize)\n"
+    out = subprocess.run([sys.executable, "-c", snippet], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0\n"

@@ -261,8 +261,17 @@ class TestSharedLayers:
             return _exchange_failures(source, members, axiom)
 
         monkeypatch.setattr("deltamatroids.core._exchange_failures", strict)
-        with pytest.raises(RuntimeError, match="missing from the"):
+        # both layers of {{a}, {b}} are U(1,2): the upper one is named first
+        with pytest.raises(RuntimeError) as info:
             verify_property("uplow", 2)
+        assert str(info.value) == "upper layer of DeltaMatroid(feasibles={{a}, {b}}) is missing from the (MB) universe"
+
+    def test_lower_layer_missing_from_mb_universe_raises(self, monkeypatch, fresh_universes):
+        # every upper layer is in the (MB) universe; the empty family, read as a lower layer, is not
+        monkeypatch.setattr(search, "_code_layers", lambda code, n: (0, _code_layers(code, n)[1]))
+        with pytest.raises(RuntimeError) as info:
+            verify_property("uplow", 2)
+        assert str(info.value) == "lower layer of DeltaMatroid(feasibles={{}}) is missing from the (MB) universe"
 
     def test_uplow_matches_reference_on_every_family(self, monkeypatch):
         # (DF) at n = 4, then any nonempty family up to n = 3, delta-matroid or
