@@ -5,7 +5,8 @@ Each edge's vertex mask is a graph's one derived vertex form.  Both matroids
 come from one count pass on 2^m-bit indicators of edge sets: per-vertex
 incidence indicators give the sets that break the count, one up-closure of
 those the sets that are not sparse, and one shift-AND per edge coordinate the
-maximal sparse sets, the bases.
+maximal sparse sets, the bases.  Connectivity has one rule, the (1,1) pass:
+a graph is connected iff its cycle matroid has rank |V| - 1.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class Multigraph:
     Edge labels form the ground set of every matroid derived from the graph.
     Each edge's vertex mask (one bit for a loop) is the one derived vertex
     form; equal masks are parallel edges, so two loops at one vertex are too.
+    Connectivity is read from the cycle matroid's rank: |V| - 1 iff connected.
     """
 
     vertices: tuple[str, ...]
@@ -69,27 +71,9 @@ class Multigraph:
     def is_simple(self) -> bool:
         return not self.has_loop() and not self.has_parallel()
 
-    def _component_count(self, edge_mask: int) -> int:
-        """Components of (V, F): each edge of F merges the component masks it
-        meets, disjoint masks whose sum is their union.  The cycle-matroid
-        rank of F is |V| minus this count."""
-        components = [1 << i for i in range(len(self.vertices))]
-        for i, ends in enumerate(self._edge_vertex_masks):
-            if edge_mask >> i & 1:
-                merged = sum(c for c in components if c & ends)
-                components = [c for c in components if not c & ends] + [merged]
-        return len(components)
-
-    def is_forest(self, edge_mask: int) -> bool:
-        """True iff the edge set contains no cycle (loops and parallel pairs count)."""
-        return len(self.vertices) - self._component_count(edge_mask) == edge_mask.bit_count()
-
-    def is_connected_spanning(self, edge_mask: int) -> bool:
-        """True iff (V, F) is connected over *all* vertices of the graph."""
-        return self._component_count(edge_mask) == 1
-
     def is_connected(self) -> bool:
-        return self.is_connected_spanning(self.ground.full_mask)
+        """Cycle-matroid rank |V| - 1; with no vertices, rank 0, not connected."""
+        return cycle_matroid(self).rank == len(self.vertices) - 1
 
 
 def _count_sparse(ev: tuple[int, ...], k: int, l: int) -> tuple[int, int]:
@@ -164,13 +148,14 @@ def rigidity_feasible_family(g: Multigraph) -> SetFamily:
     the rigidity matroid and spanning in the cycle matroid: the sandwich of
     that pair, which satisfies symmetric exchange, with upper matroid the
     spanning-connected part of the rigidity matroid and lower matroid the
-    cycle matroid.
+    cycle matroid, built once: its rank |V| - 1 is the connectivity guard.
     """
     if not g.is_simple():
         raise InputError("rigidity feasible family requires a simple graph")
-    if not g.is_connected():
+    lower = cycle_matroid(g)  # reads g.ground, the 16-edge cap, before the count
+    if lower.rank != len(g.vertices) - 1:
         raise InputError("rigidity feasible family requires a connected graph")
-    return construct_sandwich(rigidity_matroid(g), cycle_matroid(g))
+    return construct_sandwich(rigidity_matroid(g), lower)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from functools import partial
 from itertools import chain, combinations, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,16 @@ def seeded_pairs(seed=11):
     return pairs + [(ml, mu) for mu, ml in pairs]
 
 
+def assert_df_witness_replays(v, fam):
+    """Replay a (DF) witness: F1 Δ {x, y} lies outside the family for every
+    y in F1 Δ F2, and y = x reads F1 Δ {x}."""
+    assert v.axiom == "DF"
+    pivot = fam.ground.subset(v.pivot)
+    assert v.pivot in v.first ^ v.second
+    for lab in v.first ^ v.second:
+        assert (v.first ^ (pivot | fam.ground.subset(lab))) not in fam
+
+
 def size_classes_family(n, sizes):
     g = default_ground(n)
     return SetFamily(g, tuple(m for m in g.all_masks() if m.bit_count() in sizes))
@@ -164,11 +175,8 @@ class TestSymmetricExchange:
             DeltaMatroid.certify(fam)
         v = e.value.violation
         assert isinstance(v, ExchangeViolation)
-        assert v.axiom == "DF"
         assert v.first == g.subset("abc") and v.second == g.subset() and v.pivot == "a"
-        pivot = g.subset(v.pivot)
-        for lab in v.first ^ v.second:
-            assert (v.first ^ (pivot | g.subset(lab))) not in fam
+        assert_df_witness_replays(v, fam)
 
     def test_empty_family_rejected(self):
         with pytest.raises(InputError):
@@ -185,6 +193,33 @@ class TestSymmetricExchange:
                 except AxiomError as e:
                     got = e.violation
                 assert isinstance(got, DeltaMatroid) == naive_satisfies_exchange(members)
+
+
+class TestSixteenElementCap:
+    """(DF) certification at the ground-size cap, on families with closed-form counts."""
+
+    def test_even_sets_certify(self):
+        fam = size_classes_family(16, range(0, 17, 2))
+        assert len(fam) == 2**15
+        assert DeltaMatroid.certify(fam).feasibles == fam
+
+    def test_sandwich_of_u8_over_u7_certifies(self):
+        g = default_ground(16)
+        mu, ml = uniform(8, g), uniform(7, g)
+        fam = construct_sandwich(mu, ml)
+        assert len(fam) == comb(16, 8) + comb(16, 7) == 24310
+        d = DeltaMatroid.certify(fam)
+        assert d.upper == mu and d.lower == ml
+
+    def test_u8_bases_and_one_seven_set_fail_with_witness(self):
+        g = default_ground(16)
+        fam = SetFamily(g, uniform(8, g).bases.masks + (g.subset("abcdefg").mask,))
+        assert len(fam) == comb(16, 8) + 1
+        with pytest.raises(AxiomError) as e:
+            DeltaMatroid.certify(fam)
+        v = e.value.violation
+        assert (v.first, v.second, v.pivot) == (g.subset("abcdefg"), g.subset("abcdefhi"), "g")
+        assert_df_witness_replays(v, fam)
 
 
 class TestUpperLower:

@@ -20,6 +20,7 @@ from deltamatroids import (
     rigidity_matroid,
     verify_cone_quotient,
 )
+from deltamatroids import rigidity
 from deltamatroids.core import MAX_GROUND_SIZE
 from deltamatroids.core import _decode_family
 from deltamatroids.rigidity import _count_sparse
@@ -37,9 +38,10 @@ def cycle_with_chords(n, chords=()):
 
 
 def brute_force_sparse(g, k, l):
-    """Per-set reference checks: forests for (1,1), submask scans for (2,3)."""
+    """Per-set reference checks: forests by breadth-first search for (1,1),
+    submask scans for (2,3)."""
     if (k, l) == (1, 1):
-        return [m for m in g.ground.all_masks() if g.is_forest(m)]
+        return [m for m in g.ground.all_masks() if is_forest(g, m)]
     return [m for m in g.ground.all_masks() if is_sparse_23(g, Subset(g.ground, m))]
 
 
@@ -121,6 +123,16 @@ def bfs_component_count(g, edge_mask):
     return count
 
 
+def is_forest(g, edge_mask):
+    """No cycle in F (loops and parallel pairs count): |V| - components(V, F) = |F|."""
+    return len(g.vertices) - bfs_component_count(g, edge_mask) == edge_mask.bit_count()
+
+
+def is_connected_spanning(g, edge_mask):
+    """(V, F) is connected over all vertices of the graph."""
+    return bfs_component_count(g, edge_mask) == 1
+
+
 def k5():
     return Multigraph.build("abcde", [(f"{u}{v}", u, v) for u, v in combinations("abcde", 2)])
 
@@ -179,11 +191,15 @@ class TestMultigraph:
             graphs.append(Multigraph.build(vs, edges))
         assert sum(g.has_loop() for g in graphs) >= 20
         assert sum(g.has_parallel() for g in graphs) >= 20
+        # the cycle matroid's forests and rank against the search, per mask;
+        # F spans (V, F) connected iff g is connected and F spans the matroid
         for g in graphs:
+            m, connected = cycle_matroid(g), g.is_connected()
+            assert connected == is_connected_spanning(g, g.ground.full_mask), g
             for mask in range(1 << len(g.edges)):
-                count = bfs_component_count(g, mask)
-                assert g.is_forest(mask) == (len(g.vertices) - count == mask.bit_count()), (g, mask)
-                assert g.is_connected_spanning(mask) == (count == 1), (g, mask)
+                f = Subset(g.ground, mask)
+                assert m.is_independent(f) == is_forest(g, mask), (g, mask)
+                assert (connected and m.is_spanning(f)) == is_connected_spanning(g, mask), (g, mask)
 
     def test_corpus_is_pinned(self):
         # the corpus spelled out edge by edge, apart from how the module builds it
@@ -268,7 +284,7 @@ class TestCycleMatroid:
         g = CORPUS["c4_with_chord"]
         m = cycle_matroid(g)
         for mask in g.ground.all_masks():
-            assert m.is_independent(Subset(g.ground, mask)) == g.is_forest(mask)
+            assert m.is_independent(Subset(g.ground, mask)) == is_forest(g, mask)
 
 
 class TestSparsity:
@@ -410,7 +426,7 @@ class TestFeasibleFamily:
         want = [
             m
             for m in k5.ground.all_masks()
-            if k5.is_connected_spanning(m) and is_sparse_23(k5, Subset(k5.ground, m))
+            if is_connected_spanning(k5, m) and is_sparse_23(k5, Subset(k5.ground, m))
         ]
         assert list(rigidity_feasible_family(k5).masks) == want
 
@@ -437,11 +453,41 @@ class TestFeasibleFamily:
             want = [
                 m
                 for m in g.ground.all_masks()
-                if g.is_connected_spanning(m) and is_sparse_23(g, Subset(g.ground, m))
+                if is_connected_spanning(g, m) and is_sparse_23(g, Subset(g.ground, m))
             ]
             assert list(rigidity_feasible_family(g).masks) == want, edges
             checked += 1
         assert checked >= 10
+
+    def test_one_count_pass_per_matroid(self, monkeypatch):
+        # connectivity is the cycle matroid's rank: no second pass reads it
+        passes = []
+
+        def recording(ev, k, l):
+            passes.append((k, l))
+            return _count_sparse(ev, k, l)
+
+        monkeypatch.setattr(rigidity, "_count_sparse", recording)
+        rigidity_feasible_family(k5())
+        assert sorted(passes) == [(1, 1), (2, 3)]
+        passes.clear()
+        assert k5().is_connected()
+        assert passes == [(1, 1)]
+
+    def test_cap_is_read_before_any_count_pass(self, monkeypatch):
+        # K6 and two pendant edges: simple, connected, 17 edges on 8 vertices
+        edges = [(u + v, u, v) for u, v in combinations("abcdef", 2)] + [("ag", "a", "g"), ("bh", "b", "h")]
+        g = Multigraph.build("abcdefgh", edges)
+        assert len(g.edges) == 17 and g.is_simple()
+
+        def refuse(ev, k, l):
+            raise AssertionError(f"a ({k},{l}) count pass started on {len(ev)} edges")
+
+        monkeypatch.setattr(rigidity, "_count_sparse", refuse)
+        with pytest.raises(InputError, match="the cap is 16"):
+            g.is_connected()
+        with pytest.raises(InputError, match="the cap is 16"):
+            rigidity_feasible_family(g)
 
     def test_disconnected_rejected(self):
         g = Multigraph.build("uvwx", [("e1", "u", "v"), ("e2", "w", "x")])
@@ -461,7 +507,7 @@ class TestFeasibleFamily:
             # upper bases: maximal-size feasible sets, i.e. spanning-connected
             # bases of the rigidity matroid
             mr = rigidity_matroid(g)
-            want = [b for b in mr.bases.masks if g.is_connected_spanning(b)]
+            want = [b for b in mr.bases.masks if is_connected_spanning(g, b)]
             assert list(d.upper.bases.masks) == want, name
 
     def test_corpus_pairs_are_pairable(self):
