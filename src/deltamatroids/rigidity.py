@@ -5,8 +5,8 @@ Each edge's vertex mask is a graph's one derived vertex form.  Both matroids
 come from one count pass on 2^m-bit indicators of edge sets: per-vertex
 incidence indicators give the sets that break the count, one up-closure of
 those the sets that are not sparse, and one shift-AND per edge coordinate the
-maximal sparse sets, the bases.  Connectivity has one rule, the (1,1) pass:
-a graph is connected iff its cycle matroid has rank |V| - 1.
+maximal sparse sets, the bases.  No graph question loops over subsets: connected
+means cycle-matroid rank |V| - 1, and (2,3)-sparse means rigidity-independent.
 """
 
 from __future__ import annotations
@@ -117,23 +117,11 @@ def cycle_matroid(g: Multigraph) -> Matroid:
 
 
 def is_sparse_23(g: Multigraph, f: Subset) -> bool:
-    """(2,3)-sparsity: every nonempty subset F' of f obeys |F'| <= 2|V(F')| - 3.
-
-    The empty set is vacuously sparse.  A loop or a parallel pair always
-    violates the count, so graphs containing either are overbraced.
-    """
+    """(2,3)-sparsity, |F'| <= 2|V(F')| - 3 for every nonempty F' in f, read as
+    independence in the rigidity matroid: no loop over the subsets of f."""
     if f.ground != g.ground:
         raise InputError("edge subset over a different ground set")
-    s = f.mask
-    while s:
-        vmask = 0
-        for i, ends in enumerate(g._edge_vertex_masks):
-            if s >> i & 1:
-                vmask |= ends
-        if s.bit_count() > 2 * vmask.bit_count() - 3:
-            return False
-        s = (s - 1) & f.mask
-    return True
+    return rigidity_matroid(g).is_independent(f)
 
 
 def rigidity_matroid(g: Multigraph) -> Matroid:

@@ -91,7 +91,7 @@ def _codes(axiom: str, n: int) -> tuple[int, ...]:
     (DF) is twist-invariant, as (F1 Δ S) Δ (F2 Δ S) = F1 Δ F2, so at n = 4 the
     kernel runs on 912 of the 11,612 candidates, one per orbit."""
     if not 0 <= n <= 4:
-        raise InputError(f"exhaustive enumeration capped at n <= 4, got {n}")
+        raise InputError(f"exhaustive enumeration needs 0 <= n <= 4, got {n}")
     codes = [1]  # n = 0: the family {∅}
     for k in range(1, n + 1):
         codes = _codes_level(axiom, k, (0, *codes))

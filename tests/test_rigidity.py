@@ -37,12 +37,28 @@ def cycle_with_chords(n, chords=()):
     return Multigraph.build(vs, edges)
 
 
+def submask_sparse_23(g, mask):
+    """Reference (2,3)-sparsity by a scan over the submasks of mask: every
+    nonempty F' in it has |F'| <= 2|V(F')| - 3, with V(F') read edge by edge.
+    The library reads the rigidity matroid instead; this scan is its check."""
+    s = mask
+    while s:
+        vmask = 0
+        for i, ends in enumerate(g._edge_vertex_masks):
+            if s >> i & 1:
+                vmask |= ends
+        if s.bit_count() > 2 * vmask.bit_count() - 3:
+            return False
+        s = (s - 1) & mask
+    return True
+
+
 def brute_force_sparse(g, k, l):
-    """Per-set reference checks: forests by breadth-first search for (1,1),
-    submask scans for (2,3)."""
+    """Per-set reference checks, independent of the count pass: forests by
+    breadth-first search for (1,1), `submask_sparse_23` scans for (2,3)."""
     if (k, l) == (1, 1):
         return [m for m in g.ground.all_masks() if is_forest(g, m)]
-    return [m for m in g.ground.all_masks() if is_sparse_23(g, Subset(g.ground, m))]
+    return [m for m in g.ground.all_masks() if submask_sparse_23(g, m)]
 
 
 def state_machine_sparse(g, k, l):
@@ -316,6 +332,40 @@ class TestSparsity:
                     sub = (sub - 1) & m
                     assert sub in sparse
 
+    def test_matches_submask_scan_on_every_edge_set(self):
+        # the library's only (2,3) check is the rigidity matroid; the scan is
+        # the reference, on the corpus and multigraphs with loops and parallels
+        seeded = [g for g in seeded_multigraphs() if len(g.edges) <= 9]
+        assert len(seeded) >= 100
+        assert sum(g.has_loop() for g in seeded) >= 20
+        assert sum(g.has_parallel() for g in seeded) >= 20
+        for g in [*CORPUS.values(), *seeded]:
+            for m in g.ground.all_masks():
+                assert is_sparse_23(g, Subset(g.ground, m)) == submask_sparse_23(g, m), (g, m)
+
+    def test_one_count_pass_per_call_and_the_cap(self, monkeypatch):
+        passes = []
+
+        def recording(ev, k, l):
+            passes.append((len(ev), k, l))
+            return _count_sparse(ev, k, l)
+
+        monkeypatch.setattr(rigidity, "_count_sparse", recording)
+        wheel = cone(cycle_with_chords(8)).cone_graph
+        assert len(wheel.edges) == MAX_GROUND_SIZE == 16
+        # the full set breaks the count; less a rim or a spoke edge it is sparse
+        for gone, want in (((), False), (("e0",), True), (("x0-h",), True)):
+            passes.clear()
+            assert is_sparse_23(wheel, wheel.ground.subset(gone).complement()) == want, gone
+            assert passes == [(16, 2, 3)], gone
+        assert submask_sparse_23(wheel, wheel.ground.subset(["e0"]).complement().mask)
+        # 17 edges on two vertices: the ground's cap refuses before any pass
+        big = Multigraph.build("uv", [(f"e{i}", "u", "v" if i % 2 else "u") for i in range(17)])
+        passes.clear()
+        with pytest.raises(InputError, match="the cap is 16"):
+            is_sparse_23(big, triangle().ground.subset())
+        assert passes == []
+
 
 class TestCountSparseKernel:
     def test_corpus(self):
@@ -426,7 +476,7 @@ class TestFeasibleFamily:
         want = [
             m
             for m in k5.ground.all_masks()
-            if is_connected_spanning(k5, m) and is_sparse_23(k5, Subset(k5.ground, m))
+            if is_connected_spanning(k5, m) and submask_sparse_23(k5, m)
         ]
         assert list(rigidity_feasible_family(k5).masks) == want
 
@@ -453,7 +503,7 @@ class TestFeasibleFamily:
             want = [
                 m
                 for m in g.ground.all_masks()
-                if is_connected_spanning(g, m) and is_sparse_23(g, Subset(g.ground, m))
+                if is_connected_spanning(g, m) and submask_sparse_23(g, m)
             ]
             assert list(rigidity_feasible_family(g).masks) == want, edges
             checked += 1

@@ -187,6 +187,10 @@ class TestVerifyProperty:
         with pytest.raises(InputError):
             verify_property("bogus-id", 3)
 
+    def test_negative_size_names_the_range(self):
+        with pytest.raises(InputError, match="0 <= n <= 4"):
+            verify_property("uplow", -1)
+
     def test_elapsed_excluded_from_canonical_form(self):
         r = SearchReport("x", 1, True, [], elapsed=1.23)
         assert b"elapsed" not in r.canonical_bytes()
