@@ -381,23 +381,26 @@ def _shadow(masks: Iterable[int]) -> dict[int, int]:
     return out
 
 
-def _exchange_failures(source: int, members: int, axiom: str) -> Iterator[tuple[int, int, int]]:
+def _exchange_failures(source: int, members: int, axiom: str, masks: tuple = ()) -> Iterator[tuple[int, int, int]]:
     """(F1, x, failing) for each F1 in source and pivot bit x where the axiom fails.
 
-    source and members are family codes, decoded once each, or once when they
-    are one code; F1 and F2 range over source.  A partner y != x of x needs
-    g Δ {y} in members, with g = F1 Δ {x}, so the partners depend on g alone,
-    through N(g) = {y : g Δ {y} in members}: the axiom fails at (F1, x, F2)
-    exactly when F2 agrees with g on N(g) ∪ {x}.  `failing` is the 2^n-bit
-    indicator of those F2, source ANDed with one coordinate per element.
-    (MB), x in F1 and y outside it, g = F1 - x: F2 fails iff it avoids N⁺(g)
-    ∪ {x}, N⁺(g) the additions making g a member.  One byte of source's
-    up-closure, at union - N⁺(g), tells per g whether any F2 avoids N⁺(g);
-    only then are the coordinates ANDed (x is in N⁺(g) if source is members),
-    so failures come grouped by g.  (DF), any x, and y = x is a partner, so x
-    fails only if g is no member; the AND over N(g) runs once per such g.
+    source and members are family codes; masks are source's members ascending,
+    decoded from source unless given.  F1 and F2 range over source.  A partner
+    y != x of x needs g Δ {y} in members, with g = F1 Δ {x}, so the partners
+    depend on g alone, through N(g) = {y : g Δ {y} in members}: the axiom fails
+    at (F1, x, F2) exactly when F2 agrees with g on N(g) ∪ {x}.  `failing` is
+    the 2^n-bit indicator of those F2, source ANDed with one coordinate per
+    element.  (MB), x in F1 and y outside it, g = F1 - x: F2 fails iff it
+    avoids N⁺(g) ∪ {x}, N⁺(g) the additions making g a member.  One byte of
+    source's up-closure, at union - N⁺(g), tells per g whether any F2 avoids
+    N⁺(g); only then are the coordinates ANDed (x is in N⁺(g) if source is
+    members), so failures come grouped by g.  (DF), any x, and y = x is a
+    partner, so only the boundary can fail: the g outside members next to a
+    member of source, each of source's coordinates shifted across its element,
+    ORed, less members, decoded once.  The AND over N(g) runs once per such g,
+    and the pivots x with g Δ {x} in source are listed only if it leaves an F2.
     """
-    masks = _decode_family(source)
+    masks = masks or _decode_family(source)
     union = reduce(or_, masks, 0)
     n = union.bit_length()
     has = [source & c for c in _coordinates(n)]
@@ -416,26 +419,22 @@ def _exchange_failures(source: int, members: int, axiom: str) -> Iterator[tuple[
                     if xs & xb and (failing := avoid & lacks[x]):
                         yield g | xb, xb, failing
         return
-    member_set = set(masks if members == source else _decode_family(members))
-    agree: dict[int, int] = {}  # per non-member g: the source members agreeing with g on N(g)
-    for f in masks:
-        for x, xb in elements:
-            g = f ^ xb
-            if g in member_set:
-                continue
-            acc = agree.get(g)
-            if acc is None:
-                acc = source
-                for y, yb in elements:
-                    if g ^ yb in member_set:
-                        acc &= has[y] if g & yb else lacks[y]
-                        if not acc:
-                            break
-                agree[g] = acc
-            if acc:
-                acc &= has[x] if g & xb else lacks[x]
-                if acc:
-                    yield f, xb, acc
+    in_source = set(masks)
+    member_set = in_source if members == source else set(_decode_family(members))
+    near = 0
+    for x, xb in elements:
+        near |= has[x] >> xb | lacks[x] << xb
+    for g in _decode_family(near & ~members):
+        acc = source
+        for y, yb in elements:
+            if g ^ yb in member_set:
+                acc &= has[y] if g & yb else lacks[y]
+                if not acc:
+                    break
+        if acc:
+            for x, xb in elements:
+                if g ^ xb in in_source and (failing := acc & (has[x] if g & xb else lacks[x])):
+                    yield g ^ xb, xb, failing
 
 
 def _exchange_ok(code: int, axiom: str) -> bool:
@@ -443,18 +442,16 @@ def _exchange_ok(code: int, axiom: str) -> bool:
     return next(_exchange_failures(code, code, axiom), None) is None
 
 
-def _exchange_witness(source: int, members: int, axiom: str) -> Optional[tuple[int, int, int]]:
-    """The canonical failure (first, second, pivot bit) on the codes source and members, or None.
+def _exchange_witness(source: int, members: int, axiom: str, masks: tuple = ()) -> Optional[tuple[int, int, int]]:
+    """The canonical failure (first, second, pivot bit) on the codes source and members, or None;
+    masks, if given, are source's members ascending, for the kernel.
 
     Canonical is least second, then first, then pivot: over source's members
     ascending, the order of a scan with `second` outer and `first` inner.
     """
-    failures = _exchange_failures(source, members, axiom)
+    failures = _exchange_failures(source, members, axiom, masks)
     least = min((((acc & -acc).bit_length() - 1, f1, xb) for f1, xb, acc in failures), default=None)
-    if least is None:
-        return None
-    f2, f1, xb = least
-    return f1, f2, xb
+    return None if least is None else (least[1], least[0], least[2])  # least is (second, first, pivot)
 
 
 def _violation(ground: GroundSet, triple: tuple[int, int, int], axiom: str) -> ExchangeViolation:
@@ -463,9 +460,9 @@ def _violation(ground: GroundSet, triple: tuple[int, int, int], axiom: str) -> E
     return ExchangeViolation(Subset(ground, f1), Subset(ground, f2), ground.labels[xb.bit_length() - 1], axiom)
 
 
-def _certify_exchange(ground: GroundSet, code: int, axiom: str) -> int:
-    """code, once it passes the axiom over ground; raise AxiomError with the canonical witness otherwise."""
-    bad = _exchange_witness(code, code, axiom)
+def _certify_exchange(fam: SetFamily, code: int, axiom: str) -> int:
+    """fam's code, once fam passes the axiom; raise AxiomError with the canonical witness otherwise."""
+    bad = _exchange_witness(code, code, axiom, fam.masks)
     if bad is not None:
-        raise AxiomError(_violation(ground, bad, axiom))
+        raise AxiomError(_violation(fam.ground, bad, axiom))
     return code

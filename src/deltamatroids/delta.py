@@ -38,7 +38,7 @@ class DeltaMatroid:
     def certify(cls, fam: SetFamily) -> "DeltaMatroid":
         if len(fam) == 0:
             raise InputError("a delta-matroid needs at least one feasible set")
-        code = _certify_exchange(fam.ground, _indicator(fam.masks, fam.ground.size), "DF")
+        code = _certify_exchange(fam, _indicator(fam.masks, fam.ground.size), "DF")
         d = cls(fam.ground, code, _certified=True)
         d.feasibles = fam  # fills the cached_property
         return d

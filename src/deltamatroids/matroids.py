@@ -35,7 +35,7 @@ class Matroid:
     def certify(cls, fam: SetFamily) -> "Matroid":
         if len(fam) == 0:
             raise InputError("a matroid needs at least one basis")
-        code = _certify_exchange(fam.ground, _indicator(fam.masks, fam.ground.size), "MB")
+        code = _certify_exchange(fam, _indicator(fam.masks, fam.ground.size), "MB")
         m = cls(fam.ground, code, _certified=True)
         m.bases = fam  # fills the cached_property
         # (MB) forces equicardinality; a failure here would be an engine bug.

@@ -684,7 +684,7 @@ class TestBuiltByTheorem:
     # the minors, the restrictions and bouchet_triple build delta-matroids by
     # theorem, without the (DF) check; only certify runs it
     def test_only_certify_runs_the_check(self, monkeypatch):
-        def refuse(ground, code, axiom):
+        def refuse(fam, code, axiom):
             raise AssertionError("a theorem-built family was checked")
 
         monkeypatch.setattr("deltamatroids.delta._certify_exchange", refuse)

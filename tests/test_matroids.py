@@ -37,7 +37,7 @@ from deltamatroids.core import (
     _shadow,
     _sizes,
 )
-from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
+from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_feasible_family, rigidity_matroid
 from deltamatroids.search import enumerate_matroids, matroid_codes
 
 
@@ -741,9 +741,10 @@ def random_graph(rng, vertices, edges):
 
 
 def seeded_families(seed=7):
-    """(MB) and (DF) families on 8-12 elements: uniform and graphic bases and
-    sandwiches of uniform pairs, and the (MB) shapes of the pair-construct
-    benchmark, each as is, with one member dropped, and with one non-member
+    """(MB) and (DF) families on 6-12 elements: uniform and graphic bases,
+    sandwiches of uniform pairs, the (MB) shapes of the pair-construct
+    benchmark and the rigidity feasible families of K4 and the wheel on five
+    vertices, each as is, with one member dropped, and with one non-member
     added."""
     rng = random.Random(seed)
     bases, feasibles = [], []
@@ -773,6 +774,9 @@ def seeded_families(seed=7):
         perm = rng.sample(range(m.ground.size), m.ground.size)
         masks = tuple(sorted(sum(1 << perm[i] for i in range(m.ground.size) if b >> i & 1) for b in m.bases.masks))
         out += variants("MB", masks)
+    wheel = Multigraph.build(list("hstuv"), [(u + v, u, v) for u, v in "hs ht hu hv st tu uv vs".split()])
+    for graph in (CORPUS["k4"], wheel):
+        out += variants("DF", rigidity_feasible_family(graph).masks)
     return out
 
 
@@ -875,11 +879,30 @@ class TestExchangeKernel:
         assert got == expand(per_partner_failures(source, members, axiom))
         assert any(f1 not in members for f1, _, _ in got)
 
+    @pytest.mark.parametrize(
+        "axiom, source, members, fails",
+        [
+            # members also hold d, or e, which no set of source holds: a
+            # partner lies in F1 Δ F2, so those sets are never partners
+            ("DF", (0b0000, 0b0111), {0b0000, 0b0111, 0b1001, 0b1010, 0b1100}, True),
+            ("DF", (0b000, 0b011, 0b101), {0b000, 0b001, 0b011, 0b101, 0b1000, 0b1011, 0b1101}, False),
+            ("MB", (0b0011, 0b1100), {0b0011, 0b1100, 0b10001, 0b10010, 0b10100, 0b11000}, True),
+        ],
+    )
+    def test_failures_equal_the_scans_when_members_reach_past_source(self, axiom, source, members, fails):
+        assert any(m & ~reduce(or_, source) for m in members)
+        got = kernel_failures(source, members, axiom)
+        assert got == expand(per_partner_failures(source, members, axiom))
+        assert got == exchange_failures(source, members, axiom)
+        assert _exchange_witness(code_of(source), code_of(members), axiom) == exchange_violation(source, members, axiom)
+        assert bool(got) == fails
+
     def test_membership_tests_are_per_neighbour_set(self, monkeypatch):
-        # (DF) builds its member set from the members code; count the
-        # membership tests on the one set it builds per call.  (MB) builds
-        # none: it reads one shadow of the bases, and decides each of
-        # U(4,11)'s 165 3-sets once
+        # (DF) builds one member set per call and walks the boundary, the
+        # non-members next to a member: on a passing family, one AND chain of
+        # at most 11 membership tests per boundary set.  (MB) builds none: it
+        # reads one shadow of the bases, and decides each of U(4,11)'s 165
+        # 3-sets once
         made, shadows = [], []
 
         class RecordingSet(CountingSet):
@@ -904,7 +927,7 @@ class TestExchangeKernel:
         assert _exchange_witness(code_of(source), code_of(source), "DF") is None
         (members,) = made
         assert members == set(source)
-        assert 0 < members.tests <= 11 * (len(source) + len(neighbours))
+        assert 0 < members.tests <= 11 * len(neighbours)
 
     def test_certify_packs_its_family_once(self, monkeypatch):
         # certify packs the masks into the code the kernel reads and the
@@ -927,6 +950,41 @@ class TestExchangeKernel:
         with pytest.raises(AxiomError):
             Matroid.certify(SetFamily.from_labels(g, [["a"], ["b", "c"]]))
         assert packs == [5]
+
+    def test_certify_decodes_nothing_it_was_handed(self, monkeypatch):
+        # certify hands the kernel the family's own masks: (MB) decodes no
+        # code, and (DF) decodes one, its boundary; the witness is the pair
+        # scan's
+        decodes = []
+
+        def counting_decode(code):
+            decodes.append(code)
+            return _decode_family(code)
+
+        for module in ("core", "matroids", "delta"):
+            monkeypatch.setattr(f"deltamatroids.{module}._decode_family", counting_decode)
+        g = default_ground(6)
+        bases, sandwich = uniform(3, g).bases, construct_sandwich(uniform(3, g), uniform(1, g))
+        cases = [
+            (Matroid, "MB", bases.masks),
+            (Matroid, "MB", bases.masks[2:]),
+            (DeltaMatroid, "DF", sandwich.masks),
+            (DeltaMatroid, "DF", sandwich.masks + (g.full_mask,)),
+        ]
+        passed = []
+        for cls, axiom, masks in cases:
+            decodes.clear()
+            ref = exchange_violation(masks, set(masks), axiom)
+            passed.append(ref is None)
+            try:
+                got = cls.certify(SetFamily(g, masks))
+            except AxiomError as e:
+                got = e.violation
+                assert (got.first.mask, got.second.mask, 1 << g.index(got.pivot)) == ref, axiom
+            else:
+                assert ref is None and got == cls._trusted(g, code_of(masks)), axiom
+            assert len(decodes) == (axiom == "DF"), (axiom, len(masks))
+        assert passed == [True, False] * 2
 
     def test_k5_cone_less_a_basis_names_its_witness(self):
         # the witness the quadratic pair scan named for these 3,354 bases
