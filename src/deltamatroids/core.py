@@ -295,15 +295,13 @@ def _indicator(masks: Iterable[int], n: int) -> int:
 
 
 def _decode_family(code: int) -> tuple[int, ...]:
-    """Indicator, or family code (the same thing), -> member masks, ascending.
-    Byte by byte: a lowest-set-bit loop on the whole int costs O(2^n) a member."""
-    masks = []
-    for i, byte in enumerate(code.to_bytes((code.bit_length() + 7) >> 3, "little")):
-        while byte:
-            low = byte & -byte
-            masks.append(i << 3 | low.bit_length() - 1)
-            byte ^= low
-    return tuple(masks)
+    """Indicator, or family code (the same thing), -> member masks, ascending:
+    per byte, its set bits read from one table."""
+    return tuple([
+        i << 3 | b
+        for i, byte in enumerate(code.to_bytes((code.bit_length() + 7) >> 3, "little"))
+        for b in _BYTE_BITS[byte]
+    ])
 
 
 @cache
@@ -323,6 +321,7 @@ def _code_layers(code: int, n: int) -> tuple[int, int]:
 
 
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits in reverse order
+_BYTE_BITS = _submasks(tuple(range(8)))  # each byte's set bit positions, ascending
 
 
 def _complement(code: int, n: int) -> int:
@@ -369,18 +368,6 @@ def _minor_code(code: int, ground: GroundSet, x: int, part: Callable[[int, int],
 # -- the exchange kernel, one for (MB) and (DF) ---------------------------
 
 
-def _shadow(masks: Iterable[int]) -> dict[int, int]:
-    """Per set g one element short of a mask in masks, the bits y with g + y among masks."""
-    out: dict[int, int] = {}
-    for m in masks:
-        rest = m
-        while rest:
-            yb = rest & -rest
-            rest ^= yb
-            out[m ^ yb] = out.get(m ^ yb, 0) | yb
-    return out
-
-
 def _exchange_failures(source: int, members: int, axiom: str, masks: tuple = ()) -> Iterator[tuple[int, int, int]]:
     """(F1, x, failing) for each F1 in source and pivot bit x where the axiom fails.
 
@@ -390,15 +377,15 @@ def _exchange_failures(source: int, members: int, axiom: str, masks: tuple = ())
     depend on g alone, through N(g) = {y : g Δ {y} in members}: the axiom fails
     at (F1, x, F2) exactly when F2 agrees with g on N(g) ∪ {x}.  `failing` is
     the 2^n-bit indicator of those F2, source ANDed with one coordinate per
-    element.  (MB), x in F1 and y outside it, g = F1 - x: F2 fails iff it
+    element.  Each axiom walks its boundary of sets g, decoded once from
+    source's coordinates shifted across their elements, so failures come
+    grouped by g.  (MB), x in F1 and y outside it, g = F1 - x: F2 fails iff it
     avoids N⁺(g) ∪ {x}, N⁺(g) the additions making g a member.  One byte of
-    source's up-closure, at union - N⁺(g), tells per g whether any F2 avoids
-    N⁺(g); only then are the coordinates ANDed (x is in N⁺(g) if source is
-    members), so failures come grouped by g.  (DF), any x, and y = x is a
-    partner, so only the boundary can fail: the g outside members next to a
-    member of source, each of source's coordinates shifted across its element,
-    ORed, less members, decoded once.  The AND over N(g) runs once per such g,
-    and the pivots x with g Δ {x} in source are listed only if it leaves an F2.
+    source's up-closure, at union - N⁺(g), tells whether any F2 avoids N⁺(g);
+    only then are the coordinates ANDed and the pivots x with g + x in source
+    listed.  (DF), any x, and y = x is a partner, so only the g outside members
+    next to a member of source can fail.  The AND over N(g) runs once per such
+    g, and the pivots x with g Δ {x} in source are listed only if it leaves an F2.
     """
     masks = masks or _decode_family(source)
     union = reduce(or_, masks, 0)
@@ -406,22 +393,25 @@ def _exchange_failures(source: int, members: int, axiom: str, masks: tuple = ())
     has = [source & c for c in _coordinates(n)]
     lacks = [source ^ h for h in has]
     elements = [(i, 1 << i) for i in range(n) if union >> i & 1]
+    in_source = set(masks)
+    member_set = in_source if members == source else set(_decode_family(members))
+    near = 0
     if axiom == "MB":
-        pivots = _shadow(masks)
-        additions = pivots if members == source else _shadow(_decode_family(members))
         covered = _up_closure(source, n).to_bytes(((1 << n) + 7) >> 3, "little")
-        for g, xs in pivots.items():
-            z = additions.get(g, 0)
+        for x, xb in elements:
+            near |= has[x] >> xb
+        for g in _decode_family(near):
+            z = 0
+            for y, yb in elements:
+                if not g & yb and g | yb in member_set:
+                    z |= yb
             free = union & ~z
             if covered[free >> 3] >> (free & 7) & 1:
                 avoid = reduce(and_, (lacks[y] for y, yb in elements if z & yb), source)
                 for x, xb in elements:
-                    if xs & xb and (failing := avoid & lacks[x]):
+                    if not g & xb and g | xb in in_source and (failing := avoid & lacks[x]):
                         yield g | xb, xb, failing
         return
-    in_source = set(masks)
-    member_set = in_source if members == source else set(_decode_family(members))
-    near = 0
     for x, xb in elements:
         near |= has[x] >> xb | lacks[x] << xb
     for g in _decode_family(near & ~members):

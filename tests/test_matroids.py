@@ -34,7 +34,6 @@ from deltamatroids.core import (
     _exchange_witness,
     _indicator,
     _minor_code,
-    _shadow,
     _sizes,
 )
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_feasible_family, rigidity_matroid
@@ -898,29 +897,25 @@ class TestExchangeKernel:
         assert bool(got) == fails
 
     def test_membership_tests_are_per_neighbour_set(self, monkeypatch):
-        # (DF) builds one member set per call and walks the boundary, the
-        # non-members next to a member: on a passing family, one AND chain of
-        # at most 11 membership tests per boundary set.  (MB) builds none: it
-        # reads one shadow of the bases, and decides each of U(4,11)'s 165
-        # 3-sets once
-        made, shadows = [], []
+        # each axiom builds one member set per call and walks its boundary.
+        # (DF), the non-members next to a member: on a passing family, one AND
+        # chain of at most 11 membership tests per boundary set.  (MB), the
+        # sets one short of a member: U(4,11)'s 165 3-sets, each read once for
+        # its additions, at most 11 membership tests apiece
+        made = []
 
         class RecordingSet(CountingSet):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(self)
 
-        def counting_shadow(masks):
-            out = _shadow(masks)
-            shadows.append(len(out))
-            return out
-
         g = default_ground(11)  # GroundSet builds a set in core too: build it before the patch
         bases = uniform(4, g)._bases
         monkeypatch.setattr("deltamatroids.core.set", RecordingSet, raising=False)
-        monkeypatch.setattr("deltamatroids.core._shadow", counting_shadow)
         assert _exchange_witness(bases, bases, "MB") is None
-        assert made == [] and shadows == [comb(11, 3)]
+        (members,) = made
+        assert members == set(_decode_family(bases))
+        assert 0 < members.tests <= 11 * comb(11, 3)
         source = construct_sandwich(uniform(4, g), uniform(3, g)).masks
         neighbours = {f ^ 1 << i for f in source for i in range(11)} - set(source)
         made.clear()
@@ -952,9 +947,9 @@ class TestExchangeKernel:
         assert packs == [5]
 
     def test_certify_decodes_nothing_it_was_handed(self, monkeypatch):
-        # certify hands the kernel the family's own masks: (MB) decodes no
-        # code, and (DF) decodes one, its boundary; the witness is the pair
-        # scan's
+        # certify hands the kernel the family's own masks: each axiom decodes
+        # one code, its boundary, (MB) the sets one short of a member and (DF)
+        # the non-members next to a member; the witness is the pair scan's
         decodes = []
 
         def counting_decode(code):
@@ -983,8 +978,32 @@ class TestExchangeKernel:
                 assert (got.first.mask, got.second.mask, 1 << g.index(got.pivot)) == ref, axiom
             else:
                 assert ref is None and got == cls._trusted(g, code_of(masks)), axiom
-            assert len(decodes) == (axiom == "DF"), (axiom, len(masks))
+            if axiom == "MB":
+                boundary = {f ^ 1 << i for f in masks for i in range(6) if f >> i & 1}
+            else:
+                boundary = {f ^ 1 << i for f in masks for i in range(6)} - set(masks)
+            assert [set(_decode_family(c)) for c in decodes] == [boundary], (axiom, len(masks))
         assert passed == [True, False] * 2
+
+    def test_u8_16_at_the_cap(self):
+        # (MB) at the 16-element cap.  U(8,16) less its last basis B still
+        # passes: B - x + y is the only basis the exchange could miss, and
+        # then the partner basis would be B.  Less its last two bases, which
+        # share 7 elements, it fails, and the witness replays: no y in
+        # second - first gives a basis first - pivot + y
+        g = default_ground(16)
+        m = uniform(8, g)
+        assert Matroid.certify(m.bases) == m
+        less_one = SetFamily(g, m.bases.masks[:-1])
+        assert Matroid.certify(less_one).bases == less_one
+        fam = SetFamily(g, m.bases.masks[:-2])
+        with pytest.raises(AxiomError) as e:
+            Matroid.certify(fam)
+        v = e.value.violation
+        assert v.axiom == "MB" and v.first in fam and v.second in fam
+        assert v.pivot in v.first - v.second
+        rest = v.first - g.subset([v.pivot])
+        assert not any(rest | g.subset([y]) in fam for y in v.second - v.first)
 
     def test_k5_cone_less_a_basis_names_its_witness(self):
         # the witness the quadratic pair scan named for these 3,354 bases
