@@ -1,15 +1,15 @@
 """Exhaustive searches over small matroids, delta-matroids, and multigraph
 pairs: theorem verification suites and the unpairable-pair hunt.
 
-Each (axiom, n) universe is built once per process, level by level (families on
-k elements from those on k - 1; one (DF) verdict per twist orbit): `_codes`
-caches its codes, `_objects` its matroids (with their derived sets) or, for
-`enumerate_delta_matroids` only, its delta-matroids, and `_layers` the (DF)
-layer index, each code's lower and upper basis codes.  The (DF) sweeps read
+Each (axiom, n) universe is built once per process: `_codes` grows level n from
+its own cached level n - 1 (one (DF) verdict per twist orbit), `_matroids` keeps
+the matroids with their derived sets, the only objects kept, and `_layers` the
+(DF) layer index, each code's lower and upper basis codes.  The (DF) sweeps read
 codes by layer pair, 558 pairs for the 5,959 delta-matroids at n = 4, and build
-no delta-matroid: codes, matroids and index hold 0.33 MB, 0.59 MB after every
-sweep (tracemalloc).  Per-pair work is shared within one sweep and redone by a
-repeated sweep.
+no delta-matroid; `enumerate_delta_matroids` makes them afresh on each pass.  At
+most 10 code universes, 5 matroid universes and 5 layer indexes: 0.40 MB once
+every sweep at n = 4 has run (tracemalloc).  Per-pair work is shared within one
+sweep and redone by a repeated sweep.
 """
 
 from __future__ import annotations
@@ -60,11 +60,22 @@ class SearchReport:
 # at n holds 2^(2^n) - 1 nonempty families, 65,535 at n = 4.
 
 
-def _codes_level(axiom: str, k: int, prev: tuple[int, ...]) -> list[int]:
-    """Passing codes a | b << 2^(k-1) for a, b in prev (0, then the codes on
-    k - 1 elements), b outer; the axiom runs only if the deletion and contraction
-    of element k - 2, read off the code's four quarters, are both in prev."""
-    half = 1 << (k - 1)
+@cache  # at most 10 entries: two axioms, n <= 4 (beyond, the InputError is not cached)
+def _codes(axiom: str, n: int) -> tuple[int, ...]:
+    """Ascending codes of every family on n elements that passes axiom, grown
+    from the cached level n - 1.  Partners lie in F1 Δ F2, so deleting or
+    contracting element n - 1 leaves a passing or empty family: the candidates
+    are a | b << 2^(n-1) for a, b in prev (0, then level n - 1), b outer, and
+    the axiom runs only if the deletion and contraction of element n - 2, read
+    off the code's four quarters, are both in prev.  (DF) is twist-invariant,
+    as (F1 Δ S) Δ (F2 Δ S) = F1 Δ F2, so a cold build to n = 4 runs the kernel
+    on 912 of the 11,612 candidates of its four levels, one per orbit."""
+    if not 0 <= n <= 4:
+        raise InputError(f"exhaustive enumeration needs 0 <= n <= 4, got {n}")
+    if n == 0:
+        return (1,)  # the family {∅}
+    prev = (0, *_codes(axiom, n - 1))
+    half = 1 << (n - 1)
     q = half >> 1
     low = (1 << q) - 1
     known = set(prev)
@@ -76,26 +87,11 @@ def _codes_level(axiom: str, k: int, prev: tuple[int, ...]) -> list[int]:
             c = a | b << half
             if c and (a & low) | b_del in known and (a >> q) | b_con in known:
                 if c not in decided:
-                    orbit = _twists(c, k) if axiom == "DF" else (c,)
+                    orbit = _twists(c, n) if axiom == "DF" else (c,)
                     decided.update(dict.fromkeys(orbit, _exchange_ok(c, axiom)))
                 if decided[c]:
                     out.append(c)
-    return out
-
-
-@cache  # at most 10 entries: two axioms, n <= 4 (beyond, the InputError is not cached)
-def _codes(axiom: str, n: int) -> tuple[int, ...]:
-    """Ascending codes of every family on n elements that passes axiom.  Partners
-    lie in F1 Δ F2, so deleting or contracting element k - 1 leaves a passing or
-    empty family: level k pairs codes of level k - 1, high half outer, in order.
-    (DF) is twist-invariant, as (F1 Δ S) Δ (F2 Δ S) = F1 Δ F2, so at n = 4 the
-    kernel runs on 912 of the 11,612 candidates, one per orbit."""
-    if not 0 <= n <= 4:
-        raise InputError(f"exhaustive enumeration needs 0 <= n <= 4, got {n}")
-    codes = [1]  # n = 0: the family {∅}
-    for k in range(1, n + 1):
-        codes = _codes_level(axiom, k, (0, *codes))
-    return tuple(codes)
+    return tuple(out)
 
 
 @cache  # as _codes: at most 5 entries
@@ -112,22 +108,11 @@ def _layers(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@cache  # as _codes: at most 10 entries
-def _objects(axiom: str, n: int) -> tuple:
-    """The certified matroids or delta-matroids in code order, a delta-matroid's
-    upper and lower preset to the (MB) universe's own objects whose bases are
-    the code's largest and smallest members."""
-    codes, g = _codes(axiom, n), default_ground(n)
-    if axiom == "MB":
-        return tuple(Matroid._trusted(g, c) for c in codes)
-    deltas = []
-    for c, (upper, lower) in _by_pair(n, lambda upper, lower: (upper, lower)):
-        d = DeltaMatroid._trusted(g, c)
-        # fills the cached_properties as d is made: set once all 5,959 are made,
-        # they took 2.0 MB against 0.7 MB (tracemalloc, CPython 3.11)
-        d.upper, d.lower = upper, lower
-        deltas.append(d)
-    return tuple(deltas)
+@cache  # as _codes: at most 5 entries
+def _matroids(n: int) -> tuple[Matroid, ...]:
+    """The certified matroids on n elements in code order, with the derived sets they cache."""
+    codes, g = _codes("MB", n), default_ground(n)
+    return tuple(Matroid._trusted(g, c) for c in codes)
 
 
 def _delta(code: int, n: int) -> DeltaMatroid:
@@ -147,12 +132,16 @@ def delta_codes(n: int) -> list[int]:
 
 def enumerate_matroids(n: int) -> Iterator[Matroid]:
     """Every matroid on n labeled elements, once, in canonical code order."""
-    yield from _objects("MB", n)
+    yield from _matroids(n)
 
 
 def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
-    """Every delta-matroid on n labeled elements, once, in canonical code order."""
-    yield from _objects("DF", n)
+    """Every delta-matroid on n labeled elements, once, in canonical code order, made
+    afresh on each pass, its upper and lower the matroid universe's own objects."""
+    for c, (upper, lower) in _by_pair(n, lambda upper, lower: (upper, lower)):
+        d = DeltaMatroid._trusted(upper.ground, c)
+        d.upper, d.lower = upper, lower
+        yield d
 
 
 # -- property checks ----------------------------------------------------
@@ -167,14 +156,14 @@ def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
 def _by_pair(n: int, decide: Callable[[Matroid, Matroid], object]) -> Iterator[tuple[int, Any]]:
     """Each (DF) code at n, in code order, with its pair's decide(upper, lower),
     run on the (MB) universe's objects once per distinct pair, in order of first use."""
-    mats = dict(zip(_codes("MB", n), _objects("MB", n)))
+    mats = dict(zip(_codes("MB", n), _matroids(n)))
     layers = _layers(n)
     values = {pair: decide(mats[pair[1]], mats[pair[0]]) for pair in dict.fromkeys(layers)}
     return zip(_codes("DF", n), map(values.__getitem__, layers))
 
 
 def _equicardinal_cases(n: int) -> Iterator[Optional[dict]]:
-    for m in _objects("MB", n):
+    for m in _matroids(n):
         lower, upper = _code_layers(m._bases, n)
         yield None if lower == upper else {"ground": list(m.ground.labels), "members": m.bases.member_labels()}
 
@@ -186,12 +175,12 @@ def _realizes(code: int, upper: int, lower: int, n: int) -> bool:
 
 
 def _independents_cases(n: int) -> Iterator[Optional[dict]]:
-    for m in _objects("MB", n):
+    for m in _matroids(n):
         yield None if _realizes(m._indep, m._bases, 1, n) else matroid_to_json(m)
 
 
 def _spanning_cases(n: int) -> Iterator[Optional[dict]]:
-    for m in _objects("MB", n):
+    for m in _matroids(n):
         yield None if _realizes(m._spanning, 1 << m.ground.full_mask, m._bases, n) else matroid_to_json(m)
 
 
@@ -212,7 +201,7 @@ def _dual_exchange_cases(n: int) -> Iterator[Optional[dict]]:
     group: dict[tuple[int, int], set[int]] = {}
     for c, pair in zip(_codes("DF", n), _layers(n)):
         group.setdefault(pair, set()).add(c)
-    dual = {m._bases: m.dual()._bases for m in _objects("MB", n)}
+    dual = {m._bases: m.dual()._bases for m in _matroids(n)}
     for c, twins in _by_pair(n, lambda upper, lower: group.get((dual[upper._bases], dual[lower._bases]), ())):
         yield None if _complement(c, n) in twins else delta_to_json(_delta(c, n))
 
@@ -282,7 +271,7 @@ def _pair_scan(ms: list[Matroid]) -> Iterator[tuple[int, int, bool, bool]]:
 
 
 def _sufficiency_cases(n: int) -> Iterator[Optional[dict]]:
-    ms = _objects("MB", n)
+    ms = _matroids(n)
     for i, j, quotient, meets in _pair_scan(ms):
         mu, ml, extra = ms[i], ms[j], {}
         if quotient:

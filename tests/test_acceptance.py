@@ -35,7 +35,7 @@ from deltamatroids import (
 )
 from deltamatroids.delta import _delta_ok
 from deltamatroids.core import _indicator
-from deltamatroids.search import _codes, _layers, _objects
+from deltamatroids.search import _codes, _layers, _matroids
 from deltamatroids.serialize import matroid_from_json
 
 
@@ -64,7 +64,7 @@ REPORT_KEYS = (
 
 def _collect_reports():
     _codes.cache_clear()  # each collection builds its universes cold
-    _objects.cache_clear()
+    _matroids.cache_clear()
     _layers.cache_clear()
     _delta_ok.cache_clear()
     reports = {k: verify_property(k[0], k[1]) for k in REPORT_KEYS}

@@ -34,7 +34,7 @@ from deltamatroids import (
 from deltamatroids.core import _code_layers, _decode_family, _exchange_ok, _fixed, _indicator, _minor_code
 from deltamatroids.matroids import Matroid
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
-from deltamatroids.search import _objects, delta_codes, enumerate_matroids
+from deltamatroids.search import delta_codes, enumerate_matroids
 
 
 def powerset(iterable):
@@ -468,23 +468,19 @@ class TestMinors:
         assert both > 0
 
     def test_projections_leave_universe_families_undecoded(self):
-        # the (DF) universe's objects live as long as the process, so the
-        # projections read each one's code and cache no decoded family on it
-        _objects.cache_clear()
-        try:
-            projected = 0
-            for d in _objects("DF", 3):
-                for x in range(1 << 3):
-                    for project in (d.delete, d.contract, lambda s: restrict_to_contained(d, s)):
-                        try:
-                            project(Subset(d.ground, x))
-                            projected += 1
-                        except InputError:
-                            pass
-                assert "feasibles" not in vars(d), d._feasibles
-            assert projected > 0
-        finally:
-            _objects.cache_clear()
+        # the enumeration makes each delta-matroid from its code, and the
+        # projections read that code and cache no decoded family on it
+        projected = 0
+        for d in enumerate_delta_matroids(3):
+            for x in range(1 << 3):
+                for project in (d.delete, d.contract, lambda s: restrict_to_contained(d, s)):
+                    try:
+                        project(Subset(d.ground, x))
+                        projected += 1
+                    except InputError:
+                        pass
+            assert "feasibles" not in vars(d), d._feasibles
+        assert projected > 0
 
 
 class TestRestrictionVariants:

@@ -43,7 +43,7 @@ from deltamatroids.search import (
     _uplow_cases,
     _codes,
     _layers,
-    _objects,
+    _matroids,
     _graphic_pool,
     _pair_witness,
     constrained_realization,
@@ -57,7 +57,7 @@ from deltamatroids.serialize import delta_to_json, graph_to_json, matroid_from_j
 
 def _clear_universes():
     _codes.cache_clear()
-    _objects.cache_clear()
+    _matroids.cache_clear()
     _layers.cache_clear()
 
 
@@ -113,6 +113,23 @@ class TestEnumeration:
         calls.clear()
         assert len(_codes("MB", 4)) == 68
         assert len(calls) == 164  # not twist-invariant: every candidate runs
+
+    def test_level_grows_from_the_cached_level_below(self, monkeypatch, fresh_universes):
+        # n = 4 pairs the codes of the cached n = 3 and checks only its own
+        # candidates; every level built on the way stays cached
+        calls = []
+
+        def counting(source, members, axiom):
+            calls.append(source)
+            return _exchange_failures(source, members, axiom)
+
+        monkeypatch.setattr("deltamatroids.core._exchange_failures", counting)
+        for axiom, fresh in (("DF", 859), ("MB", 133)):
+            _codes(axiom, 3)
+            calls.clear()
+            _codes(axiom, 4)
+            assert len(calls) == fresh, axiom
+        assert _codes.cache_info().currsize == 10  # two axioms, n = 0..4
 
 
 class TestTwists:
@@ -250,7 +267,7 @@ class TestSharedLayers:
     def test_layers_are_the_mb_universe_objects(self, fresh_universes):
         seen = 0
         for n in range(5):
-            mats = {id(m) for m in _objects("MB", n)}
+            mats = {id(m) for m in _matroids(n)}
             for d in enumerate_delta_matroids(n):
                 fresh = DeltaMatroid._trusted(d.ground, d._feasibles)
                 assert id(d.upper) in mats and id(d.lower) in mats
@@ -329,7 +346,10 @@ class TestSharedLayers:
         assert [(mu.bases.masks, ml.bases.masks) for mu, ml in calls["_fmax_pair"]] == pairs
 
     def test_df_universe_builds_no_delta_matroid_or_family(self, monkeypatch, fresh_universes):
-        _objects("MB", 4)
+        # only matroids are kept as objects: each pass of the enumeration makes
+        # its delta-matroids afresh from their codes and decodes no family
+        _matroids(4)
+        _layers(4)
         made = []
 
         def count(cls, name):
@@ -343,11 +363,11 @@ class TestSharedLayers:
 
         count(DeltaMatroid, "__init__")
         count(SetFamily, "__post_init__")
-        assert len(_objects("DF", 4)) == 5959
-        assert made == ["DeltaMatroid"] * 5959
-        made.clear()
-        next(enumerate_delta_matroids(4))
-        assert made == []
+        for _ in range(2):
+            made.clear()
+            assert sum(1 for _ in enumerate_delta_matroids(4)) == 5959
+            assert made == ["DeltaMatroid"] * 5959
+        assert _matroids.cache_info().currsize == 1
 
     def test_sweep_work_is_pinned_at_n4(self, monkeypatch, fresh_universes):
         # on built universes every sweep reads codes and the matroids'
@@ -357,8 +377,8 @@ class TestSharedLayers:
         # as both its variants read the pair's sandwich; sufficiency-sandwich
         # runs one per pairable pair and refutes every other pair meeting both
         # basis conditions by one replay pass, so no candidate is exhausted
-        _objects("MB", 4)
-        _objects("DF", 4)
+        _matroids(4)
+        _layers(4)
         verdicts, built, passes, replays = [], [], [], []
 
         def counting_delta_ok(code):
@@ -471,7 +491,9 @@ class TestSharedLayers:
             assert verify_property("fmax-maximal", n).to_json() == _report_json("fmax-maximal", ref)
         assert any(w is None for w in ref) and any(w is not None for w in ref)
         assert any(
-            d._feasibles & ~fam for d in _objects("DF", 4) for fam in families[d.upper._bases, d.lower._bases]
+            d._feasibles & ~fam
+            for d in enumerate_delta_matroids(4)
+            for fam in families[d.upper._bases, d.lower._bases]
         )
 
     def test_realization_sweeps_match_references_when_perturbed(self, monkeypatch, fresh_universes):
@@ -580,7 +602,8 @@ class TestSharedLayers:
             assert not report.holds and report.to_json() == _report_json("dual-exchange", ref), n
 
     def test_dual_exchange_makes_a_dual_per_matroid(self, monkeypatch, fresh_universes):
-        _objects("DF", 4)
+        _matroids(4)
+        _layers(4)
         made = []
         real_init = Matroid.__init__
 
@@ -608,7 +631,7 @@ class TestSharedLayers:
 
     def test_sweeps_build_no_delta_matroid(self, monkeypatch, fresh_universes):
         # from no universe, every sweep at n = 4 reads codes through the layer
-        # index: no delta-matroid is made and no (DF) object universe cached
+        # index: no delta-matroid is made, and only matroids are kept as objects
         made = []
         real_init = DeltaMatroid.__init__
 
@@ -620,7 +643,7 @@ class TestSharedLayers:
         for pid in PROPERTY_IDS:
             assert verify_property(pid, 4).holds, pid
         assert made == []
-        assert _objects.cache_info().currsize == 1  # the (MB) objects at n = 4
+        assert _matroids.cache_info().currsize == 1  # the matroids at n = 4
         assert len(list(enumerate_delta_matroids(4))) == len(made) == 5959
 
     def test_out_of_range_n_raises_and_caches_nothing(self, fresh_universes):
@@ -628,7 +651,7 @@ class TestSharedLayers:
             for n in (-1, 5):
                 with pytest.raises(InputError):
                     verify_property(pid, n)
-                sizes = [f.cache_info().currsize for f in (_codes, _objects, _layers)]
+                sizes = [f.cache_info().currsize for f in (_codes, _matroids, _layers)]
                 assert sizes == [0, 0, 0], (pid, n)
 
     def test_patched_kernel_leaks_into_no_memo(self, monkeypatch, fresh_universes):
@@ -998,7 +1021,7 @@ class TestUnpairableSearch:
         pool = _graphic_pool(n, 3 if n >= 4 else n + 1)
         assert find_unpairable_pair(n).universe_size == len(pool) * (len(pool) - 1)
         # no shared universe was built
-        assert _codes.cache_info().currsize == _objects.cache_info().currsize == _layers.cache_info().currsize == 0
+        assert _codes.cache_info().currsize == _matroids.cache_info().currsize == _layers.cache_info().currsize == 0
 
 
 def _is_open(mu, ml):
@@ -1094,7 +1117,7 @@ class TestPairScans:
     ):
         ms = list(enumerate_matroids(4))
         # the pairable pairs are those some delta-matroid realizes
-        realized = {(d.upper.bases.masks, d.lower.bases.masks) for d in _objects("DF", 4)}
+        realized = {(d.upper.bases.masks, d.lower.bases.masks) for d in enumerate_delta_matroids(4)}
         pairable, failing, rest = [], [], []
         for mu, ml in itertools.product(ms, repeat=2):
             if (mu.bases.masks, ml.bases.masks) in realized:

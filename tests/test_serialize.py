@@ -60,8 +60,9 @@ class TestDeltaFormat:
 
 class TestDumpsReadTheCode:
     def test_dumps_cache_no_decoded_family_on_universe_objects(self):
-        # the universe objects live as long as the process: a dump builds its
-        # labels from the family code and caches no SetFamily on them
+        # the matroid universe lives as long as the process, and an enumerated
+        # delta-matroid is made from its code: a dump builds its labels from the
+        # family code and caches no SetFamily on either
         for key, objects, dump in (
             ("bases", list(enumerate_matroids(4)), matroid_to_json),
             ("feasibles", list(enumerate_delta_matroids(4)), delta_to_json),
