@@ -140,16 +140,13 @@ def _cmd_cone_check(args, fmt: str) -> int:
     if args.corpus and args.graph_file is not None:
         raise InputError("cone-check takes a graph file or --corpus, not both")
     if args.corpus:
-        results = {}
-        all_ok = True
-        for name, g in CORPUS.items():
-            rep = verify_cone_quotient(g)
-            results[name] = rep.to_json()
-            all_ok = all_ok and rep.both_hold
+        reports = {name: verify_cone_quotient(g) for name, g in CORPUS.items()}
+        results = {name: rep.to_json() for name, rep in reports.items()}
+        all_ok = all(rep.both_hold for rep in reports.values())
         _emit(
             {"ok": all_ok, "graphs": results},
             fmt,
-            "\n".join(f"{name}: {'pass' if r['deletion_identity'] and r['contraction_identity'] else 'FAIL'}" for name, r in results.items()),
+            "\n".join(f"{name}: {'pass' if rep.both_hold else 'FAIL'}" for name, rep in reports.items()),
         )
         return 0 if all_ok else 1
     if args.graph_file is None:
@@ -199,16 +196,18 @@ def _cmd_enumerate(args, fmt: str) -> int:
     if fmt != "json":
         print(f"{_count(len(codes), 'structure', 'structures')} at n={args.n}")
         return 0
-    # the bytes json.dumps({"count": ..., "items": [...]}, indent=2) gives, labels once per mask and
-    # members by table: a code has at most 16 bits (n <= 4), and per byte a table maps each value
-    # to the JSON strings of the members it holds, joined once per call
+    # the bytes json.dumps({"count": ..., "items": [...]}, indent=2) gives, written item by item, labels
+    # once per mask and members by table: a code has at most 16 bits (n <= 4), and per byte a table
+    # maps each value to the JSON strings of the members it holds, joined once per call
     g = default_ground(args.n)
     members = tuple(_nested(list(g.labels_of(m)), 4) for m in g.all_masks())
     sep = ",\n        "
     low, high = ([sep.join(t) for t in _submasks(half)] for half in (members[:8], members[8:]))
     head = f'    {{\n      "ground": {_nested(list(g.labels), 3)},\n      {json.dumps(key)}: [\n        '
-    items = ",\n".join([f"{head}{low[c & 255]}{sep if c & 255 and c >> 8 else ''}{high[c >> 8]}\n      ]\n    }}" for c in codes])
-    print(f'{{\n  "count": {len(codes)},\n  "items": [\n{items}\n  ]\n}}')
+    sys.stdout.write(f'{{\n  "count": {len(codes)},\n  "items": [')
+    for i, c in enumerate(codes):
+        sys.stdout.write(f"{',' if i else ''}\n{head}{low[c & 255]}{sep if c & 255 and c >> 8 else ''}{high[c >> 8]}\n      ]\n    }}")
+    sys.stdout.write("\n  ]\n}\n")
     return 0
 
 

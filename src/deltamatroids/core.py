@@ -280,12 +280,6 @@ def _coordinates(n: int) -> tuple[int, ...]:
     return coords
 
 
-def _fixed(n: int, x: int, s: int) -> int:
-    """The 2^n-bit indicator of the masks m with m & x == s: one AND per element of x."""
-    ones = (1 << (1 << n)) - 1
-    return reduce(and_, (c if s >> i & 1 else ones ^ c for i, c in enumerate(_coordinates(n)) if x >> i & 1), ones)
-
-
 def _indicator(masks: Iterable[int], n: int) -> int:
     """The 2^n-bit integer whose bit m is set iff m is among masks (all below 2^n)."""
     buf = bytearray(((1 << n) + 7) >> 3)
@@ -325,10 +319,9 @@ _BYTE_BITS = _submasks(tuple(range(8)))  # each byte's set bit positions, ascend
 
 
 def _complement(code: int, n: int) -> int:
-    """Code of the complement family {E - F}: mask m goes to 2^n - 1 - m, so the bits reverse (by bytes from n = 3)."""
-    if n < 3:
-        return int(format(code, f"0{1 << n}b")[::-1], 2)
-    return int.from_bytes(code.to_bytes(1 << (n - 3), "little").translate(_REVERSED_BYTES), "big")
+    """Code of the complement family {E - F}: mask m goes to 2^n - 1 - m, so the bits reverse, by bytes."""
+    reversed_bytes = int.from_bytes(code.to_bytes(((1 << n) + 7) >> 3, "little").translate(_REVERSED_BYTES), "big")
+    return reversed_bytes >> (-(1 << n) & 7)  # a code under one byte (n < 3) drops the padding reversed below it
 
 
 def _twists(code: int, n: int) -> set[int]:

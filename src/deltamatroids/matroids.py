@@ -56,11 +56,9 @@ class Matroid:
 
     @cached_property
     def _indep(self) -> int:
-        """The down-closure of the bases."""
-        out = self._bases
-        for i, has in enumerate(_coordinates(self.ground.size)):
-            out |= (out & has) >> (1 << i)
-        return out
+        """The down-closure of the bases, read as the complements of the dual's spanning sets (Oxley, section 2.1)."""
+        n = self.ground.size
+        return _complement(_up_closure(_complement(self._bases, n), n), n)
 
     @cached_property
     def _spanning(self) -> int:

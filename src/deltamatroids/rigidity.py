@@ -4,8 +4,8 @@ counts, the rigidity feasible family, and the cone construction.
 Each edge's vertex mask is a graph's one derived vertex form.  Both matroids
 come from one count pass on 2^m-bit indicators of edge sets: per-vertex
 incidence indicators give the sets that break the count, one up-closure of
-those the sets that are not sparse, and one shift-AND per edge coordinate the
-maximal sparse sets, the bases.  No graph question loops over subsets: connected
+those the sets that are not sparse, and the top size layer of the sparse sets
+the maximal ones, the bases.  No graph question loops over subsets: connected
 means cycle-matroid rank |V| - 1, and (2,3)-sparse means rigidity-independent.
 """
 
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .core import MAX_GROUND_SIZE, GroundSet, InputError, SetFamily, Subset, _coordinates, _sizes, _up_closure
+from .core import MAX_GROUND_SIZE, GroundSet, InputError, SetFamily, Subset
+from .core import _code_layers, _coordinates, _sizes, _up_closure
 from .delta import construct_sandwich
 from .matroids import Matroid
 
@@ -85,9 +86,10 @@ def _count_sparse(ev: tuple[int, ...], k: int, l: int) -> tuple[int, int]:
     is |V(X)| <= ceil((s + l)/k) - 1 = (s + l - 1) // k.  at_most[j], the sets
     with |V(X)| <= j, takes one step per vertex u from touch[u], the OR of the
     coordinates of the edges at u; the broken sets are one AND per size layer,
-    and X is sparse iff it lies above none of them.  Sparse sets are
-    down-closed, so one is maximal iff no one-edge extension is sparse, one
-    shift-AND per edge coordinate.
+    and X is sparse iff it lies above none of them.  The maximal sparse sets
+    are the largest: for 0 <= l < 2k, which covers the program's (1,1) and
+    (2,3), the sparse sets are a matroid's independent sets (Lee and Streinu
+    2008, Pebble game algorithms and sparse graphs), its bases all one size.
     """
     m = len(ev)
     ones = (1 << (1 << m)) - 1
@@ -104,10 +106,7 @@ def _count_sparse(ev: tuple[int, ...], k: int, l: int) -> tuple[int, int]:
     for s, layer in enumerate(_sizes(m)[1:], 1):
         broken |= layer & at_most[min((s + l - 1) // k, len(touch))]
     sparse = ones ^ _up_closure(broken, m)
-    extendable = 0
-    for i, has in enumerate(_coordinates(m)):
-        extendable |= (sparse & has) >> (1 << i)
-    return sparse, sparse & ~extendable
+    return sparse, _code_layers(sparse, m)[1]
 
 
 def cycle_matroid(g: Multigraph) -> Matroid:

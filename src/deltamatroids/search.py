@@ -339,11 +339,13 @@ def _canonical_assignments(n: int, v: int) -> Iterator[tuple[tuple[int, int], ..
     return extend((), (1 << len(maps)) - 1)
 
 
-def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]:
-    """Distinct cycle matroids of n-edge multigraphs on up to max_vertices
-    vertices, each paired with the first graph realizing it, in canonical
-    graph-enumeration order, from `_canonical_assignments` on v = 1, 2, ...
-    vertices (1,435 of 8,020 at n = 5, v <= 3).  An assignment is keyed by its
+def _graphic_pool(n: int) -> list[tuple[Matroid, Multigraph]]:
+    """Distinct cycle matroids of n-edge multigraphs on up to n + 1 vertices,
+    or 3 from n = 4 on, each paired with the first graph realizing it, in
+    canonical graph-enumeration order, from `_canonical_assignments` on v = 1,
+    2, ... vertices.  The cap of 3 keeps the 5-edge scan at 1,435 canonical
+    assignments of 8,020 while still covering the bridge-plus-parallel-edges
+    shape the unpairable counterexample needs.  An assignment is keyed by its
     bases' indicator, and only a new key builds its graph and matroid, whose
     bases that key already lists.  The key comes from one count pass per form
     of an assignment: its edge vertex masks with each loop as 0 and vertices
@@ -352,6 +354,7 @@ def _graphic_pool(n: int, max_vertices: int) -> list[tuple[Matroid, Multigraph]]
     edge_labels = default_ground(n).labels
     seen: dict[int, tuple[Matroid, Multigraph]] = {}
     keys: dict[tuple[int, ...], int] = {}
+    max_vertices = 3 if n >= 4 else n + 1  # the cap the docstring gives
     for v in range(1, max_vertices + 1):
         vertices = tuple(f"v{i + 1}" for i in range(v))
         for assignment in _canonical_assignments(n, v):
@@ -402,9 +405,7 @@ def find_unpairable_pair(n: int) -> SearchReport:
     if not 1 <= n <= 5:
         raise InputError(f"unpairable-pair search supports 1 <= n <= 5, got {n}")
     t0 = time.monotonic()
-    # Vertex cap: 3 keeps the 5-edge scan at 1,435 canonical assignments of 8,020
-    # while still covering the bridge-plus-parallel-edges shape the counterexample needs.
-    pool = _graphic_pool(n, 3 if n >= 4 else n + 1)
+    pool = _graphic_pool(n)
     scan = _pair_scan([m for m, _ in pool])  # a matroid is its own quotient: no pair (m, m) is tried
     found = (_pair_witness(pool[i], pool[j]) for i, j, quotient, meets in scan if meets and not quotient)
     wit = next(filter(None, found), None)

@@ -138,6 +138,12 @@ class TestConeCheck:
         assert captured.out == ""
         assert "not both" in captured.err
 
+    def test_neither_a_graph_file_nor_the_corpus_is_a_usage_error(self, capsys):
+        assert main(["cone-check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cone-check needs a graph file or --corpus\n"
+
     def test_cone_labels_that_collide_with_each_other(self, files, capsys):
         edges = [{"id": "x0-a'", "ends": ["a", "a'"]}, {"id": "e", "ends": ["a'", "a''"]}]
         path = files("g.json", {"vertices": ["a", "a'", "a''"], "edges": edges})

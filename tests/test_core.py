@@ -33,6 +33,12 @@ class TestGroundSet:
         with pytest.raises(InputError):
             default_ground(2).index("z")
 
+    @pytest.mark.parametrize("n", (-1, 17))
+    def test_default_ground_outside_the_cap(self, n):
+        with pytest.raises(InputError) as err:
+            default_ground(n)
+        assert str(err.value) == f"ground size {n} outside 0..16"
+
     @staticmethod
     def reference_labels(g, mask):
         return tuple(lab for i, lab in enumerate(g.labels) if mask >> i & 1)

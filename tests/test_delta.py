@@ -31,7 +31,7 @@ from deltamatroids import (
     restrict_to_contained,
     uniform,
 )
-from deltamatroids.core import _code_layers, _decode_family, _exchange_ok, _fixed, _indicator, _minor_code
+from deltamatroids.core import _code_layers, _decode_family, _exchange_ok, _indicator, _minor_code
 from deltamatroids.matroids import Matroid
 from deltamatroids.rigidity import CORPUS, Multigraph, cone, cycle_matroid, rigidity_matroid
 from deltamatroids.search import delta_codes, enumerate_matroids
@@ -412,15 +412,12 @@ class TestMinors:
         assert 0 < built < len(cases)
 
     def test_preconditions_are_one_and_each(self, monkeypatch):
-        # "X lies in some feasible set" and "X misses some feasible set" are
-        # one AND of the code with _fixed, against the projections that tested
-        # them before, for every delta-matroid and X at n <= 3; a minor then
-        # projects once
-        for n in range(5):
-            for x in range(1 << n):
-                for s in (s for s in range(1 << n) if s & ~x == 0):
-                    assert _fixed(n, x, s) == sum(1 << m for m in range(1 << n) if m & x == s), (n, x, s)
-        projections = []
+        # "X lies in some feasible set" (delete) and "X misses some feasible
+        # set" (contract), each one read of an up-closure, against a brute
+        # force over the decoded members, for every delta-matroid and X at
+        # n <= 3; a minor then projects once.  Every (inside, misses) pair
+        # occurs, so an inverted or a swapped precondition fails here
+        projections, seen = [], set()
 
         def counting_minor_code(*args):
             projections.append(args)
@@ -429,11 +426,11 @@ class TestMinors:
         monkeypatch.setattr("deltamatroids.delta._minor_code", counting_minor_code)
         for n in range(4):
             for d in enumerate_delta_matroids(n):
+                members = _decode_family(d._feasibles)
                 for x in range(1 << n):
-                    inside = _minor_code(d._feasibles, d.ground, x, lambda a, b: b)[1] != 0
-                    misses = _minor_code(d._feasibles, d.ground, x, lambda a, b: a)[1] != 0
-                    assert (d._feasibles & _fixed(n, x, x) != 0) == inside
-                    assert (d._feasibles & _fixed(n, x, 0) != 0) == misses
+                    inside = any(f & x == x for f in members)
+                    misses = any(f & x == 0 for f in members)
+                    seen.add((inside, misses))
                     for project, ok in ((d.delete, inside), (d.contract, misses)):
                         projections.clear()
                         if ok:
@@ -442,6 +439,7 @@ class TestMinors:
                             with pytest.raises(InputError):
                                 project(Subset(d.ground, x))
                         assert len(projections) == ok
+        assert len(seen) == 4
 
     def test_contract_names_its_own_precondition(self):
         g = default_ground(2)
@@ -711,6 +709,32 @@ class TestBuiltByTheorem:
                 results += bouchet_triple(m)
         misses = [r for r in results if r._feasibles not in universes[r.ground.size]]
         assert misses == [] and len(results) == 48818
+
+
+class TestInputChecks:
+    # each message exactly, so a changed text is caught
+    def test_direct_construction_is_refused(self):
+        with pytest.raises(TypeError) as err:
+            DeltaMatroid(default_ground(1), 0b1)
+        assert str(err.value) == "use DeltaMatroid.certify to build delta-matroids"
+
+    def test_sandwich_of_mismatched_grounds(self):
+        with pytest.raises(InputError) as err:
+            construct_sandwich(uniform(1, default_ground(2)), uniform(1, GroundSet.of("x", "y")))
+        assert str(err.value) == "sandwich requires a common ground set"
+
+    def test_fmax_lower_uniform_needs_a_uniform_lower_matroid(self):
+        d = DeltaMatroid.certify(SetFamily.from_labels(default_ground(2), [["a"]]))
+        with pytest.raises(InputError) as err:
+            fmax_lower_uniform(d)
+        assert str(err.value) == "lower matroid is not uniform over the full ground set"
+
+    def test_restrictions_refuse_a_set_over_another_ground(self):
+        d = DeltaMatroid.certify(SetFamily.from_labels(default_ground(2), [[], ["a", "b"]]))
+        for restrict in (restrict_to_contained, restrict_by_deletion):
+            with pytest.raises(InputError) as err:
+                restrict(d, GroundSet.of("x", "y").subset("x"))
+            assert str(err.value) == "restriction set over a different ground set", restrict
 
 
 class TestFmax:

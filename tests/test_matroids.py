@@ -186,6 +186,19 @@ class TestDirectSum:
 
 
 class TestDerivedFamilies:
+    def test_queries_refuse_a_subset_over_another_ground(self):
+        m = uniform(1, default_ground(2))
+        other = GroundSet.of("x", "y").subset("x")
+        for query in (m.is_independent, m.is_spanning, lambda s: is_union_of_circuits(s, m)):
+            with pytest.raises(InputError) as err:
+                query(other)
+            assert str(err.value) == "subset over a different ground set"
+
+    def test_direct_construction_is_refused(self):
+        with pytest.raises(TypeError) as err:
+            Matroid(default_ground(1), 0b10)
+        assert str(err.value) == "use Matroid.certify to build matroids"
+
     def test_independents_of_u12(self):
         m = uniform(1, default_ground(2))
         assert {frozenset(s.labels) for s in m.independents()} == {

@@ -308,6 +308,11 @@ class TestSparsity:
         g = triangle()
         assert is_sparse_23(g, g.ground.subset(g.ground.labels))
 
+    def test_subset_over_another_ground(self):
+        with pytest.raises(InputError) as err:
+            is_sparse_23(triangle(), CORPUS["path_p3"].ground.subset(["e1"]))
+        assert str(err.value) == "edge subset over a different ground set"
+
     def test_k4_is_overbraced(self):
         g = CORPUS["k4"]
         assert not is_sparse_23(g, g.ground.subset(g.ground.labels))

@@ -863,8 +863,9 @@ def _graphic_pool_every_assignment(n, max_vertices):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_graphic_pool_skips_only_isomorphic_repeats(n):
-    max_v = 3 if n >= 4 else n + 1  # as find_unpairable_pair
-    assert _graphic_pool(n, max_v) == _graphic_pool_every_assignment(n, max_v)
+    # the pool's largest graph has the pool's vertex cap, so the reference scans as far
+    pool = _graphic_pool(n)
+    assert pool == _graphic_pool_every_assignment(n, max(len(g.vertices) for _, g in pool))
 
 
 def _graphic_pool_graph_first(n, max_vertices):
@@ -894,8 +895,6 @@ def _graphic_pool_graph_first(n, max_vertices):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_graphic_pool_equals_the_graph_first_build(n, monkeypatch):
-    max_v = 3 if n >= 4 else n + 1  # as find_unpairable_pair
-    ref = _graphic_pool_graph_first(n, max_v)
     built = []
 
     def counting(*args):
@@ -903,7 +902,8 @@ def test_graphic_pool_equals_the_graph_first_build(n, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(search, "Multigraph", counting)
-    pool = _graphic_pool(n, max_v)
+    pool = _graphic_pool(n)
+    ref = _graphic_pool_graph_first(n, max(len(g.vertices) for _, g in pool))  # the pool's vertex cap
     assert [(m.bases.masks, g) for m, g in pool] == [(m.bases.masks, g) for m, g in ref]
     assert built == [g for _, g in pool]  # one graph per new key
     assert all(cycle_matroid(g) == m for m, g in pool)  # the key's matroid is the graph's
@@ -1013,12 +1013,12 @@ class TestUnpairableSearch:
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_graphic_pool_is_every_matroid_up_to_n3(self, n):
-        pool = {m.bases.masks for m, _ in _graphic_pool(n, n + 1)}
+        pool = {m.bases.masks for m, _ in _graphic_pool(n)}
         assert pool == {m.bases.masks for m in enumerate_matroids(n)}
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_scans_each_ordered_pool_pair_once(self, n, fresh_universes):
-        pool = _graphic_pool(n, 3 if n >= 4 else n + 1)
+        pool = _graphic_pool(n)
         assert find_unpairable_pair(n).universe_size == len(pool) * (len(pool) - 1)
         # no shared universe was built
         assert _codes.cache_info().currsize == _matroids.cache_info().currsize == _layers.cache_info().currsize == 0
@@ -1066,7 +1066,7 @@ class TestPairScans:
         # every ordered pool pair up to n = 4; at n = 5 the pairs the hunt
         # scans, up to and including its witness.  _pair_witness takes only
         # the pairs the scan lets through, and the reference is None on the rest
-        pairs = itertools.permutations(_graphic_pool(n, 3 if n >= 4 else n + 1), 2)
+        pairs = itertools.permutations(_graphic_pool(n), 2)
         if n == 5:
             pairs = itertools.islice(pairs, 6328)
         found = []
@@ -1091,7 +1091,7 @@ class TestPairScans:
         monkeypatch.setattr(search, "_pair_witness", recording)
         report = find_unpairable_pair(n)
         expected, wit = [], None
-        for upper, lower in itertools.permutations(_graphic_pool(n, 3 if n >= 4 else n + 1), 2):
+        for upper, lower in itertools.permutations(_graphic_pool(n), 2):
             if wit is None and _is_open(upper[0], lower[0]):
                 expected.append((upper[0]._bases, lower[0]._bases))
                 wit = _pair_witness_reference(upper, lower)
