@@ -309,9 +309,16 @@ def _sizes(n: int) -> tuple[int, ...]:
 
 
 def _code_layers(code: int, n: int) -> tuple[int, int]:
-    """(minimum-size, maximum-size) members of a nonempty family, as codes."""
-    present = [layer for s in _sizes(n) if (layer := code & s)]
-    return present[0], present[-1]
+    """(minimum-size, maximum-size) members of a family, as codes, (0, 0) if it
+    is empty: the first size layer the code meets from each end, read no further."""
+    sizes = _sizes(n)
+    for s in sizes:
+        if lower := code & s:
+            break
+    for s in reversed(sizes):
+        if upper := code & s:
+            break
+    return lower, upper
 
 
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits in reverse order
@@ -324,14 +331,15 @@ def _complement(code: int, n: int) -> int:
     return reversed_bytes >> (-(1 << n) & 7)  # a code under one byte (n < 3) drops the padding reversed below it
 
 
-def _twists(code: int, n: int) -> set[int]:
-    """Codes of the twists F Δ S of a family on n elements, S any subset: the
-    twist by element i swaps the code bits of masks with and without i."""
-    orbit = {code}
+def _twists(code: int, n: int) -> tuple[int, ...]:
+    """Codes of the twists F Δ S of a family on n elements, indexed by S: the
+    twist by element i swaps the code bits of masks with and without i, so the
+    rows for S with i, the highest element of S, are those without it twisted by i."""
+    rows = [code]
     for i, has in enumerate(_coordinates(n)):
         s = 1 << i
-        orbit |= {(c & has) >> s | (c ^ c & has) << s for c in orbit}
-    return orbit
+        rows += [(c & has) >> s | (c ^ c & has) << s for c in rows]
+    return tuple(rows)
 
 
 def _up_closure(indicator: int, n: int) -> int:

@@ -192,3 +192,29 @@ def test_complement_reverses_the_code_bits_up_to_n12():
         codes = [0, 1, 1 << (width - 1), (1 << width) - 1] + [rng.getrandbits(width) for _ in range(40)]
         for code in codes:
             assert _complement(code, n) == int(format(code, f"0{width}b")[::-1], 2), (n, code)
+
+
+def test_code_layers_are_the_least_and_greatest_size_members():
+    # every nonempty code up to n = 3, then seeded codes at n = 4..10: dense,
+    # sparse, single-size (a whole size or part of one) and the full family;
+    # the reference decodes the family and keeps its extreme-size members
+    from deltamatroids.core import _code_layers, _decode_family
+
+    def reference(code):
+        masks = _decode_family(code)
+        sizes = [m.bit_count() for m in masks]
+        return tuple(sum(1 << m for m in masks if m.bit_count() == k) for k in (min(sizes), max(sizes)))
+
+    cases = [(n, code) for n in range(4) for code in range(1, 1 << (1 << n))]
+    rng = random.Random(42)
+    for n in range(4, 11):
+        width = 1 << n
+        cases += [(n, (1 << width) - 1)]
+        cases += [(n, rng.getrandbits(width) | 1 << rng.randrange(width)) for _ in range(20)]
+        cases += [(n, sum(1 << rng.randrange(width) for _ in range(3))) for _ in range(20)]
+        for k in range(n + 1):
+            layer = sum(1 << m for m in range(width) if m.bit_count() == k)
+            cases += [(n, layer), (n, layer & rng.getrandbits(width) or layer)]
+    for n, code in cases:
+        assert _code_layers(code, n) == reference(code), (n, code)
+    assert _code_layers(0, 4) == (0, 0)

@@ -132,6 +132,47 @@ class TestEnumeration:
         assert _codes.cache_info().currsize == 10  # two axioms, n = 0..4
 
 
+def _codes_by_every_candidate(axiom, n):
+    """The level build that checks every candidate: a | b << 2^(n-1) for a, b
+    in the level below and 0, whose deletion and contraction of element n - 2
+    are in that list too, one exchange verdict per candidate."""
+    if n == 0:
+        return (1,)
+    prev = (0, *_codes_by_every_candidate(axiom, n - 1))
+    half = 1 << (n - 1)
+    q, known = half >> 1, set(prev)
+    low = (1 << q) - 1
+    return tuple(
+        c
+        for b in prev
+        for a in prev
+        if (c := a | b << half)
+        and (a & low) | (b & low) << q in known
+        and (a >> q) | (b >> q) << q in known
+        and _exchange_ok(c, axiom)
+    )
+
+
+class TestLevelBuild:
+    @pytest.mark.parametrize("axiom", ["MB", "DF"])
+    def test_codes_equal_the_every_candidate_build(self, axiom, fresh_universes):
+        for n in range(5):
+            assert _codes(axiom, n) == _codes_by_every_candidate(axiom, n), (axiom, n)
+
+    def test_df_level_reads_its_orbits_off_the_level_below(self, monkeypatch, fresh_universes):
+        # level 4 twists each code of level 3, and 0, once, and none of its own candidates
+        below = (0, *_codes("DF", 3))
+        calls = []
+
+        def counting(code, n):
+            calls.append((code, n))
+            return _twists(code, n)
+
+        monkeypatch.setattr(search, "_twists", counting)
+        _codes("DF", 4)
+        assert calls == [(c, 3) for c in below] and len(calls) == 156
+
+
 class TestTwists:
     """(DF) holds on all of a twist orbit {F Δ S : F in family} or on none of
     it, which lets the (DF) build decide a whole orbit with one kernel call."""
@@ -151,13 +192,15 @@ class TestTwists:
             assert len(verdicts) == 1, (code, n)
 
     def test_orbits_are_twists_by_every_subset(self):
+        # row S of the twists is the family twisted by S, for every S
         for k in range(5):
-            assert _twists(1, k) == {1 << m for m in range(1 << k)}  # every {S}
+            assert _twists(1, k) == tuple(1 << s for s in range(1 << k))  # row S is {S}
         for code, n in self._codes_to_check():
-            orbit = _twists(code, n)
+            rows = _twists(code, n)
             family = _decode_family(code)
-            by_subset = {sum(1 << (f ^ s) for f in family) for s in range(1 << n)}
-            assert orbit == by_subset and (1 << n) % len(orbit) == 0, (code, n)
+            assert len(rows) == 1 << n and (1 << n) % len(set(rows)) == 0, (code, n)
+            for s, row in enumerate(rows):
+                assert row == sum(1 << (f ^ s) for f in family), (code, n, s)
 
 
 class TestVerifyProperty:
