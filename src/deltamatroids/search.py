@@ -327,57 +327,34 @@ def verify_property(property_id: str, n: int) -> SearchReport:
 # -- unpairable-pair search ---------------------------------------------
 
 
-def _canonical_assignments(n: int, v: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Assignments of n edges to vertex pairs (i, j), i <= j < v, that no vertex
-    relabelling makes lexicographically smaller, in lexicographic order.  On pair
-    indices, k is ruled out if a relabelling tied on the prefix maps it lower, and
-    one that maps it higher leaves the tied mask, as every extension stays larger."""
-    pairs = [(i, j) for i in range(v) for j in range(i, v)]
-    maps = [[pairs.index(tuple(sorted((p[i], p[j])))) for i, j in pairs] for p in itertools.permutations(range(v))]
-    below = [sum(1 << t for t, r in enumerate(maps) if r[k] < k) for k in range(len(pairs))]
-    fixes = [sum(1 << t for t, r in enumerate(maps) if r[k] == k) for k in range(len(pairs))]
-
-    def extend(prefix: tuple[int, ...], tied: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if len(prefix) == n:
-            yield tuple(map(pairs.__getitem__, prefix))
-        else:
-            for k in range(len(pairs)):
-                if not tied & below[k]:
-                    yield from extend((*prefix, k), tied & fixes[k])
-
-    return extend((), (1 << len(maps)) - 1)
-
-
 def _graphic_pool(n: int) -> list[tuple[Matroid, Multigraph]]:
     """Distinct cycle matroids of n-edge multigraphs on up to n + 1 vertices,
     or 3 from n = 4 on, each paired with the first graph realizing it, in
-    canonical graph-enumeration order, from `_canonical_assignments` on v = 1,
-    2, ... vertices.  The cap of 3 keeps the 5-edge scan at 1,435 canonical
-    assignments of 8,020 while still covering the bridge-plus-parallel-edges
+    graph-enumeration order: the product of vertex pairs (i, j), i <= j, on
+    v = 1, 2, ... vertices, with every loop at v1.  Moving a loop to v1 or
+    relabelling vertices keeps the cycle matroid, and (v1, v1) is the least
+    pair, so the first assignment realizing a matroid has its loops at v1 and
+    no relabelling makes it smaller.  The cap of 3 keeps the 5-edge scan at
+    1,057 assignments while still covering the bridge-plus-parallel-edges
     shape the unpairable counterexample needs.  An assignment is keyed by its
     bases' indicator, and only a new key builds its graph and matroid, whose
     bases that key already lists.  The key comes from one count pass per form
     of an assignment: its edge vertex masks with each loop as 0 and vertices
-    renamed in order of first appearance, which keep the forests (257 forms
-    at n = 5).  The raw edge vertex masks, read from a table, are looked up
-    first, so only a new raw shape is renamed (342 of the 1,435 at n = 5)."""
+    renamed in order of first appearance, which keep the forests (342 forms
+    at n = 5)."""
     edge_labels = default_ground(n).labels
     seen: dict[int, tuple[Matroid, Multigraph]] = {}
     keys: dict[tuple[int, ...], int] = {}  # by form
-    shapes: dict[tuple[int, ...], int] = {}  # by raw edge vertex masks
     max_vertices = 3 if n >= 4 else n + 1  # the cap the docstring gives
     for v in range(1, max_vertices + 1):
         vertices = tuple(f"v{i + 1}" for i in range(v))
-        edge_mask = {(i, j): 0 if i == j else 1 << i | 1 << j for i in range(v) for j in range(i, v)}
-        for assignment in _canonical_assignments(n, v):
-            raw = tuple(map(edge_mask.__getitem__, assignment))
-            if raw not in shapes:
-                ids: dict[int, int] = {}
-                form = tuple(0 if i == j else sum(1 << ids.setdefault(u, len(ids)) for u in (i, j)) for i, j in assignment)
-                if form not in keys:
-                    keys[form] = _count_sparse(form, 1, 1)[1]
-                shapes[raw] = keys[form]
-            key = shapes[raw]
+        slots = [(i, j) for i in range(v) for j in range(i, v) if i < j or i == 0]
+        for assignment in itertools.product(slots, repeat=n):
+            ids: dict[int, int] = {}
+            form = tuple(0 if i == j else sum(1 << ids.setdefault(u, len(ids)) for u in (i, j)) for i, j in assignment)
+            if form not in keys:
+                keys[form] = _count_sparse(form, 1, 1)[1]
+            key = keys[form]
             if key not in seen:
                 edges = tuple((edge_labels[k], (vertices[i], vertices[j])) for k, (i, j) in enumerate(assignment))
                 g = Multigraph(vertices, edges)
