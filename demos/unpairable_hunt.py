@@ -9,6 +9,7 @@ pairable pair, the smallest and largest realizations are unique.
 """
 
 from deltamatroids import (
+    AxiomError,
     DeltaMatroid,
     SetFamily,
     construct_sandwich,
@@ -16,7 +17,6 @@ from deltamatroids import (
     find_unpairable_pair,
     uniform,
 )
-from deltamatroids.delta import _delta_ok
 from deltamatroids.serialize import matroid_from_json
 
 # -- part one: the counterexample ----------------------------------------
@@ -55,11 +55,12 @@ optional = [m for m in sandwich.masks if m not in forced]
 realizations = []
 for pick in range(1 << len(optional)):
     masks = tuple(sorted(forced | {optional[i] for i in range(len(optional)) if pick >> i & 1}))
-    code = sum(1 << m for m in masks)
-    if _delta_ok(code):
-        d = DeltaMatroid._trusted(g, code)
-        if d.upper == mu3 and d.lower == ml3:
-            realizations.append(masks)
+    try:
+        d = DeltaMatroid.certify(SetFamily(g, masks))
+    except AxiomError:
+        continue
+    if d.upper == mu3 and d.lower == ml3:
+        realizations.append(masks)
 
 sizes = sorted(len(r) for r in realizations)
 smallest = [r for r in realizations if len(r) == sizes[0]]

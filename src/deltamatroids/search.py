@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Iterator, Optional
 
-from .core import InputError, SetFamily, _code_layers, _complement, _decode_family, _exchange_failures, _exchange_ok
+from .core import InputError, _code_layers, _complement, _decode_family, _exchange_failures, _exchange_ok
 from .core import _exchange_witness, _sizes, _twists, _violation, default_ground
 from .delta import DeltaMatroid, _delta_ok, is_pairable
 from .matroids import Matroid
@@ -157,9 +157,9 @@ def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
 # Each property's sweep at n gives one entry per case it checks, in order: None
 # when the case holds, else a JSON-ready witness.  (MB) sweeps read each
 # matroid's codes, a realization by the exchange verdict on the code and its
-# least and greatest size layers against two basis codes.  (DF) sweeps decide
-# once per layer pair, then read each code against its pair's value: one AND or
-# one set lookup, and a delta-matroid only for a witness.
+# least and greatest size layers against two basis codes.  (DF) sweeps read each
+# code against its layer pair's value, decided once per pair, or look its
+# complement up in the layer index, and build a delta-matroid only for a witness.
 
 
 def _by_pair(n: int, decide: Callable[[Matroid, Matroid], object]) -> Iterator[tuple[int, Any]]:
@@ -206,13 +206,11 @@ def _necessity_cases(n: int) -> Iterator[Optional[dict]]:
 
 def _dual_exchange_cases(n: int) -> Iterator[Optional[dict]]:
     # the complement is in the universe with the duals as its layers (its
-    # lower the upper's dual) iff it is in the codes of that layer pair
-    group: dict[tuple[int, int], set[int]] = {}
-    for c, pair in zip(_codes("DF", n), _layers(n)):
-        group.setdefault(pair, set()).add(c)
+    # lower the upper's dual) iff the layer index holds it with that pair
+    layers = dict(zip(_codes("DF", n), _layers(n)))
     dual = {m._bases: m.dual()._bases for m in _matroids(n)}
-    for c, twins in _by_pair(n, lambda upper, lower: group.get((dual[upper._bases], dual[lower._bases]), ())):
-        yield None if _complement(c, n) in twins else delta_to_json(_delta(c, n))
+    for c, (lower, upper) in layers.items():
+        yield None if layers.get(_complement(c, n)) == (dual[upper], dual[lower]) else delta_to_json(_delta(c, n))
 
 
 def _augmentation_breaks(code: int, lo: int, hi: int, n: int) -> bool:
@@ -224,21 +222,19 @@ def _augmentation_breaks(code: int, lo: int, hi: int, n: int) -> bool:
     return not any(_delta_ok(code | 1 << x) for x in _decode_family(extras))
 
 
-def _fmax_pair(upper: Matroid, lower: Matroid) -> list[tuple[str, int, bool]]:
-    """(variant, fmax family code, whether it is a maximal delta-matroid with
-    this upper and lower) for each variant whose side is uniform; both
-    variants' family is the sandwich, so one verdict serves both."""
+def _fmax_pair(upper: Matroid, lower: Matroid) -> tuple[list[str], int, bool]:
+    """(the variants whose side is uniform, the fmax family code, whether it is a maximal
+    delta-matroid with this upper and lower, decided only if some variant applies):
+    both variants' family is the sandwich, so one verdict serves both."""
     variants = [v for v, side in (("upper-uniform", upper), ("lower-uniform", lower)) if side.is_uniform()]
-    if not variants:
-        return []
     n, fam = upper.ground.size, upper._indep & lower._spanning
-    ok = _realizes(fam, upper._bases, lower._bases, n) and _augmentation_breaks(fam, lower.rank, upper.rank, n)
-    return [(variant, fam, ok) for variant in variants]
+    ok = bool(variants) and _realizes(fam, upper._bases, lower._bases, n) and _augmentation_breaks(fam, lower.rank, upper.rank, n)
+    return variants, fam, ok
 
 
 def _fmax_cases(n: int) -> Iterator[Optional[dict]]:
-    for c, verdicts in _by_pair(n, _fmax_pair):
-        for variant, fam, ok in verdicts:
+    for c, (variants, fam, ok) in _by_pair(n, _fmax_pair):
+        for variant in variants:
             yield None if ok and c & ~fam == 0 else {**delta_to_json(_delta(c, n)), "variant": variant}
 
 
@@ -290,7 +286,7 @@ def _sufficiency_cases(n: int) -> Iterator[Optional[dict]]:
         else:
             found, _ = constrained_realization(mu, ml)
             ok, kind = found is None, "realization-despite-unpairable"
-            extra = {} if ok else {"feasibles": SetFamily(mu.ground, found).member_labels()}
+            extra = {} if ok else {"feasibles": mu.ground._label_lists(found)}
         yield None if ok else {"kind": kind, "upper": matroid_to_json(mu), "lower": matroid_to_json(ml), **extra}
 
 

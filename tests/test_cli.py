@@ -268,7 +268,8 @@ def test_reader_closing_the_pipe_early_ends_quietly():
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
 

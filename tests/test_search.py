@@ -39,6 +39,7 @@ from deltamatroids.rigidity import Multigraph, _count_sparse, cycle_matroid
 from deltamatroids.search import (
     PROPERTY_IDS,
     _augmentation_breaks,
+    _by_pair,
     _uplow_cases,
     _codes,
     _layers,
@@ -421,7 +422,7 @@ class TestSharedLayers:
         # basis conditions by one replay pass, so no candidate is exhausted
         _matroids(4)
         _layers(4)
-        verdicts, built, passes, replays = [], [], [], []
+        verdicts, built, passes, replays, pair_passes = [], [], [], [], []
 
         def counting_delta_ok(code):
             verdicts.append(code)
@@ -436,6 +437,10 @@ class TestSharedLayers:
             passes.append(args)
             return _count_sparse(*args)
 
+        def counting_by_pair(*args):
+            pair_passes.append(args)
+            return _by_pair(*args)
+
         def count(cls, name):
             real = getattr(cls, name)
 
@@ -449,19 +454,24 @@ class TestSharedLayers:
         monkeypatch.setattr("deltamatroids.search._count_sparse", counting_count_sparse)
         monkeypatch.setattr("deltamatroids.rigidity._count_sparse", counting_count_sparse)
         monkeypatch.setattr("deltamatroids.search._exchange_failures", counting_failures)
+        monkeypatch.setattr("deltamatroids.search._by_pair", counting_by_pair)
         count(SetFamily, "__post_init__")
         count(DeltaMatroid, "__init__")
         count(Matroid, "__init__")
-        calls, builds, passes_by_pid = [], [], []
+        calls, builds, passes_by_pid, pair_passes_by_pid = [], [], [], []
         for pid in PROPERTY_IDS:
             verdicts.clear()
             built.clear()
             replays.clear()
+            pair_passes.clear()
             assert verify_property(pid, 4).holds
             calls.append(len(verdicts))
             builds.append(sorted(built))
             passes_by_pid.append(sorted(replays))
+            pair_passes_by_pid.append(len(pair_passes))
         assert calls == [0, 68, 68, 0, 0, 558, 0, 307]
+        # one per-pair pass for uplow, necessity and fmax; dual-exchange reads the layer index itself
+        assert pair_passes_by_pid == [0, 0, 0, 1, 1, 0, 0, 1]
         sufficiency = PROPERTY_IDS.index("sufficiency-sandwich")
         assert passes_by_pid[sufficiency] == ["refuted"] * 192  # and no "exhausted"
         assert passes_by_pid[:sufficiency] + passes_by_pid[sufficiency + 1 :] == [[]] * 7
@@ -520,7 +530,7 @@ class TestSharedLayers:
             lossy = copy.copy(upper)
             lossy._indep = upper._indep & ~((1 << mid.bit_length()) >> 1)  # mid's top bit, if any
             out = real_fmax_pair(lossy, lower)
-            families[upper._bases, lower._bases] = {fam for _, fam, _ in out}
+            families[upper._bases, lower._bases] = {out[1]} if out[0] else set()
             return out
 
         real_fmax_pair, families = search._fmax_pair, {}
