@@ -869,6 +869,23 @@ class TestExchangeKernel:
                 failing += ref is not None
         assert 0 < failing < 3000
 
+    def test_failures_equal_scan_on_every_split_up_to_n3(self):
+        # every members code and every nonempty source inside it: 6,305
+        # splits at n = 3, for 12,610 kernel calls
+        splits, failing = [0] * 4, [0] * 4
+        for n in range(4):
+            for code in range(1, 1 << (1 << n)):
+                masks = _decode_family(code)
+                members = set(masks)
+                for sel in range(1, 1 << len(masks)):
+                    source = [m for k, m in enumerate(masks) if sel >> k & 1]
+                    splits[n] += 1
+                    for axiom in ("MB", "DF"):
+                        got = kernel_failures(source, members, axiom)
+                        assert got == exchange_failures(source, members, axiom), (axiom, source, masks)
+                        failing[n] += bool(got)
+        assert splits == [1, 5, 65, 6305] and failing == [0, 1, 29, 5233]
+
     def test_failures_equal_the_per_partner_loop_on_seeded_families(self):
         failing = 0
         for axiom, masks in seeded_families():

@@ -45,6 +45,7 @@ from deltamatroids.search import (
     _layers,
     _matroids,
     _graphic_pool,
+    _pair_scan,
     _pair_witness,
     constrained_realization,
     delta_codes,
@@ -159,18 +160,27 @@ class TestLevelBuild:
         for n in range(5):
             assert _codes(axiom, n) == _codes_by_every_candidate(axiom, n), (axiom, n)
 
-    def test_df_level_reads_its_orbits_off_the_level_below(self, monkeypatch, fresh_universes):
-        # level 4 twists each code of level 3, and 0, once, and none of its own candidates
-        below = (0, *_codes("DF", 3))
+    def test_df_level_twists_each_candidate_it_decides(self, monkeypatch, fresh_universes):
+        # with level 3 built, each orbit of level 4 is its candidate's own twists,
+        # taken once per verdict and just before the verdict on that candidate
+        _codes("DF", 3)
         calls = []
 
-        def counting(code, n):
-            calls.append((code, n))
+        def twisting(code, n):
+            calls.append(("twists", code, n))
             return _twists(code, n)
 
-        monkeypatch.setattr(search, "_twists", counting)
+        def deciding(code, axiom):
+            calls.append(("verdict", code, axiom))
+            return _exchange_ok(code, axiom)
+
+        monkeypatch.setattr(search, "_twists", twisting)
+        monkeypatch.setattr(search, "_exchange_ok", deciding)
         _codes("DF", 4)
-        assert calls == [(c, 3) for c in below] and len(calls) == 156
+        twisted, decided = calls[::2], calls[1::2]
+        assert [("twists", c, 4) for _, c, _ in decided] == twisted
+        assert [("verdict", c, "DF") for _, c, _ in twisted] == decided
+        assert len(twisted) == len(decided) == 859
 
 
 class TestTwists:
@@ -1024,6 +1034,18 @@ class TestUnpairableSearch:
     def test_out_of_range(self):
         with pytest.raises(InputError):
             find_unpairable_pair(6)
+
+    def test_n5_scan_before_its_witness_has_the_readme_counts(self):
+        # the pairs the hunt passes over: quotient pairs (a matroid with
+        # itself among them) and pairs failing a basis condition
+        quotients = selves = failing = 0
+        for i, j, quotient, meets in _pair_scan([m for m, _ in _graphic_pool(5)]):
+            if meets and not quotient:
+                break
+            selves += quotient and i == j
+            quotients += quotient and i != j
+            failing += not meets
+        assert (quotients, selves, failing) == (41, 34, 6286)
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_graphic_pool_is_every_matroid_up_to_n3(self, n):
