@@ -1,7 +1,7 @@
 """Hunt for an unpairable matroid pair, and explore realization extremes.
 
 Run with `python3 demos/unpairable_hunt.py`.  The first part searches five
-elements for a counterexample: two cycle matroids of small multigraphs that
+elements for a counterexample: two matroids on those elements that
 satisfy both basis-level sandwich conditions yet admit no delta-matroid
 with those upper and lower matroids.  (Such pairs exist from three elements
 on; the one found here has the same two-element offending circuit.)  The second part asks whether, for a

@@ -1,22 +1,23 @@
-"""Exhaustive searches over small matroids, delta-matroids, and multigraph
-pairs: theorem verification suites and the unpairable-pair hunt.
+"""Exhaustive searches over small matroids and delta-matroids: theorem
+verification suites and the unpairable-pair hunt.
 
-Each (axiom, n) universe is built once per process: `_codes` grows level n from
-its own cached level n - 1 (one (DF) verdict per twist orbit, walked from the
-candidates holding ∅, each orbit its candidate's own twists), `_matroids` keeps
-the matroids with their derived sets, the only objects kept, and `_layers` the
-(DF) layer index, each code's lower and upper basis codes, read from the code's
-extreme size layers and no further.  The (DF) sweeps read codes by layer pair,
-558 pairs for the 5,959 delta-matroids at n = 4, and build no delta-matroid;
-`enumerate_delta_matroids` makes them afresh on each pass.  A cold (DF) level 4
-and its layer index build in 16–17 ms (2 vCPUs, Python 3.11.7).  At most 10
-code universes, 5 matroid universes and 5 layer indexes: 0.43 MB after every
-n = 4 sweep (tracemalloc).  Per-pair work is shared within one sweep only.
+Each universe at n is built once per process from its own cached level
+n - 1: `_matroids` by single-element extension (`_extend`, one AND per
+rank-adjacent pair of the level below, no exchange check), the only objects
+kept, with their derived sets; `_codes` the (DF) codes, one verdict per twist
+orbit, walked from the candidates holding ∅, each orbit its candidate's own
+twists; and `_layers` the (DF) layer index, each code's lower and upper basis
+codes, read from the code's extreme size layers and no further.  The (DF)
+sweeps read codes by layer pair, 558 pairs for the 5,959 delta-matroids at
+n = 4, and build no delta-matroid; `enumerate_delta_matroids` makes them
+afresh on each pass.  A cold (DF) level 4 and its layer index build in
+17–18 ms (2 vCPUs, Python 3.11.7).  At most 5 code universes, 5 matroid
+universes and 5 layer indexes: 0.42 MB after every n = 4 sweep
+(tracemalloc).  Per-pair work is shared within one sweep only.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -27,8 +28,7 @@ from .core import InputError, _code_layers, _complement, _decode_family, _exchan
 from .core import _exchange_witness, _sizes, _twists, _violation, default_ground
 from .delta import DeltaMatroid, _delta_ok, is_pairable
 from .matroids import Matroid
-from .rigidity import Multigraph, _count_sparse
-from .serialize import delta_to_json, graph_to_json, matroid_to_json
+from .serialize import delta_to_json, matroid_to_json
 
 
 @dataclass
@@ -62,40 +62,39 @@ class SearchReport:
 # at n holds 2^(2^n) - 1 nonempty families, 65,535 at n = 4.
 
 
-@cache  # at most 10 entries: two axioms, n <= 4 (beyond, the InputError is not cached)
-def _codes(axiom: str, n: int) -> tuple[int, ...]:
-    """Ascending codes of every family on n elements that passes axiom, grown
+@cache  # at most 5 entries: n <= 4 (beyond, the InputError is not cached)
+def _codes(n: int) -> tuple[int, ...]:
+    """Ascending codes of every family on n elements that passes (DF), grown
     from the cached level n - 1.  Partners lie in F1 Δ F2, so deleting or
     contracting element n - 1 leaves a passing or empty family: the candidates
     are a | b << 2^(n-1) for a, b in prev (0, then level n - 1), b outer, and
     the axiom runs only if the deletion and contraction of element n - 2, read
-    off the code's four quarters, are both in prev.  (MB) checks each such
-    candidate.  (DF) is twist-invariant, as (F1 Δ S) Δ (F2 Δ S) = F1 Δ F2, and
-    so is that quarter test, so one verdict keeps or drops a whole twist orbit.
-    Every orbit holds a family with ∅ (twist by a member), so only candidates
-    whose a holds ∅ are tried: over a cold build to n = 4, 6,069 of them pass
-    the quarter test, of the 11,612 candidates that do, for 912 verdicts, each
-    with its candidate's own twists as the orbit."""
+    off the code's four quarters, are both in prev.  (DF) is twist-invariant,
+    as (F1 Δ S) Δ (F2 Δ S) = F1 Δ F2, and so is that quarter test, so one
+    verdict keeps or drops a whole twist orbit.  Every orbit holds a family
+    with ∅ (twist by a member), so only candidates whose a holds ∅ are tried:
+    over a cold build to n = 4, 6,069 of them pass the quarter test, of the
+    11,612 candidates that do, for 912 verdicts, each with its candidate's own
+    twists as the orbit."""
     if not 0 <= n <= 4:
         raise InputError(f"exhaustive enumeration needs 0 <= n <= 4, got {n}")
     if n == 0:
         return (1,)  # the family {∅}
-    prev = (0, *_codes(axiom, n - 1))
+    prev = (0, *_codes(n - 1))
     half = 1 << (n - 1)
     q = half >> 1
     low = (1 << q) - 1
     known = set(prev)
-    df = axiom == "DF"
-    tops = [a for a in prev if a & 1] if df else prev  # (DF): the families holding ∅
+    tops = [a for a in prev if a & 1]  # the families holding ∅
     seen, out = {0}, set()  # 0, the empty family, is no candidate
     for b in prev:
         b_del, b_con = (b & low) << q, (b >> q) << q
         for a in tops:
             c = a | b << half
             if c not in seen and (a & low) | b_del in known and (a >> q) | b_con in known:
-                orbit = _twists(c, n) if df else [c]
+                orbit = _twists(c, n)
                 seen.update(orbit)
-                if _exchange_ok(c, axiom):
+                if _exchange_ok(c, "DF"):
                     out.update(orbit)
     return tuple(sorted(out))
 
@@ -103,9 +102,9 @@ def _codes(axiom: str, n: int) -> tuple[int, ...]:
 @cache  # as _codes: at most 5 entries
 def _layers(n: int) -> tuple[tuple[int, int], ...]:
     """Per (DF) code at n, in code order, its (lower, upper) basis codes, each
-    a code of the (MB) universe, one tuple per distinct pair (558 at n = 4)."""
-    known, pairs, out = set(_codes("MB", n)), {}, []
-    for c in _codes("DF", n):
+    a basis code of the matroid universe, one tuple per distinct pair (558 at n = 4)."""
+    known, pairs, out = {m._bases for m in _matroids(n)}, {}, []
+    for c in _codes(n):
         pair = lower, upper = _code_layers(c, n)
         if upper not in known or lower not in known:
             raise RuntimeError(f"{'upper' if upper not in known else 'lower'} layer of {_delta(c, n)!r} is missing from the (MB) universe")
@@ -113,11 +112,28 @@ def _layers(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _extend(prev: tuple[Matroid, ...], n: int) -> tuple[Matroid, ...]:
+    """The matroids on n elements in code order, from prev, those on n - 1.
+    In each, the last element e is a loop (the bases a of a matroid in prev), a
+    coloop (code b << 2^(n-1), b in prev), or neither: then deleting e leaves
+    bases a and contracting it bases b, a quotient of a of rank one less, and
+    each such pair extends to exactly one matroid, a | b << 2^(n-1) (Crapo
+    1965; Oxley, Matroid Theory, section 7.3).  So one AND per rank-adjacent
+    pair builds the level, with no exchange check: 1,110 pairs at n = 5, for
+    406 matroids."""
+    half, g = 1 << (n - 1), default_ground(n)
+    codes = [m._bases for m in prev] + [m._bases << half for m in prev]
+    codes += [a._bases | b._bases << half for a in prev for b in prev if b.rank == a.rank - 1 and a._circuits & ~b._unions == 0]
+    return tuple(Matroid._trusted(g, c) for c in sorted(codes))
+
+
 @cache  # as _codes: at most 5 entries
 def _matroids(n: int) -> tuple[Matroid, ...]:
-    """The certified matroids on n elements in code order, with the derived sets they cache."""
-    codes, g = _codes("MB", n), default_ground(n)
-    return tuple(Matroid._trusted(g, c) for c in codes)
+    """The matroids on n elements in code order, with the derived sets they
+    cache, extended from the cached level n - 1."""
+    if not 0 <= n <= 4:
+        raise InputError(f"exhaustive enumeration needs 0 <= n <= 4, got {n}")
+    return _extend(_matroids(n - 1), n) if n else (Matroid._trusted(default_ground(0), 1),)
 
 
 def _delta(code: int, n: int) -> DeltaMatroid:
@@ -127,12 +143,12 @@ def _delta(code: int, n: int) -> DeltaMatroid:
 
 def matroid_codes(n: int) -> list[int]:
     """Family codes of every basis family on n elements passing (MB)."""
-    return list(_codes("MB", n))
+    return [m._bases for m in _matroids(n)]
 
 
 def delta_codes(n: int) -> list[int]:
     """Family codes of every feasible family on n elements passing (DF)."""
-    return list(_codes("DF", n))
+    return list(_codes(n))
 
 
 def enumerate_matroids(n: int) -> Iterator[Matroid]:
@@ -160,11 +176,11 @@ def enumerate_delta_matroids(n: int) -> Iterator[DeltaMatroid]:
 
 def _by_pair(n: int, decide: Callable[[Matroid, Matroid], object]) -> Iterator[tuple[int, Any]]:
     """Each (DF) code at n, in code order, with its pair's decide(upper, lower),
-    run on the (MB) universe's objects once per distinct pair, in order of first use."""
-    mats = dict(zip(_codes("MB", n), _matroids(n)))
+    run on the matroid universe's objects once per distinct pair, in order of first use."""
+    mats = {m._bases: m for m in _matroids(n)}
     layers = _layers(n)
     values = {pair: decide(mats[pair[1]], mats[pair[0]]) for pair in dict.fromkeys(layers)}
-    return zip(_codes("DF", n), map(values.__getitem__, layers))
+    return zip(_codes(n), map(values.__getitem__, layers))
 
 
 def _equicardinal_cases(n: int) -> Iterator[Optional[dict]]:
@@ -203,7 +219,7 @@ def _necessity_cases(n: int) -> Iterator[Optional[dict]]:
 def _dual_exchange_cases(n: int) -> Iterator[Optional[dict]]:
     # the complement is in the universe with the duals as its layers (its
     # lower the upper's dual) iff the layer index holds it with that pair
-    layers = dict(zip(_codes("DF", n), _layers(n)))
+    layers = dict(zip(_codes(n), _layers(n)))
     dual = {m._bases: m.dual()._bases for m in _matroids(n)}
     for c, (lower, upper) in layers.items():
         yield None if layers.get(_complement(c, n)) == (dual[upper], dual[lower]) else delta_to_json(_delta(c, n))
@@ -262,7 +278,7 @@ def constrained_realization(mu: Matroid, ml: Matroid) -> tuple[Optional[tuple[in
     return None, 1 << len(free)
 
 
-def _pair_scan(ms: list[Matroid]) -> Iterator[tuple[int, int, bool, bool]]:
+def _pair_scan(ms: tuple[Matroid, ...]) -> Iterator[tuple[int, int, bool, bool]]:
     """(i, j, whether ms[j] is a quotient of ms[i], whether no basis of either leaves their sandwich) per
     ordered pair of ms, i outer: the quotient test and both basis conditions, ANDs of codes read once."""
     rows = [(m._bases, m._indep, m._spanning, m._circuits, m._unions) for m in ms]
@@ -319,46 +335,9 @@ def verify_property(property_id: str, n: int) -> SearchReport:
 # -- unpairable-pair search ---------------------------------------------
 
 
-def _graphic_pool(n: int) -> list[tuple[Matroid, Multigraph]]:
-    """Distinct cycle matroids of n-edge multigraphs on up to n + 1 vertices,
-    or 3 from n = 4 on, each paired with the first graph realizing it, in
-    graph-enumeration order: the product of vertex pairs (i, j), i <= j, on
-    v = 1, 2, ... vertices, with every loop at v1.  Moving a loop to v1 or
-    relabelling vertices keeps the cycle matroid, and (v1, v1) is the least
-    pair, so the first assignment realizing a matroid has its loops at v1 and
-    no relabelling makes it smaller.  The cap of 3 keeps the 5-edge scan at
-    1,057 assignments while still covering the bridge-plus-parallel-edges
-    shape the unpairable counterexample needs.  An assignment is keyed by its
-    bases' indicator, and only a new key builds its graph and matroid, whose
-    bases that key already lists.  The key comes from one count pass per form
-    of an assignment: its edge vertex masks with each loop as 0 and vertices
-    renamed in order of first appearance, which keep the forests (342 forms
-    at n = 5)."""
-    edge_labels = default_ground(n).labels
-    seen: dict[int, tuple[Matroid, Multigraph]] = {}
-    keys: dict[tuple[int, ...], int] = {}  # by form
-    max_vertices = 3 if n >= 4 else n + 1  # the cap the docstring gives
-    for v in range(1, max_vertices + 1):
-        vertices = tuple(f"v{i + 1}" for i in range(v))
-        slots = [(i, j) for i in range(v) for j in range(i, v) if i < j or i == 0]
-        for assignment in itertools.product(slots, repeat=n):
-            ids: dict[int, int] = {}
-            form = tuple(0 if i == j else sum(1 << ids.setdefault(u, len(ids)) for u in (i, j)) for i, j in assignment)
-            if form not in keys:
-                keys[form] = _count_sparse(form, 1, 1)[1]
-            key = keys[form]
-            if key not in seen:
-                edges = tuple((edge_labels[k], (vertices[i], vertices[j])) for k, (i, j) in enumerate(assignment))
-                g = Multigraph(vertices, edges)
-                seen[key] = (Matroid._trusted(g.ground, key), g)
-    return list(seen.values())
-
-
-def _pair_witness(upper: tuple[Matroid, Multigraph], lower: tuple[Matroid, Multigraph]) -> Optional[dict]:
-    """Full witness for a pair of (cycle matroid, graph) pool entries whose
-    matroids are no quotient pair yet meet both basis conditions, or None if
-    some delta-matroid realizes them."""
-    (mu, gu), (ml, gl) = upper, lower
+def _pair_witness(mu: Matroid, ml: Matroid) -> Optional[dict]:
+    """Full witness for a matroid pair that is no quotient pair yet meets both
+    basis conditions, or None if some delta-matroid realizes it."""
     found, tried = constrained_realization(mu, ml)
     if found is not None:
         return None
@@ -372,8 +351,6 @@ def _pair_witness(upper: tuple[Matroid, Multigraph], lower: tuple[Matroid, Multi
     triple = _exchange_witness(mu._bases | ml._bases, mu._indep & ml._spanning, "DF")
     if triple is not None:
         wit["replay"] = {k: v for k, v in _violation(mu.ground, triple, "DF").to_json().items() if k != "axiom"}
-    wit["upper_graph"] = graph_to_json(gu)
-    wit["lower_graph"] = graph_to_json(gl)
     return wit
 
 
@@ -381,21 +358,20 @@ def find_unpairable_pair(n: int) -> SearchReport:
     """Hunt for matroid pairs meeting both basis-level necessary conditions
     that still cannot be the upper and lower matroids of any delta-matroid.
 
-    Scans ordered pairs of distinct cycle matroids of n-edge multigraphs (the
-    counterexample in the source material is graphic); for n <= 3 that pool
-    is every matroid on n elements.  The scan is ordered with early exit, so
-    the result is deterministic.
+    Scans ordered pairs of distinct matroids on n elements, in code order,
+    extended from the cached matroids on n - 1 (406 at n = 5).  The scan
+    stops at the first pair found, so the result is deterministic.
     """
     if not 1 <= n <= 5:
         raise InputError(f"unpairable-pair search supports 1 <= n <= 5, got {n}")
     t0 = time.monotonic()
-    pool = _graphic_pool(n)
-    scan = _pair_scan([m for m, _ in pool])  # a matroid is its own quotient: no pair (m, m) is tried
-    found = (_pair_witness(pool[i], pool[j]) for i, j, quotient, meets in scan if meets and not quotient)
+    ms = _extend(_matroids(n - 1), n)
+    scan = _pair_scan(ms)  # a matroid is its own quotient: no pair (m, m) is tried
+    found = (_pair_witness(ms[i], ms[j]) for i, j, quotient, meets in scan if meets and not quotient)
     wit = next(filter(None, found), None)
     return SearchReport(
         property_id="unpairable-pair",
-        universe_size=len(pool) * (len(pool) - 1),
+        universe_size=len(ms) * (len(ms) - 1),
         holds=wit is not None,
         witnesses=[] if wit is None else [wit],
         elapsed=time.monotonic() - t0,

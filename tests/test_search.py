@@ -35,16 +35,16 @@ from deltamatroids.core import (
     _sizes,
     _twists,
 )
-from deltamatroids.rigidity import Multigraph, _count_sparse, cycle_matroid
+from deltamatroids.rigidity import _count_sparse
 from deltamatroids.search import (
     PROPERTY_IDS,
     _augmentation_breaks,
     _by_pair,
     _uplow_cases,
     _codes,
+    _extend,
     _layers,
     _matroids,
-    _graphic_pool,
     _pair_scan,
     _pair_witness,
     constrained_realization,
@@ -53,7 +53,7 @@ from deltamatroids.search import (
     enumerate_matroids,
     matroid_codes,
 )
-from deltamatroids.serialize import delta_to_json, graph_to_json, matroid_from_json, matroid_to_json
+from deltamatroids.serialize import delta_to_json, matroid_from_json, matroid_to_json
 
 
 def _clear_universes():
@@ -99,7 +99,7 @@ class TestEnumeration:
     def test_codes_equal_full_range_scan(self, axiom, n):
         # reference: every family code through the axiom, no minor pruning
         ref = [c for c in range(1, 1 << (1 << n)) if _exchange_ok(c, axiom)]
-        assert list(_codes(axiom, n)) == ref, (axiom, n)
+        assert (matroid_codes(n) if axiom == "MB" else list(_codes(n))) == ref, (axiom, n)
 
     def test_df_n4_runs_the_axiom_on_a_fraction_of_codes(self, monkeypatch, fresh_universes):
         calls = []
@@ -109,15 +109,16 @@ class TestEnumeration:
             return _exchange_failures(source, members, axiom)
 
         monkeypatch.setattr("deltamatroids.core._exchange_failures", counting)
-        assert len(_codes("DF", 4)) == 5959
+        assert len(_codes(4)) == 5959
         assert len(calls) == 912  # one kernel call per twist orbit of the 11,612 candidates
         calls.clear()
-        assert len(_codes("MB", 4)) == 68
-        assert len(calls) == 164  # not twist-invariant: every candidate runs
+        assert len(matroid_codes(4)) == 68
+        assert len(calls) == 0  # the matroids are extended, not checked
 
     def test_level_grows_from_the_cached_level_below(self, monkeypatch, fresh_universes):
         # n = 4 pairs the codes of the cached n = 3 and checks only its own
-        # candidates; every level built on the way stays cached
+        # candidates, and the matroids extend theirs with no check; every
+        # level built on the way stays cached
         calls = []
 
         def counting(source, members, axiom):
@@ -125,12 +126,12 @@ class TestEnumeration:
             return _exchange_failures(source, members, axiom)
 
         monkeypatch.setattr("deltamatroids.core._exchange_failures", counting)
-        for axiom, fresh in (("DF", 859), ("MB", 133)):
-            _codes(axiom, 3)
+        for build, fresh in ((_codes, 859), (_matroids, 0)):
+            build(3)
             calls.clear()
-            _codes(axiom, 4)
-            assert len(calls) == fresh, axiom
-        assert _codes.cache_info().currsize == 10  # two axioms, n = 0..4
+            build(4)
+            assert len(calls) == fresh, build
+        assert _codes.cache_info().currsize == _matroids.cache_info().currsize == 5  # n = 0..4
 
 
 def _codes_by_every_candidate(axiom, n):
@@ -158,12 +159,18 @@ class TestLevelBuild:
     @pytest.mark.parametrize("axiom", ["MB", "DF"])
     def test_codes_equal_the_every_candidate_build(self, axiom, fresh_universes):
         for n in range(5):
-            assert _codes(axiom, n) == _codes_by_every_candidate(axiom, n), (axiom, n)
+            codes = tuple(matroid_codes(n)) if axiom == "MB" else _codes(n)
+            assert codes == _codes_by_every_candidate(axiom, n), (axiom, n)
+
+    def test_extension_to_n5_equals_the_every_candidate_build(self):
+        codes = tuple(m._bases for m in _extend(_matroids(4), 5))
+        assert codes == _codes_by_every_candidate("MB", 5)
+        assert len(codes) == 406  # OEIS A058673
 
     def test_df_level_twists_each_candidate_it_decides(self, monkeypatch, fresh_universes):
         # with level 3 built, each orbit of level 4 is its candidate's own twists,
         # taken once per verdict and just before the verdict on that candidate
-        _codes("DF", 3)
+        _codes(3)
         calls = []
 
         def twisting(code, n):
@@ -176,7 +183,7 @@ class TestLevelBuild:
 
         monkeypatch.setattr(search, "_twists", twisting)
         monkeypatch.setattr(search, "_exchange_ok", deciding)
-        _codes("DF", 4)
+        _codes(4)
         twisted, decided = calls[::2], calls[1::2]
         assert [("twists", c, 4) for _, c, _ in decided] == twisted
         assert [("verdict", c, "DF") for _, c, _ in twisted] == decided
@@ -240,14 +247,16 @@ class TestVerifyProperty:
         assert all(r.holds and r.witnesses == [] for r in reports)
 
     def test_mb_equicardinal_reports_unequal_family(self, monkeypatch, fresh_universes):
-        # the universe comes from (MB) by its definition; let the kernel
-        # wrongly accept {{}, {a}} and the theorem check must name that family
+        # the universe comes from the extension, which runs no check; let it
+        # wrongly add {{}, {a}} and the theorem check must name that family
         odd = _code_of((0b0, 0b1))
+        real = search._extend
 
-        def lenient(source, members, axiom):
-            return iter(()) if source == odd else _exchange_failures(source, members, axiom)
+        def lenient(prev, n):
+            ms = real(prev, n)
+            return (*ms, Matroid._trusted(ms[0].ground, odd)) if n == 1 else ms
 
-        monkeypatch.setattr("deltamatroids.core._exchange_failures", lenient)
+        monkeypatch.setattr(search, "_extend", lenient)
         report = verify_property("mb-equicardinal", 1)
         assert not report.holds
         assert report.universe_size == 3
@@ -329,12 +338,12 @@ class TestSharedLayers:
         assert seen == 6133
 
     def test_layer_missing_from_mb_universe_raises(self, monkeypatch, fresh_universes):
-        def strict(source, members, axiom):  # (MB) wrongly rejects U(1,2)
-            if axiom == "MB" and source == _code_of((0b01, 0b10)):
-                return iter([(0b01, 0b01, 1 << 0b10)])
-            return _exchange_failures(source, members, axiom)
+        real = search._extend
 
-        monkeypatch.setattr("deltamatroids.core._exchange_failures", strict)
+        def strict(prev, n):  # the extension wrongly drops U(1,2)
+            return tuple(m for m in real(prev, n) if m._bases != _code_of((0b01, 0b10)))
+
+        monkeypatch.setattr(search, "_extend", strict)
         # both layers of {{a}, {b}} are U(1,2): the upper one is named first
         with pytest.raises(RuntimeError) as info:
             verify_property("uplow", 2)
@@ -371,7 +380,7 @@ class TestSharedLayers:
     def test_code_helpers_match_the_object_operations(self):
         # every nonempty family up to n = 3, delta-matroid or not, then (DF) at n = 4
         cases = [(n, code) for n in range(4) for code in range(1, 1 << (1 << n))]
-        cases += [(4, code) for code in _codes("DF", 4)]
+        cases += [(4, code) for code in _codes(4)]
         for n, code in cases:
             masks, full = _decode_family(code), (1 << n) - 1
             assert _complement(code, n) == _code_of({full ^ f for f in masks}), (n, code)
@@ -420,7 +429,7 @@ class TestSharedLayers:
             made.clear()
             assert sum(1 for _ in enumerate_delta_matroids(4)) == 5959
             assert made == ["DeltaMatroid"] * 5959
-        assert _matroids.cache_info().currsize == 1
+        assert _matroids.cache_info().currsize == 5  # the matroids at n = 0..4
 
     def test_sweep_work_is_pinned_at_n4(self, monkeypatch, fresh_universes):
         # on built universes every sweep reads codes and the matroids'
@@ -461,7 +470,6 @@ class TestSharedLayers:
             monkeypatch.setattr(cls, name, counting)
 
         monkeypatch.setattr("deltamatroids.search._delta_ok", counting_delta_ok)
-        monkeypatch.setattr("deltamatroids.search._count_sparse", counting_count_sparse)
         monkeypatch.setattr("deltamatroids.rigidity._count_sparse", counting_count_sparse)
         monkeypatch.setattr("deltamatroids.search._exchange_failures", counting_failures)
         monkeypatch.setattr("deltamatroids.search._by_pair", counting_by_pair)
@@ -493,10 +501,7 @@ class TestSharedLayers:
         assert find_unpairable_pair(5).holds
         assert len(verdicts) == 0  # its one pair tried is refuted by a replay pass
         assert replays == ["refuted"]
-        # one count pass per form of a loop-at-v1 assignment, none per new key; renaming vertices by
-        # first appearance is not relabel-invariant, so there are more forms than the 257 of the
-        # relabel-minimal assignments
-        assert len(passes) == 342
+        assert passes == []  # the hunt scans matroids and builds no graph
 
     def test_universes_and_sweeps_pack_no_masks(self, monkeypatch, fresh_universes):
         # the kernel reads family codes, so building every universe up to
@@ -510,7 +515,7 @@ class TestSharedLayers:
         monkeypatch.setattr("deltamatroids.matroids._indicator", counting_indicator)
         monkeypatch.setattr("deltamatroids.delta._indicator", counting_indicator)
         _delta_ok.cache_clear()  # so that every verdict runs the kernel
-        sizes = [len(_codes(axiom, n)) for axiom in ("MB", "DF") for n in range(5)]
+        sizes = [len(matroid_codes(n)) for n in range(5)] + [len(_codes(n)) for n in range(5)]
         assert sizes == [1, 2, 5, 16, 68, 1, 3, 15, 155, 5959]
         for pid in PROPERTY_IDS:
             assert verify_property(pid, 4).holds, pid
@@ -708,7 +713,7 @@ class TestSharedLayers:
         for pid in PROPERTY_IDS:
             assert verify_property(pid, 4).holds, pid
         assert made == []
-        assert _matroids.cache_info().currsize == 1  # the matroids at n = 4
+        assert _matroids.cache_info().currsize == 5  # the matroids at n = 0..4
         assert len(list(enumerate_delta_matroids(4))) == len(made) == 5959
 
     def test_out_of_range_n_raises_and_caches_nothing(self, fresh_universes):
@@ -871,7 +876,7 @@ def test_realizes_on_codes_matches_the_mask_definition():
     # n = 4; each with its own layers, then with the empty set's membership
     # in the lower layer flipped, which makes that layer wrong
     cases = [(n, code) for n in range(4) for code in range(1, 1 << (1 << n))]
-    cases += [(4, code) for code in _codes("DF", 4)]
+    cases += [(4, code) for code in _codes(4)]
     outcomes = set()
     for n, code in cases:
         masks = _decode_family(code)
@@ -905,56 +910,6 @@ def test_augmentation_window_matches_definition():
             assert _augmentation_breaks(code, lo, hi, d.ground.size) == _augmentation_breaks_by_definition(d), d
             seen += 1
     assert seen == 6133
-
-
-def _graphic_pool_reference(n, max_vertices, relabel_minimal):
-    """The pool as built graph first: a graph and its cycle matroid for every
-    assignment of the product, or with relabel_minimal for every one that no
-    vertex relabelling makes lexicographically smaller, keyed by bases."""
-    edge_labels = default_ground(n).labels
-    seen = {}
-    for v in range(1, max_vertices + 1):
-        vertices = tuple(f"v{i + 1}" for i in range(v))
-        pairs = [(i, j) for i in range(v) for j in range(i, v)]
-        perms = list(itertools.permutations(range(v)))[1:] if relabel_minimal else []
-        relabel = [{(i, j): tuple(sorted((p[i], p[j]))) for i, j in pairs} for p in perms]
-        for assignment in itertools.product(pairs, repeat=n):
-            if any(tuple(map(r.__getitem__, assignment)) < assignment for r in relabel):
-                continue
-            g = Multigraph(
-                vertices,
-                tuple(
-                    (edge_labels[k], (vertices[i], vertices[j]))
-                    for k, (i, j) in enumerate(assignment)
-                ),
-            )
-            m = cycle_matroid(g)
-            seen.setdefault(m.bases.masks, (m, g))
-    return list(seen.values())
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_graphic_pool_skips_only_isomorphic_repeats(n):
-    # the pool's largest graph has the pool's vertex cap, so the reference scans as far
-    pool = _graphic_pool(n)
-    assert pool == _graphic_pool_reference(n, max(len(g.vertices) for _, g in pool), relabel_minimal=False)
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_graphic_pool_equals_the_graph_first_build(n, monkeypatch):
-    built = []
-
-    def counting(*args):
-        built.append(Multigraph(*args))
-        return built[-1]
-
-    monkeypatch.setattr(search, "Multigraph", counting)
-    pool = _graphic_pool(n)
-    ref = _graphic_pool_reference(n, max(len(g.vertices) for _, g in pool), relabel_minimal=True)  # the pool's vertex cap
-    assert [(m.bases.masks, g) for m, g in pool] == [(m.bases.masks, g) for m, g in ref]
-    assert built == [g for _, g in pool]  # one graph per new key
-    assert all(cycle_matroid(g) == m for m, g in pool)  # the key's matroid is the graph's
-    assert n < 5 or len(pool) == 187
 
 
 class TestConstrainedRealization:
@@ -1039,25 +994,23 @@ class TestUnpairableSearch:
         # the pairs the hunt passes over: quotient pairs (a matroid with
         # itself among them) and pairs failing a basis condition
         quotients = selves = failing = 0
-        for i, j, quotient, meets in _pair_scan([m for m, _ in _graphic_pool(5)]):
+        for i, j, quotient, meets in _pair_scan(_extend(_matroids(4), 5)):
             if meets and not quotient:
                 break
             selves += quotient and i == j
             quotients += quotient and i != j
             failing += not meets
-        assert (quotients, selves, failing) == (41, 34, 6286)
-
-    @pytest.mark.parametrize("n", range(1, 4))
-    def test_graphic_pool_is_every_matroid_up_to_n3(self, n):
-        pool = {m.bases.masks for m, _ in _graphic_pool(n)}
-        assert pool == {m.bases.masks for m in enumerate_matroids(n)}
+        assert (quotients, selves, failing) == (17, 10, 4036)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_scans_each_ordered_pool_pair_once(self, n, fresh_universes):
-        pool = _graphic_pool(n)
-        assert find_unpairable_pair(n).universe_size == len(pool) * (len(pool) - 1)
-        # no shared universe was built
-        assert _codes.cache_info().currsize == _matroids.cache_info().currsize == _layers.cache_info().currsize == 0
+        report = find_unpairable_pair(n)
+        # the hunt builds no delta-matroid universe, and caches the matroids below n only
+        assert _codes.cache_info().currsize == _layers.cache_info().currsize == 0
+        assert _matroids.cache_info().currsize == n
+        ms = _extend(_matroids(n - 1), n)
+        assert report.universe_size == len(ms) * (len(ms) - 1)
+        assert n == 5 or ms == _matroids(n)  # every matroid on n elements
 
 
 def _is_open(mu, ml):
@@ -1066,10 +1019,9 @@ def _is_open(mu, ml):
     return inside and not is_pairable(mu, ml).pairable
 
 
-def _pair_witness_reference(upper, lower):
+def _pair_witness_reference(mu, ml):
     """The hunt's per-pair test without its two mask ANDs: the pairability
     report first, then the exhaust of every pair it calls unpairable."""
-    (mu, gu), (ml, gl) = upper, lower
     rep = is_pairable(mu, ml)
     if rep.pairable:
         return None
@@ -1091,45 +1043,43 @@ def _pair_witness_reference(upper, lower):
             "second": list(g.labels_of(f2)),
             "pivot": g.labels[xb.bit_length() - 1],
         }
-    wit["upper_graph"] = graph_to_json(gu)
-    wit["lower_graph"] = graph_to_json(gl)
     return wit
 
 
 class TestPairScans:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_pair_witness_matches_the_reference(self, n):
-        # every ordered pool pair up to n = 4; at n = 5 the pairs the hunt
+        # every ordered matroid pair up to n = 4; at n = 5 the pairs the hunt
         # scans, up to and including its witness.  _pair_witness takes only
         # the pairs the scan lets through, and the reference is None on the rest
-        pairs = itertools.permutations(_graphic_pool(n), 2)
+        pairs = itertools.permutations(_extend(_matroids(n - 1), n), 2)
         if n == 5:
-            pairs = itertools.islice(pairs, 6328)
+            pairs = itertools.islice(pairs, 4054)
         found = []
         for k, (upper, lower) in enumerate(pairs):
-            wit = _pair_witness(upper, lower) if _is_open(upper[0], lower[0]) else None
+            wit = _pair_witness(upper, lower) if _is_open(upper, lower) else None
             assert wit == _pair_witness_reference(upper, lower), (n, k)
             if wit is not None:
                 found.append(k)
-        assert (found == [6327]) if n == 5 else (bool(found) == (n >= 3))
+        assert (found == [4053]) if n == 5 else (bool(found) == (n >= 3))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_hunt_tries_exactly_the_open_pairs_up_to_its_witness(self, n, monkeypatch):
-        # in permutation order, the pool pairs that are no quotient pair yet
+        # in permutation order, the matroid pairs that are no quotient pair yet
         # meet both basis conditions, up to and including the first witness
         tried = []
 
         def recording(upper, lower):
-            tried.append((upper[0]._bases, lower[0]._bases))
+            tried.append((upper._bases, lower._bases))
             return real(upper, lower)
 
         real = search._pair_witness
         monkeypatch.setattr(search, "_pair_witness", recording)
         report = find_unpairable_pair(n)
         expected, wit = [], None
-        for upper, lower in itertools.permutations(_graphic_pool(n), 2):
-            if wit is None and _is_open(upper[0], lower[0]):
-                expected.append((upper[0]._bases, lower[0]._bases))
+        for upper, lower in itertools.permutations(_extend(_matroids(n - 1), n), 2):
+            if wit is None and _is_open(upper, lower):
+                expected.append((upper._bases, lower._bases))
                 wit = _pair_witness_reference(upper, lower)
         assert tried == expected
         assert report.witnesses == ([] if wit is None else [wit])
